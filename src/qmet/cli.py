@@ -241,7 +241,7 @@ def ecc_csv(code: str, *, n: int, omega: float, gamma: float, xi: float = 0.0,
                                    gamma=point["gamma"], tau=point["tau"],
                                    t=point["t"], xi=point["xi"], p=point["p"])
             q = _ecc_qfi(code, params)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise CliError(EXIT_DOMAIN, str(exc))
         hl = (point["n"] * point["t"]) ** 2
         row = [swept, point["omega"], point["gamma"], point["xi"], point["p"],
@@ -249,7 +249,7 @@ def ecc_csv(code: str, *, n: int, omega: float, gamma: float, xi: float = 0.0,
         if oracle:
             try:
                 _, ref = ecc.amplitude_oracle(params, code)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise CliError(EXIT_DOMAIN, str(exc))
             row.append(ref)
         lines.append(",".join(_fmt17(v) for v in row))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import kron_all
+from .dense import kron_all, local_product_sum
 from .pauli import (
     CliffordElement,
     PauliString,
@@ -36,11 +36,13 @@ from .pauli import (
     clifford_apply,
     clifford_to_matrix,
     enumerate_clifford,
+    local_clifford_unitaries,
     paulis_on_support,
     random_clifford,
 )
 
 _DENSE_QUBIT_CAP = 7
+_DEPOL_KRAUS_CAP = 5
 
 
 # --------------------------------------------------------------------------
@@ -132,6 +134,11 @@ class AttackSpec:
         if self.variant == "pauli_mixture":
             return [math.sqrt(max(p, 0.0)) * q.to_matrix() for p, q in self.mixture if p > 0]
         if self.variant == "depolarizing":
+            # One 2^m x 2^m matrix per Pauli: 16^m entries in all (4.3 GB at m = 7).
+            if m > _DEPOL_KRAUS_CAP:
+                raise ValueError("depolarizing Kraus form capped at m = %d qubits "
+                                 "(it lists all 4^m Pauli operators), got m = %d"
+                                 % (_DEPOL_KRAUS_CAP, m))
             dim4 = 4 ** m
             c_id = 1.0 - self.strength + self.strength / dim4
             ops = []
@@ -691,6 +698,9 @@ def _clifford_round(psi, t, u_enc, kraus):
 
 def _sample_clifford_single(n, t, attack, psi, trials, seed):
     m = n + t
+    if m > _DENSE_QUBIT_CAP:
+        raise ValueError("sampled Clifford code capped at m = %d qubits, got m = %d"
+                         % (_DENSE_QUBIT_CAP, m))
     kraus = attack.kraus_ops(m)
     master = np.random.SeedSequence(seed)
     vals = np.empty(trials)
@@ -836,10 +846,6 @@ def worst_fixed_pauli(protocol: str, n: int, t: int) -> tuple[float, PauliString
 # dense key enumeration (independent cross-check path)
 
 
-def _local_clifford_mats():
-    return [clifford_to_matrix(c) for c in enumerate_clifford(1)]
-
-
 def _twirl_local(rho: np.ndarray, kraus: list[np.ndarray], m: int,
                  singles: list[np.ndarray]) -> np.ndarray:
     """Average of U^dag Gamma(U rho U^dag) U over all local-Clifford U."""
@@ -859,7 +865,7 @@ def dense_trap_single(n: int, t: int, attack: AttackSpec,
         raise ValueError("dense key enumeration capped at m = 3")
     psi = _default_data(n) if data_state is None else np.asarray(data_state, complex)
     kraus = attack.kraus_ops(m)
-    singles = _local_clifford_mats()
+    singles = local_clifford_unitaries()
     rho_id = np.outer(psi, psi.conj())
     lhs = accept = 0.0
     placements = list(itertools.combinations(range(m), t))
@@ -906,7 +912,7 @@ def dense_trap_double(n: int, t: int, attack: AttackSpec,
     psi = _default_data(n) if data_state is None else np.asarray(data_state, complex)
     kraus1 = first.kraus_ops(m)
     kraus2 = second.kraus_ops(m)
-    singles = _local_clifford_mats()
+    singles = local_clifford_unitaries()
     lhs = accept = 0.0
     placements = list(itertools.combinations(range(m), t))
     u_data = np.eye(1 << n, dtype=complex) if encode is None else encode
@@ -996,7 +1002,7 @@ def replay_attack_demo(n: int, t: int, theta: float, *,
     if m > 3:
         raise ValueError("replay enumeration capped at m = 3")
     pm = p_attack.to_matrix()
-    singles = _local_clifford_mats()
+    singles = local_clifford_unitaries()
     kraus_in = [pm]
     kraus_out = [pm.conj().T]
     u_full_l = np.kron(u_data, np.eye(1 << t, dtype=complex))
@@ -1025,16 +1031,14 @@ def privacy_deviation(protocol: str, n: int, t: int, *,
     if protocol in ("trap", "delegated"):
         if m > 3:
             raise ValueError("trap privacy enumeration capped at m = 3")
-        singles = _local_clifford_mats()
+        # Every local-Clifford key U = U_1 x ... x U_m, summed one qubit at a time.
+        pairs = [[(u, u.conj().T) for u in local_clifford_unitaries()]] * m
         total = np.zeros((1 << m, 1 << m), dtype=complex)
         count = 0
         for flags in itertools.combinations(range(m), t):
             vec = _embed_with_flags(psi, flags, m)
-            rho = np.outer(vec, vec.conj())
-            for combo in itertools.product(singles, repeat=m):
-                u = kron_all(list(combo))
-                total += u @ rho @ u.conj().T
-                count += 1
+            total += local_product_sum(np.outer(vec, vec.conj()), pairs)
+            count += len(pairs[0]) ** m
         avg = total / count
     elif protocol == "clifford":
         if m > 2:

@@ -18,6 +18,7 @@ __all__ = [
     "ID2", "SX", "SY", "SZ", "PAULI_1Q",
     "ThetaFamily",
     "as_density", "pure", "ket", "ghz", "plus_state", "kron_all",
+    "local_product_sum",
     "hermitian_eig", "hermitian_expm",
     "fidelity", "trace_distance", "partial_trace",
     "evolve_lindblad",
@@ -55,6 +56,27 @@ def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     for m in mats:
         out = np.kron(out, m)
     return out
+
+
+def local_product_sum(rho: np.ndarray,
+                      pairs: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]]) -> np.ndarray:
+    """sum of (A_1 x ... x A_m) rho (B_1 x ... x B_m) over one pair per qubit.
+
+    ``pairs[j]`` lists the 2x2 pairs (A_j, B_j) allowed on qubit j (qubit 0
+    leftmost).  The sum over all prod_j len(pairs[j]) combinations is a
+    tensor product of single-qubit maps, so each is applied in turn on row
+    axis j and column axis m + j of rho as a [2] * 2m tensor: sum_j
+    len(pairs[j]) small contractions and no Kronecker product.
+    """
+    m = len(pairs)
+    t = np.asarray(rho, dtype=complex).reshape([2] * (2 * m))
+    for j, options in enumerate(pairs):
+        acc = np.zeros_like(t)
+        for a, b in options:
+            left = np.moveaxis(np.tensordot(a, t, axes=(1, j)), 0, j)
+            acc += np.moveaxis(np.tensordot(left, b, axes=(m + j, 0)), -1, m + j)
+        t = acc
+    return t.reshape(1 << m, 1 << m)
 
 
 def ket(bits: Sequence[int]) -> np.ndarray:

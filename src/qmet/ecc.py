@@ -46,6 +46,9 @@ class EccParams:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("need at least one sensing qubit")
+        for name in ("omega", "gamma", "tau", "t", "xi", "p"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
         if self.gamma < 0 or self.xi < 0:
             raise ValueError("noise rates must be non-negative")
         if not 0.0 <= self.p <= 1.0:

@@ -16,13 +16,16 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dense import ID2, PAULI_1Q, kron_all
+# kron_all is no longer used here but stays bound as pauli.kron_all, which
+# perfbench's tracer wraps and its self-test checks.
+from .dense import ID2, PAULI_1Q, kron_all, local_product_sum  # noqa: F401
 
 __all__ = [
     "PauliString", "CliffordElement", "PauliChannel",
     "pauli_mul", "commutes",
     "clifford_apply", "clifford_compose", "clifford_tensor", "clifford_identity",
     "enumerate_clifford", "random_clifford", "clifford_to_matrix",
+    "local_clifford_unitaries",
     "verify_twirl", "channel_pauli_coeffs",
     "all_paulis", "paulis_on_support",
 ]
@@ -130,17 +133,49 @@ class PauliString:
         return head + "".join(chars)
 
     def to_matrix(self) -> np.ndarray:
-        facs = []
-        for j in range(self.n):
-            xb = (self.x >> j) & 1
-            zb = (self.z >> j) & 1
-            m = ID2
-            if xb:
-                m = PAULI_1Q["X"]
-            if zb:
-                m = m @ PAULI_1Q["Z"] if xb else PAULI_1Q["Z"]
-            facs.append(m)
-        return self.phase * kron_all(facs)
+        idx, _, rev = _basis_tables(self.n)
+        perm, factor = _pauli_action(self.n, rev[self.x], rev[self.z], self.k)
+        out = np.zeros((idx.size, idx.size), dtype=complex)
+        out[idx, perm] = factor
+        return out
+
+
+_PHASE_ARRAY = np.array([_PHASES[k] for k in range(4)])
+
+
+@lru_cache(maxsize=None)
+def _basis_tables(n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Basis indices 0..2^n-1, (-1)^popcount of each, and each index's n-bit reversal.
+
+    The reversal maps a qubit mask (bit j = qubit j) to its mask in the
+    basis index, where qubit 0 is the leftmost (most significant) bit.
+    """
+    idx = np.arange(1 << n)
+    parity = np.zeros_like(idx)
+    rev = np.zeros_like(idx)
+    for j in range(n):
+        bit = (idx >> j) & 1
+        parity ^= bit
+        rev |= bit << (n - 1 - j)
+    signs = 1.0 - 2.0 * parity
+    idx.flags.writeable = False
+    signs.flags.writeable = False
+    return idx, signs, rev.tolist()
+
+
+def _pauli_action(n: int, x, z, k) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, factor) with (P v)[c] = factor[c] * v[perm[c]] for P = i^k X^x Z^z.
+
+    x and z are index masks (see ``_basis_tables``).  P|b> = i^k
+    (-1)^popcount(b & z) |b ^ x>, so perm[c] = c ^ x and factor[c] =
+    i^k (-1)^popcount((c ^ x) & z).  Given equal-length arrays x, z, k,
+    column j of both results describes the j-th Pauli.
+    """
+    idx, signs, _ = _basis_tables(n)
+    if np.ndim(x):
+        idx = idx[:, None]
+    perm = idx ^ x
+    return perm, _PHASE_ARRAY[k] * signs[perm & z]
 
 
 def pauli_mul(p: PauliString, q: PauliString) -> PauliString:
@@ -379,40 +414,114 @@ def random_clifford(m: int, rng: np.random.Generator) -> CliffordElement:
     return CliffordElement(m, xs, zs)
 
 
-def clifford_to_matrix(c: CliffordElement, *, max_qubits: int = 5) -> np.ndarray:
+def _subset_products(gens) -> list[tuple[int, int, int]]:
+    """(x, z, k) of the product of every subset of pairwise-commuting Paulis.
+
+    ``gens`` are (x, z, k) triples; entry b multiplies the generators whose
+    bit is set in b.
+    """
+    out = [(0, 0, 0)]
+    for gx, gz, gk in gens:
+        out += [(x ^ gx, z ^ gz, (k + gk + 2 * (z & gx).bit_count()) % 4) for x, z, k in out]
+    return out
+
+
+def clifford_to_matrix(c: CliffordElement, *, max_qubits: int = 7) -> np.ndarray:
     """Dense unitary realizing the tableau, unique up to the fixed phase gauge.
 
     The first column is the joint +1 eigenvector of the images of all Z_j;
     column b is then prod_j (image of X_j)^{b_j} applied to it.  The global
     phase is fixed by making the first nonzero entry real and positive.
+    Both steps use the Pauli action on basis states, O(4^m) in all.
     """
     if c.n > max_qubits:
-        raise ValueError("dense reconstruction too large for m=%d" % c.n)
-    dim = 1 << c.n
-    proj = np.eye(dim, dtype=complex)
-    for g in c.z_images:
-        proj = proj @ (np.eye(dim, dtype=complex) + g.to_matrix()) / 2
-    col0 = None
-    for trial in range(dim):
-        cand = proj[:, trial]
-        nrm = np.linalg.norm(cand)
-        if nrm > 1e-6:
-            col0 = cand / nrm
-            break
-    if col0 is None:
+        raise ValueError("dense Clifford reconstruction capped at m = %d qubits, got m = %d"
+                         % (max_qubits, c.n))
+    m = c.n
+    dim = 1 << m
+    rev = _basis_tables(m)[2]
+
+    def index_masks(images):
+        return [(rev[g.x], rev[g.z], g.k) for g in images]
+
+    # The stabilizer projector is 2^-m times the sum over the group the Z
+    # images generate.  Its first nonzero column is the first basis state t
+    # that every diagonal group element fixes with eigenvalue +1; the column
+    # is normalized below, so the factor 2^-m is left out.
+    group = _subset_products(index_masks(c.z_images))
+    diagonal = [(z, k) for x, z, k in group if x == 0]
+    t = next((t for t in range(dim)
+              if all((k + 2 * (t & z).bit_count()) % 4 == 0 for z, k in diagonal)), None)
+    if t is None:
         raise ArithmeticError("stabilizer projector vanished; tableau inconsistent")
-    xmats = [g.to_matrix() for g in c.x_images]
-    u = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
-        col = col0
-        for j in range(c.n):
-            if (b >> (c.n - 1 - j)) & 1:
-                col = xmats[j] @ col
-        u[:, b] = col
+    col = np.zeros(dim, dtype=complex)
+    for x, z, k in group:
+        col[t ^ x] += _PHASES[(k + 2 * (t & z).bit_count()) % 4]
+    col /= np.linalg.norm(col)
+    # Qubit j is index bit m-1-j, so column b takes the images in reverse order.
+    xs, zs, ks = np.array(_subset_products(index_masks(reversed(c.x_images)))).T
+    perm, factor = _pauli_action(m, xs, zs, ks)
+    u = factor * col[perm]
     flat = u.reshape(-1)
     first = flat[np.argmax(np.abs(flat) > 1e-9)]
-    u = u * (first.conjugate() / abs(first))
+    u *= first.conjugate() / abs(first)
     return u
+
+
+@lru_cache(maxsize=1)
+def local_clifford_unitaries() -> tuple[np.ndarray, ...]:
+    """The 24 single-qubit Clifford unitaries, in ``enumerate_clifford(1)`` order (read-only)."""
+    mats = tuple(clifford_to_matrix(c) for c in enumerate_clifford(1))
+    for u in mats:
+        u.flags.writeable = False
+    return mats
+
+
+# X^x Z^z on one qubit, phase-free, keyed by (x, z).
+_FACTORS_1Q = {(0, 0): ID2, (1, 0): PAULI_1Q["X"], (0, 1): PAULI_1Q["Z"],
+               (1, 1): PAULI_1Q["X"] @ PAULI_1Q["Z"]}
+
+
+def _factor(p: PauliString, j: int) -> np.ndarray:
+    return _FACTORS_1Q[((p.x >> j) & 1, (p.z >> j) & 1)]
+
+
+def _twirl_sum(kind: str, q: PauliString, qp: PauliString,
+               rho: np.ndarray) -> np.ndarray:
+    """sum_G (G q G^dag) rho (G q' G^dag) over the twirl group ``kind``.
+
+    For ``local_clifford``, G = U_1 x ... x U_m and q = i^k q_1 x ... x q_m,
+    so the sum is a tensor product of single-qubit maps, one per qubit; it
+    still enumerates every single-qubit Clifford on every qubit.
+    """
+    m = q.n
+    rho = np.asarray(rho, dtype=complex)
+    if kind == "pauli":
+        if m > 3:
+            raise ValueError("pauli twirl enumeration capped at m = 3")
+        qm, qpm = q.to_matrix(), qp.to_matrix()
+        total = np.zeros_like(rho)
+        for p in all_paulis(m):
+            pm = p.to_matrix()
+            total += (pm @ qm @ pm) @ rho @ (pm @ qpm @ pm)
+        return total
+    if kind == "clifford":
+        if m > 2:
+            raise ValueError("full Clifford enumeration capped at m = 2")
+        total = np.zeros_like(rho)
+        for c in enumerate_clifford(m):
+            total += clifford_apply(c, q).to_matrix() @ rho @ clifford_apply(c, qp).to_matrix()
+        return total
+    if kind == "local_clifford":
+        if m > 3:
+            raise ValueError("local Clifford enumeration capped at m = 3")
+        units = local_clifford_unitaries()
+        pairs = []
+        for j in range(m):
+            a, b = _factor(q, j), _factor(qp, j)
+            pairs.append([(u @ a @ u.conj().T, u @ b @ u.conj().T) for u in units])
+        return q.phase * qp.phase * local_product_sum(rho, pairs)
+    raise ValueError("unknown twirl kind %r" % kind)
 
 
 def verify_twirl(kind: str, q: PauliString, qp: PauliString,
@@ -428,32 +537,7 @@ def verify_twirl(kind: str, q: PauliString, qp: PauliString,
         raise ValueError("twirl lemma requires distinct Pauli operators")
     if q.n != qp.n:
         raise ValueError("dimension mismatch")
-    m = q.n
-    rho = np.asarray(rho, dtype=complex)
-    total = np.zeros_like(rho)
-    if kind == "pauli":
-        if m > 3:
-            raise ValueError("pauli twirl enumeration capped at m = 3")
-        for p in all_paulis(m):
-            pm = p.to_matrix()
-            total += (pm @ q.to_matrix() @ pm) @ rho @ (pm @ qp.to_matrix() @ pm)
-    elif kind == "clifford":
-        if m > 2:
-            raise ValueError("full Clifford enumeration capped at m = 2")
-        for c in enumerate_clifford(m):
-            total += clifford_apply(c, q).to_matrix() @ rho @ clifford_apply(c, qp).to_matrix()
-    elif kind == "local_clifford":
-        if m > 3:
-            raise ValueError("local Clifford enumeration capped at m = 3")
-        singles = enumerate_clifford(1)
-        for combo in itertools.product(singles, repeat=m):
-            c = combo[0]
-            for extra in combo[1:]:
-                c = clifford_tensor(c, extra)
-            total += clifford_apply(c, q).to_matrix() @ rho @ clifford_apply(c, qp).to_matrix()
-    else:
-        raise ValueError("unknown twirl kind %r" % kind)
-    return float(np.max(np.abs(total)))
+    return float(np.max(np.abs(_twirl_sum(kind, q, qp, rho))))
 
 
 @dataclass(frozen=True)

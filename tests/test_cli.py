@@ -183,6 +183,20 @@ def test_ecc_preset_fills_unset(tmp_path):
     np.testing.assert_allclose(float(row[5]), 1e-6)
 
 
+@pytest.mark.parametrize("bad", [["--t", "inf"], ["--omega", "nan", "--t", "0.5"]])
+def test_ecc_non_finite_input_fails_cleanly(tmp_path, bad):
+    out_path = tmp_path / "x.csv"
+    args = ["ecc", "--code", "none", "--n", "2", "--omega", "1", "--gamma", "0.1",
+            "--tau", "0.1", *bad, "--out", str(out_path)]
+    proc = _run_subprocess(args)
+    assert proc.returncode in (2, 3)
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "finite" in lines[0]
+    assert not out_path.exists() or "nan" not in out_path.read_text()
+
+
 def test_ecc_bad_sweep_spec(tmp_path):
     rc = run_cli(["ecc", "--code", "parity", "--n", "3", "--omega", "1",
                   "--gamma", "0.2", "--tau", "0.1", "--t", "0.5",
@@ -226,6 +240,41 @@ def test_crypto_sampled_mode_fields(tmp_path):
     assert data["seed"] == 7
     assert data["stderr"] > 0
     assert data["lhs"] <= data["bound"]
+
+
+def test_crypto_clifford_sampled_mode(tmp_path):
+    out_path = tmp_path / "c.json"
+    rc = run_cli(["crypto", "--protocol", "cliff1", "--n", "4", "--t", "3",
+                  "--attack", "mix:0.9*IIIIIII,0.1*XZYXZYX", "--trials", "20",
+                  "--out", str(out_path)])
+    assert rc == 0
+    data = json.loads(out_path.read_text())
+    assert data["mode"] == "sampled"
+    # Closed form 2^m (2^(m-t) - 1)(1 - a)/(4^m - 1) at m = 7, t = 3, a = 0.9.
+    exact = 2 ** 7 * (2 ** 4 - 1) * 0.1 / (4 ** 7 - 1)
+    np.testing.assert_allclose(exact, 0.0117194653, rtol=1e-9)
+    assert 0 < data["stderr"]
+    assert abs(data["lhs"] - exact) <= 4 * data["stderr"]
+
+
+def test_crypto_clifford_sampled_cap(tmp_path, capsys):
+    rc = run_cli(["crypto", "--protocol", "cliff1", "--n", "5", "--t", "3",
+                  "--attack", "mix:0.9*IIIIIIII,0.1*XZYXZYXZ", "--trials", "20",
+                  "--out", str(tmp_path / "c.json")])
+    assert rc == 3
+    err = capsys.readouterr().err.strip()
+    assert err == "error: sampled Clifford code capped at m = 7 qubits, got m = 8"
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_crypto_sampled_depolarizing_kraus_cap(tmp_path, capsys):
+    # Sampled Clifford rounds apply the attack's Kraus form; for a depolarizing
+    # attack at m = 7 that would be 4^7 matrices of 128 x 128, so it is refused.
+    rc = run_cli(["crypto", "--protocol", "cliff1", "--n", "4", "--t", "3",
+                  "--attack", "depol:0.3", "--trials", "20",
+                  "--out", str(tmp_path / "c.json")])
+    assert rc == 3
+    assert "depolarizing Kraus form capped at m = 5" in capsys.readouterr().err
 
 
 def test_crypto_usage_errors(tmp_path, capsys):

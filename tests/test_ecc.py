@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qmet import ecc
 
@@ -15,6 +16,15 @@ def test_params_validation():
         ecc.EccParams(3, 1.0, 0.2, -0.1, 0.2)
     with pytest.raises(ValueError):
         ecc.EccParams(3, 1.0, 0.2, 0.1, 0.2, p=1.2)
+
+
+@given(st.sampled_from(["omega", "gamma", "tau", "t", "xi", "p"]),
+       st.sampled_from([float("inf"), float("-inf"), float("nan")]))
+def test_params_reject_non_finite(field, value):
+    kw = dict(n=2, omega=1.0, gamma=0.1, tau=0.1, t=0.5, xi=0.0, p=0.0)
+    kw[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        ecc.EccParams(**kw)
 
 
 def test_no_ecc_noiseless_is_heisenberg():

@@ -1,5 +1,7 @@
 """Pauli/Clifford tableau tests against explicit matrices."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,94 @@ def test_label_roundtrip_basics():
 def test_label_roundtrip_random(letters, sign):
     label = sign + "".join(letters)
     assert pauli.PauliString.from_label(label).label() == label
+
+
+def _kron_reference(p):
+    """phase * X^x Z^z as a Kronecker product of 1-qubit factors, qubit 0 leftmost."""
+    out = np.array([[p.phase]])
+    for j in range(p.n):
+        fac = dense.ID2
+        if (p.x >> j) & 1:
+            fac = fac @ dense.SX
+        if (p.z >> j) & 1:
+            fac = fac @ dense.SZ
+        out = np.kron(out, fac)
+    return out
+
+
+def test_to_matrix_equals_kronecker_product():
+    for n in range(1, 5):
+        for x in range(1 << n):
+            for z in range(1 << n):
+                for k in range(4):
+                    p = pauli.PauliString(n, x, z, k)
+                    assert np.array_equal(p.to_matrix(), _kron_reference(p)), p
+
+
+def test_to_matrix_returns_fresh_arrays():
+    p = pauli.PauliString.from_label("XY")
+    a = p.to_matrix()
+    a[:] = 0
+    assert np.array_equal(p.to_matrix(), _kron_reference(p))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_clifford_to_matrix_whole_group(m):
+    group = pauli.enumerate_clifford(m)
+    assert len(group) == {1: 24, 2: 11520}[m]
+    eye = np.eye(1 << m)
+    gens = [pauli.PauliString(m, 1 << j, 0) for j in range(m)] + \
+        [pauli.PauliString(m, 0, 1 << j) for j in range(m)]
+    us = np.array([pauli.clifford_to_matrix(c) for c in group])
+    assert np.abs(us @ us.conj().transpose(0, 2, 1) - eye).max() < 1e-12
+    for i, g in enumerate(gens):
+        got = us @ _kron_reference(g) @ us.conj().transpose(0, 2, 1)
+        want = np.array([_kron_reference((c.x_images + c.z_images)[i]) for c in group])
+        assert np.abs(got - want).max() < 1e-12
+    for u in us.reshape(len(group), -1):
+        first = u[np.flatnonzero(np.abs(u) > 1e-9)[0]]
+        assert first.imag == 0.0 and first.real > 0
+
+
+def test_clifford_to_matrix_cap():
+    rng = np.random.default_rng(8)
+    u = pauli.clifford_to_matrix(pauli.random_clifford(7, rng))
+    np.testing.assert_allclose(u @ u.conj().T, np.eye(128), atol=1e-12)
+    with pytest.raises(ValueError, match="m = 8"):
+        pauli.clifford_to_matrix(pauli.random_clifford(8, rng))
+
+
+def _literal_local_sum(q, qp, rho):
+    """sum over all 24^m local Cliffords of (C q C^dag) rho (C q' C^dag), by tableau."""
+    total = np.zeros_like(rho)
+    for combo in itertools.product(pauli.enumerate_clifford(1), repeat=q.n):
+        c = combo[0]
+        for extra in combo[1:]:
+            c = pauli.clifford_tensor(c, extra)
+        total += pauli.clifford_apply(c, q).to_matrix() @ rho \
+            @ pauli.clifford_apply(c, qp).to_matrix()
+    return total
+
+
+@pytest.mark.parametrize("m,labels", [
+    (2, [("XY", "XY"), ("ZI", "ZI"), ("XI", "ZY"), ("YY", "IX")]),
+    (3, [("XIY", "XIY"), ("ZXI", "YZZ")]),
+])
+def test_local_clifford_sum_matches_literal_group_sum(m, labels):
+    rng = np.random.default_rng(30 + m)
+    a = rng.normal(size=(1 << m, 1 << m)) + 1j * rng.normal(size=(1 << m, 1 << m))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    for ql, qpl in labels:
+        q = pauli.PauliString.from_label(ql)
+        qp = pauli.PauliString.from_label(qpl)
+        got = pauli._twirl_sum("local_clifford", q, qp, rho)
+        want = _literal_local_sum(q, qp, rho)
+        # Equal operators leave a nonzero sum, so the comparison can fail;
+        # for distinct ones both vanish and the scale is that of the terms.
+        scale = np.abs(want).max() if ql == qpl else 24 ** m * np.abs(rho).max()
+        assert scale > 1.0
+        assert np.abs(got - want).max() / scale < 1e-12, (ql, qpl)
 
 
 def test_mul_and_commute_against_matrices():
