@@ -252,14 +252,12 @@ def lindblad_ghz_qfi(n: int, omega: float, gamma: float, t: float) -> float:
         ham_ops.append(dense.kron_all(ops))
         ops[j] = dense.SX
         jump_ops.append(dense.kron_all(ops))
-    rho0 = dense.pure(dense.ghz(n))
-
-    def fam(w: float) -> np.ndarray:
-        ham = 0.5 * w * sum(ham_ops)
-        return dense.evolve_lindblad(rho0, ham, [(op, gamma) for op in jump_ops],
-                                     t, tol=1e-12)
-
-    return dense.qfi_spectral(dense.ThetaFamily(fam), omega)
+    # H = (omega / 2) sum_j Z_j, so dH / domega = H / omega.
+    dham = 0.5 * sum(ham_ops)
+    rho, drho = dense.evolve_lindblad_tangent(
+        dense.pure(dense.ghz(n)), omega * dham, dham,
+        [(op, gamma) for op in jump_ops], t, tol=1e-12)
+    return dense.sld_qfi(rho, drho)
 
 
 _FREE_POINTS = [(1.0, 0.10, 0.15), (1.0, 0.25, 0.15), (0.7, 0.20, 0.2),

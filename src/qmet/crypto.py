@@ -35,8 +35,7 @@ from .pauli import (
     channel_pauli_coeffs,
     clifford_apply,
     clifford_to_matrix,
-    enumerate_clifford,
-    local_clifford_unitaries,
+    clifford_unitaries,
     paulis_on_support,
     random_clifford,
 )
@@ -290,13 +289,16 @@ def _physical_axes(flag_positions, m: int) -> list[int]:
     return axes
 
 
+def _with_flags(psi: np.ndarray, t: int) -> np.ndarray:
+    """psi (x) |0...0> with t flag qubits last (logical, data-first order)."""
+    flag_part = np.zeros(1 << t, dtype=complex)
+    flag_part[0] = 1.0
+    return np.kron(psi, flag_part)
+
+
 def _embed_with_flags(data_vec: np.ndarray, flag_positions, m: int) -> np.ndarray:
     """|psi> on the data slots, |0> flags at the given physical positions."""
-    t = len(flag_positions)
-    flag_part = np.zeros(1 << t, dtype=complex) if t else np.ones(1, dtype=complex)
-    if t:
-        flag_part[0] = 1.0
-    logical = np.kron(np.asarray(data_vec, dtype=complex), flag_part)
+    logical = _with_flags(np.asarray(data_vec, dtype=complex), len(flag_positions))
     axes = _physical_axes(flag_positions, m)
     return logical.reshape([2] * m).transpose(axes).reshape(-1)
 
@@ -681,12 +683,9 @@ def soundness_clifford_single(n: int, t: int, attack: AttackSpec,
     raise ValueError("unknown mode %r" % mode)
 
 
-def _clifford_round(psi, t, u_enc, kraus):
+def _clifford_round(psi, vec, t, u_enc, kraus):
+    """(accept, lhs term) of one Clifford key; vec is ``_with_flags(psi, t)``."""
     n = psi.size.bit_length() - 1
-    m = n + t
-    flag_part = np.zeros(1 << t, dtype=complex)
-    flag_part[0] = 1.0
-    vec = np.kron(psi, flag_part)
     enc = u_enc @ vec
     rho = _apply_channel(np.outer(enc, enc.conj()), kraus)
     rho = u_enc.conj().T @ rho @ u_enc
@@ -702,13 +701,14 @@ def _sample_clifford_single(n, t, attack, psi, trials, seed):
         raise ValueError("sampled Clifford code capped at m = %d qubits, got m = %d"
                          % (_DENSE_QUBIT_CAP, m))
     kraus = attack.kraus_ops(m)
+    vec = _with_flags(psi, t)
     master = np.random.SeedSequence(seed)
     vals = np.empty(trials)
     accs = np.empty(trials)
     for i, child in enumerate(master.spawn(trials)):
         rng = np.random.default_rng(child)
         u_enc = clifford_to_matrix(random_clifford(m, rng))
-        accs[i], vals[i] = _clifford_round(psi, t, u_enc, kraus)
+        accs[i], vals[i] = _clifford_round(psi, vec, t, u_enc, kraus)
     err = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return float(np.mean(vals)), float(np.mean(accs)), err
 
@@ -847,7 +847,7 @@ def worst_fixed_pauli(protocol: str, n: int, t: int) -> tuple[float, PauliString
 
 
 def _twirl_local(rho: np.ndarray, kraus: list[np.ndarray], m: int,
-                 singles: list[np.ndarray]) -> np.ndarray:
+                 singles: np.ndarray) -> np.ndarray:
     """Average of U^dag Gamma(U rho U^dag) U over all local-Clifford U."""
     total = np.zeros_like(rho)
     for combo in itertools.product(singles, repeat=m):
@@ -865,7 +865,7 @@ def dense_trap_single(n: int, t: int, attack: AttackSpec,
         raise ValueError("dense key enumeration capped at m = 3")
     psi = _default_data(n) if data_state is None else np.asarray(data_state, complex)
     kraus = attack.kraus_ops(m)
-    singles = local_clifford_unitaries()
+    singles = clifford_unitaries(1)
     rho_id = np.outer(psi, psi.conj())
     lhs = accept = 0.0
     placements = list(itertools.combinations(range(m), t))
@@ -887,11 +887,11 @@ def dense_clifford_single(n: int, t: int, attack: AttackSpec,
     m = n + t
     psi = _default_data(n) if data_state is None else np.asarray(data_state, complex)
     kraus = attack.kraus_ops(m)
+    vec = _with_flags(psi, t)
     lhs = accept = 0.0
-    group = enumerate_clifford(m)
-    for c in group:
-        u = clifford_to_matrix(c)
-        p_acc, val = _clifford_round(psi, t, u, kraus)
+    group = clifford_unitaries(m)
+    for u in group:
+        p_acc, val = _clifford_round(psi, vec, t, u, kraus)
         accept += p_acc
         lhs += val
     return lhs / len(group), accept / len(group)
@@ -912,7 +912,7 @@ def dense_trap_double(n: int, t: int, attack: AttackSpec,
     psi = _default_data(n) if data_state is None else np.asarray(data_state, complex)
     kraus1 = first.kraus_ops(m)
     kraus2 = second.kraus_ops(m)
-    singles = local_clifford_unitaries()
+    singles = clifford_unitaries(1)
     lhs = accept = 0.0
     placements = list(itertools.combinations(range(m), t))
     u_data = np.eye(1 << n, dtype=complex) if encode is None else encode
@@ -945,11 +945,9 @@ def dense_clifford_double(n: int, t: int, attack: AttackSpec,
     psi = _default_data(n) if data_state is None else np.asarray(data_state, complex)
     kraus1 = first.kraus_ops(m)
     kraus2 = second.kraus_ops(m)
-    flag_part = np.zeros(1 << t, dtype=complex)
-    flag_part[0] = 1.0
-    vec = np.kron(psi, flag_part)
+    vec = _with_flags(psi, t)
     rho0 = np.outer(vec, vec.conj())
-    group = [clifford_to_matrix(c) for c in enumerate_clifford(m)]
+    group = clifford_unitaries(m)
 
     def twirl(rho, kraus):
         total = np.zeros_like(rho)
@@ -1002,7 +1000,7 @@ def replay_attack_demo(n: int, t: int, theta: float, *,
     if m > 3:
         raise ValueError("replay enumeration capped at m = 3")
     pm = p_attack.to_matrix()
-    singles = local_clifford_unitaries()
+    singles = clifford_unitaries(1)
     kraus_in = [pm]
     kraus_out = [pm.conj().T]
     u_full_l = np.kron(u_data, np.eye(1 << t, dtype=complex))
@@ -1032,7 +1030,7 @@ def privacy_deviation(protocol: str, n: int, t: int, *,
         if m > 3:
             raise ValueError("trap privacy enumeration capped at m = 3")
         # Every local-Clifford key U = U_1 x ... x U_m, summed one qubit at a time.
-        pairs = [[(u, u.conj().T) for u in local_clifford_unitaries()]] * m
+        pairs = [[(u, u.conj().T) for u in clifford_unitaries(1)]] * m
         total = np.zeros((1 << m, 1 << m), dtype=complex)
         count = 0
         for flags in itertools.combinations(range(m), t):
@@ -1043,14 +1041,11 @@ def privacy_deviation(protocol: str, n: int, t: int, *,
     elif protocol == "clifford":
         if m > 2:
             raise ValueError("Clifford privacy enumeration capped at m = 2")
-        flag_part = np.zeros(1 << t, dtype=complex)
-        flag_part[0] = 1.0
-        vec = np.kron(psi, flag_part)
+        vec = _with_flags(psi, t)
         rho = np.outer(vec, vec.conj())
-        group = enumerate_clifford(m)
+        group = clifford_unitaries(m)
         total = np.zeros_like(rho)
-        for c in group:
-            u = clifford_to_matrix(c)
+        for u in group:
             total += u @ rho @ u.conj().T
         avg = total / len(group)
     else:

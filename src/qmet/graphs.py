@@ -452,15 +452,27 @@ def heisenberg_count_bound(n: int, eps: float) -> int:
     return total
 
 
+def _qubit_bits(n: int, q: int) -> np.ndarray:
+    """Bit of qubit q (qubit 0 leftmost) in every n-qubit basis index, as uint8."""
+    bits = np.zeros((1 << q, 2, 1 << (n - 1 - q)), dtype=np.uint8)
+    bits[:, 1] = 1
+    return bits.reshape(-1)
+
+
 def graph_state(g: Graph) -> np.ndarray:
-    """Dense state vector: CZ on every edge applied to |+>^n (qubit 0 leftmost)."""
-    dim = 1 << g.n
-    psi = np.full(dim, 2 ** (-g.n / 2), dtype=complex)
-    idx = np.arange(dim)
+    """Dense state vector: CZ on every edge applied to |+>^n (qubit 0 leftmost).
+
+    The amplitude of basis state b is 2^(-n/2) (-1)^(number of edges with
+    both ends set in b); that parity is accumulated over the edges in one
+    uint8 array and the signs are flipped once.
+    """
+    bits = [_qubit_bits(g.n, q) for q in range(g.n)]
+    parity = np.zeros(1 << g.n, dtype=np.uint8)
     for u, v in g.edges:
-        bu = (idx >> (g.n - 1 - u)) & 1
-        bv = (idx >> (g.n - 1 - v)) & 1
-        psi = psi * np.where(bu & bv, -1.0, 1.0)
+        parity ^= bits[u] & bits[v]
+    amp = 2 ** (-g.n / 2)
+    psi = np.full(1 << g.n, amp, dtype=complex)
+    psi[parity.astype(bool)] = -amp
     return psi
 
 

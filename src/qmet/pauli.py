@@ -25,7 +25,7 @@ __all__ = [
     "pauli_mul", "commutes",
     "clifford_apply", "clifford_compose", "clifford_tensor", "clifford_identity",
     "enumerate_clifford", "random_clifford", "clifford_to_matrix",
-    "local_clifford_unitaries",
+    "clifford_unitaries",
     "verify_twirl", "channel_pauli_coeffs",
     "all_paulis", "paulis_on_support",
 ]
@@ -468,13 +468,19 @@ def clifford_to_matrix(c: CliffordElement, *, max_qubits: int = 7) -> np.ndarray
     return u
 
 
-@lru_cache(maxsize=1)
-def local_clifford_unitaries() -> tuple[np.ndarray, ...]:
-    """The 24 single-qubit Clifford unitaries, in ``enumerate_clifford(1)`` order (read-only)."""
-    mats = tuple(clifford_to_matrix(c) for c in enumerate_clifford(1))
-    for u in mats:
-        u.flags.writeable = False
-    return mats
+@lru_cache(maxsize=2)
+def clifford_unitaries(m: int) -> np.ndarray:
+    """Every m-qubit Clifford unitary (m <= 2), stacked in ``enumerate_clifford(m)`` order.
+
+    Built on first use and kept for the process, read-only: 24 matrices at
+    m = 1, 11,520 (about 2.9 MB) at m = 2.
+    """
+    group = enumerate_clifford(m)
+    out = np.empty((len(group), 1 << m, 1 << m), dtype=complex)
+    for i, c in enumerate(group):
+        out[i] = clifford_to_matrix(c)
+    out.flags.writeable = False
+    return out
 
 
 # X^x Z^z on one qubit, phase-free, keyed by (x, z).
@@ -515,7 +521,7 @@ def _twirl_sum(kind: str, q: PauliString, qp: PauliString,
     if kind == "local_clifford":
         if m > 3:
             raise ValueError("local Clifford enumeration capped at m = 3")
-        units = local_clifford_unitaries()
+        units = clifford_unitaries(1)
         pairs = []
         for j in range(m):
             a, b = _factor(q, j), _factor(qp, j)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qmet import dense
+from qmet import checks, dense, ecc
 
 
 def test_ket_msb_convention():
@@ -151,3 +151,84 @@ def test_qfi_spectral_dephased_qubit():
 def test_default_fd_step_scales():
     assert dense.default_fd_step(0.0) == pytest.approx(1e-5)
     assert dense.default_fd_step(100.0) == pytest.approx(1e-3)
+
+
+def _two_qubit_tangent_case():
+    """H(w) = H0 + w H1 with [H0, H1] != 0, a sigma-minus jump, mixed rho0."""
+    sm = np.array([[0, 1], [0, 0]], dtype=complex)
+    h0 = np.kron(dense.SX, dense.SX) + 0.3 * np.kron(dense.SZ, dense.ID2)
+    h1 = np.kron(dense.SZ, dense.ID2) + 0.5 * np.kron(dense.SY, dense.SX)
+    jumps = [(np.kron(sm, dense.ID2), 0.4), (np.kron(dense.ID2, dense.SZ), 0.15)]
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho0 = a @ a.conj().T
+    rho0 /= np.trace(rho0).real
+    return h0, h1, jumps, rho0
+
+
+def test_lindblad_tangent_matches_central_difference():
+    h0, h1, jumps, rho0 = _two_qubit_tangent_case()
+    assert np.abs(h0 @ h1 - h1 @ h0).max() > 0.1
+    w, t, tol = 0.7, 0.9, 1e-12
+    rho, drho = dense.evolve_lindblad_tangent(rho0, h0 + w * h1, h1, jumps, t, tol=tol)
+
+    def evolve(x):
+        return dense.evolve_lindblad(rho0, h0 + x * h1, jumps, t, tol=tol)
+
+    h = 1e-3
+    fd = (8 * (evolve(w + h) - evolve(w - h)) - (evolve(w + 2 * h) - evolve(w - 2 * h))) / (12 * h)
+    assert np.abs(drho - fd).max() <= 1e-7 * np.abs(fd).max()
+    assert np.abs(rho - evolve(w)).max() <= tol
+    np.testing.assert_allclose(np.trace(drho), 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("gamma", [0.0, 0.2])
+def test_lindblad_ghz_qfi_matches_closed_form(n, gamma):
+    omega, t = 0.9, 0.3
+    want = ecc.qfi_no_ecc(n, omega, gamma, t)
+    assert abs(checks.lindblad_ghz_qfi(n, omega, gamma, t) - want) <= 1e-9 * want
+
+
+def test_lindblad_zero_rate_jumps_are_dropped():
+    h0, h1, jumps, rho0 = _two_qubit_tangent_case()
+    idle = [(op, 0.0) for op, _ in jumps]
+    assert np.array_equal(dense.evolve_lindblad(rho0, h0, jumps + idle, 0.5),
+                          dense.evolve_lindblad(rho0, h0, jumps, 0.5))
+    for a, b in zip(dense.evolve_lindblad_tangent(rho0, h0, h1, idle, 0.5),
+                    dense.evolve_lindblad_tangent(rho0, h0, h1, [], 0.5)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("t", np.inf, "time must be finite"),
+    ("t", np.nan, "time must be finite"),
+    ("t", -0.1, "negative"),
+    ("ham", np.nan, "ham has non-finite"),
+    ("dham", np.inf, "dham has non-finite"),
+    ("ham", 1j, "ham is not Hermitian"),
+    ("dham", 1j, "dham is not Hermitian"),
+    ("op", np.nan, "jump operator has non-finite"),
+    ("rate", np.nan, "rates must be finite"),
+    ("rate", np.inf, "rates must be finite"),
+    ("rate", -0.2, "non-negative"),
+])
+def test_lindblad_rejects_bad_input_before_stepping(monkeypatch, field, value, match):
+    h0, h1, jumps, rho0 = _two_qubit_tangent_case()
+    args = {"t": 0.5, "ham": h0.copy(), "dham": h1.copy(), "op": jumps[0][0].copy(),
+            "rate": jumps[0][1]}
+    if field in ("ham", "dham", "op"):
+        args[field][1, 2] = value
+    else:
+        args[field] = value
+    bad = [(args["op"], args["rate"])] + jumps[1:]
+
+    def no_steps(*_):
+        raise AssertionError("integrator ran on invalid input")
+
+    monkeypatch.setattr(dense, "_rk4_run", no_steps)
+    if field != "dham":
+        with pytest.raises(ValueError, match=match):
+            dense.evolve_lindblad(rho0, args["ham"], bad, args["t"])
+    with pytest.raises(ValueError, match=match):
+        dense.evolve_lindblad_tangent(rho0, args["ham"], args["dham"], bad, args["t"])

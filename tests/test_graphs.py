@@ -166,3 +166,17 @@ def test_measurement_variance_saturates_crb():
 def test_counting_bounds():
     assert graphs.heisenberg_count_bound(4, 1.0) == 880
     assert [graphs.stabilizer_count(m) for m in (1, 2, 3)] == [6, 60, 1080]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_graph_state_matches_per_edge_sign_product(n):
+    rng = np.random.default_rng(n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = rng.permutation(len(pairs))[:max(1, len(pairs) // 2)] if pairs else []
+    g = graphs.Graph.from_edges(n, [pairs[i] for i in chosen])
+    idx = np.arange(1 << n)
+    want = np.full(1 << n, 2 ** (-n / 2), dtype=complex)
+    for u, v in g.edges:
+        both = ((idx >> (n - 1 - u)) & 1) & ((idx >> (n - 1 - v)) & 1)
+        want = want * np.where(both, -1.0, 1.0)
+    assert np.array_equal(graphs.graph_state(g), want)

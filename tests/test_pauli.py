@@ -65,7 +65,9 @@ def test_clifford_to_matrix_whole_group(m):
     eye = np.eye(1 << m)
     gens = [pauli.PauliString(m, 1 << j, 0) for j in range(m)] + \
         [pauli.PauliString(m, 0, 1 << j) for j in range(m)]
-    us = np.array([pauli.clifford_to_matrix(c) for c in group])
+    us = pauli.clifford_unitaries(m)
+    assert np.array_equal(us, [pauli.clifford_to_matrix(c) for c in group])
+    assert not us.flags.writeable and pauli.clifford_unitaries(m) is us
     assert np.abs(us @ us.conj().transpose(0, 2, 1) - eye).max() < 1e-12
     for i, g in enumerate(gens):
         got = us @ _kron_reference(g) @ us.conj().transpose(0, 2, 1)
