@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 verification failure (a cross-check or an exact
 bound failed), 2 usage or parse error, 3 domain precondition violated.
 CSV output uses 17-significant-digit floats, '.' decimals, ',' separators
 and LF line endings; JSON uses snake_case keys in a fixed order.  All
-computation is assembled single-threaded in index order, so outputs are
-byte-identical for equal flags and seed regardless of QMET_THREADS.
+computation runs single-threaded in index order, so identical flags and seed
+give byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 
 import numpy as np
@@ -43,19 +42,6 @@ def _fmt_value(value: float) -> str:
     if abs(value - round(value)) < 1e-9:
         return str(int(round(value)))
     return format(float(value), ".12g")
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("QMET_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise CliError(EXIT_USAGE, "QMET_THREADS must be an integer, got %r" % raw)
-    if cap < 1:
-        raise CliError(EXIT_USAGE, "QMET_THREADS must be >= 1")
-    return cap
 
 
 # graph subcommand
@@ -257,7 +243,6 @@ def ecc_csv(code: str, *, n: int, omega: float, gamma: float, xi: float = 0.0,
 
 
 def cmd_ecc(args: argparse.Namespace) -> int:
-    _thread_cap()
     if args.preset == "fig54":
         if args.gamma is None:
             args.gamma = 1e6
@@ -296,8 +281,6 @@ def _attack_width(attack: crypto.AttackSpec) -> int | None:
         return attack.pauli.n
     if attack.variant == "pauli_mixture":
         return attack.mixture[0][1].n
-    if attack.variant == "kraus":
-        return attack.kraus_mats[0].shape[0].bit_length() - 1
     return None
 
 
@@ -317,11 +300,9 @@ def _pad_attack(attack: crypto.AttackSpec, m: int) -> crypto.AttackSpec:
     if attack.variant == "fixed_pauli":
         return crypto.AttackSpec.fixed_pauli(
             pauli.PauliString.from_label(attack.pauli.label() + pad))
-    if attack.variant == "pauli_mixture":
-        return crypto.AttackSpec.pauli_mixture(
-            [(w, pauli.PauliString.from_label(p.label() + pad))
-             for w, p in attack.mixture])
-    raise CliError(EXIT_USAGE, "cannot pad a Kraus attack to the register size")
+    return crypto.AttackSpec.pauli_mixture(
+        [(w, pauli.PauliString.from_label(p.label() + pad))
+         for w, p in attack.mixture])
 
 
 def _crypto_report(protocol: str, n: int, t: int, attack: crypto.AttackSpec,
@@ -335,9 +316,7 @@ def _crypto_report(protocol: str, n: int, t: int, attack: crypto.AttackSpec,
                        "double attacks apply to trap2/cliff2 only")
     m = n + t
     attack = _pad_attack(attack, m)
-    has_kraus = attack.variant == "kraus" or (
-        attack.variant == "double" and any(g.variant == "kraus" for g in attack.pair))
-    mode = "exact" if m <= (4 if has_kraus else 6) else "sampled"
+    mode = "exact" if m <= 6 else "sampled"
     if protocol == "trap1":
         return crypto.soundness_trap_single(n, t, attack, mode,
                                             trials=trials, seed=seed)
@@ -354,6 +333,9 @@ def _crypto_report(protocol: str, n: int, t: int, attack: crypto.AttackSpec,
 
 def crypto_json(protocol: str, n: int, t: int, attack_text: str,
                 trials: int, seed: int) -> str:
+    for name, value in (("n", n), ("t", t), ("trials", trials)):
+        if value < 1:
+            raise CliError(EXIT_USAGE, "--%s must be >= 1, got %d" % (name, value))
     try:
         attack = crypto.parse_attack(attack_text)
     except ValueError as exc:
@@ -370,7 +352,6 @@ def crypto_json(protocol: str, n: int, t: int, attack_text: str,
 
 
 def cmd_crypto(args: argparse.Namespace) -> int:
-    _thread_cap()
     text = crypto_json(args.protocol, args.n, args.t, args.attack,
                        args.trials, args.seed)
     try:
@@ -392,7 +373,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .checks import run_checks
 
     results = run_checks(quick=args.quick)
-    failed = []
     for r in results:
         print("%s %s: %s" % ("ok  " if r.ok else "FAIL", r.name, r.detail))
     failed = [r.name for r in results if not r.ok]
@@ -412,9 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Metrology calculators: graph-state QFI from the "
                     "shared-neighborhood partition, error-corrected GHZ "
                     "frequency estimation, and authenticated-channel "
-                    "soundness/privacy/integrity, each with oracle cross-checks.",
-        epilog="QMET_THREADS caps worker parallelism; results are assembled "
-               "in index order, so outputs are byte-identical for any value.")
+                    "soundness/privacy/integrity, each with oracle cross-checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pg = sub.add_parser(

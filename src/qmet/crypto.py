@@ -255,17 +255,6 @@ class TrapKey:
         return len(self.flag_positions)
 
 
-@dataclass(frozen=True)
-class CliffordKey:
-    """A single m-qubit Clifford encryption."""
-
-    clifford: CliffordElement
-
-    def __post_init__(self) -> None:
-        if not self.clifford.is_symplectic():
-            raise ValueError("key tableau violates the symplectic condition")
-
-
 def random_trap_key(n: int, t: int, rng: np.random.Generator) -> TrapKey:
     m = n + t
     flags = tuple(sorted(int(v) for v in rng.choice(m, size=t, replace=False)))
@@ -309,6 +298,13 @@ def _to_logical(rho_phys: np.ndarray, flag_positions, m: int) -> np.ndarray:
     inverse = list(np.argsort(axes))
     both = inverse + [a + m for a in inverse]
     return rho_phys.reshape([2] * (2 * m)).transpose(both).reshape(1 << m, 1 << m)
+
+
+def _to_physical(rho_l: np.ndarray, flag_positions, m: int) -> np.ndarray:
+    """Inverse of :func:`_to_logical`: move the flags to their physical slots."""
+    axes = _physical_axes(flag_positions, m)
+    both = axes + [a + m for a in axes]
+    return rho_l.reshape([2] * (2 * m)).transpose(both).reshape(1 << m, 1 << m)
 
 
 def _apply_channel(rho: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
@@ -635,6 +631,20 @@ def _trap_key_value(psi: np.ndarray, n: int, key: TrapKey,
     return p_acc, p_acc - overlap
 
 
+def _sample(trials, seed, one_trial):
+    """(mean lhs, mean accept, stderr of lhs) over seeded independent trials.
+
+    Trial i calls ``one_trial(rng)`` once, with a generator seeded by the
+    i-th child of ``SeedSequence(seed)``, and gets (p_accept, lhs term).
+    """
+    vals = np.empty(trials)
+    accs = np.empty(trials)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        accs[i], vals[i] = one_trial(np.random.default_rng(child))
+    err = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return float(np.mean(vals)), float(np.mean(accs)), err
+
+
 def _sample_trap_single(n, t, attack, psi, trials, seed):
     m = n + t
     try:
@@ -644,20 +654,15 @@ def _sample_trap_single(n, t, attack, psi, trials, seed):
     if terms is None and m > _DENSE_QUBIT_CAP:
         raise ValueError("sampled Kraus attacks capped at %d qubits" % _DENSE_QUBIT_CAP)
     rho_id = np.outer(psi, psi.conj())
-    master = np.random.SeedSequence(seed)
-    vals = np.empty(trials)
-    accs = np.empty(trials)
-    for i, child in enumerate(master.spawn(trials)):
-        rng = np.random.default_rng(child)
+
+    def one_trial(rng):
         key = random_trap_key(n, t, rng)
         if terms is not None:
-            accs[i], vals[i] = _trap_key_value(psi, n, key, terms)
-        else:
-            p_acc, cond = trap_round_single(psi, t, key, attack)
-            accs[i] = p_acc
-            vals[i] = p_acc * (1.0 - float(np.real(np.trace(rho_id @ cond))))
-    err = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return float(np.mean(vals)), float(np.mean(accs)), err
+            return _trap_key_value(psi, n, key, terms)
+        p_acc, cond = trap_round_single(psi, t, key, attack)
+        return p_acc, p_acc * (1.0 - float(np.real(np.trace(rho_id @ cond))))
+
+    return _sample(trials, seed, one_trial)
 
 
 def soundness_clifford_single(n: int, t: int, attack: AttackSpec,
@@ -702,15 +707,12 @@ def _sample_clifford_single(n, t, attack, psi, trials, seed):
                          % (_DENSE_QUBIT_CAP, m))
     kraus = attack.kraus_ops(m)
     vec = _with_flags(psi, t)
-    master = np.random.SeedSequence(seed)
-    vals = np.empty(trials)
-    accs = np.empty(trials)
-    for i, child in enumerate(master.spawn(trials)):
-        rng = np.random.default_rng(child)
+
+    def one_trial(rng):
         u_enc = clifford_to_matrix(random_clifford(m, rng))
-        accs[i], vals[i] = _clifford_round(psi, vec, t, u_enc, kraus)
-    err = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return float(np.mean(vals)), float(np.mean(accs)), err
+        return _clifford_round(psi, vec, t, u_enc, kraus)
+
+    return _sample(trials, seed, one_trial)
 
 
 def soundness_double(protocol: str, n: int, t: int, attack: AttackSpec,
@@ -761,19 +763,14 @@ def soundness_double(protocol: str, n: int, t: int, attack: AttackSpec,
 def _double_round(psi, n, t, u1, u2, kraus1, kraus2, flags, u_full_l):
     """One double-use round for explicit keys in the physical frame."""
     m = n + t
-    axes = _physical_axes(flags, m)
-    both = axes + [a + m for a in axes]
-    inv = list(np.argsort(axes))
-    inv_both = inv + [a + m for a in inv]
     vec = _embed_with_flags(psi, flags, m)
     rho = _apply_channel(u1 @ np.outer(vec, vec.conj()) @ u1.conj().T, kraus1)
     rho = u1.conj().T @ rho @ u1
-    rho_l = rho.reshape([2] * (2 * m)).transpose(inv_both).reshape(1 << m, 1 << m)
-    rho_l = u_full_l @ rho_l @ u_full_l.conj().T
-    rho_p = rho_l.reshape([2] * (2 * m)).transpose(both).reshape(1 << m, 1 << m)
+    rho_l = _to_logical(rho, flags, m)
+    rho_p = _to_physical(u_full_l @ rho_l @ u_full_l.conj().T, flags, m)
     rho_p = _apply_channel(u2 @ rho_p @ u2.conj().T, kraus2)
     rho_p = u2.conj().T @ rho_p @ u2
-    out_l = rho_p.reshape([2] * (2 * m)).transpose(inv_both).reshape(1 << m, 1 << m)
+    out_l = _to_logical(rho_p, flags, m)
     return out_l.reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
 
 
@@ -781,32 +778,28 @@ def _sample_double(protocol, n, t, first, second, psi, encode, trials, seed):
     m = n + t
     if m > _DENSE_QUBIT_CAP:
         raise ValueError("sampled double use capped at %d qubits" % _DENSE_QUBIT_CAP)
+    if protocol not in ("trap", "clifford"):
+        raise ValueError("unknown protocol %r" % protocol)
     kraus1 = first.kraus_ops(m)
     kraus2 = second.kraus_ops(m)
     u_data = np.eye(1 << n, dtype=complex) if encode is None else encode
     u_full_l = np.kron(u_data, np.eye(1 << t, dtype=complex))
     ideal = u_data @ psi
-    master = np.random.SeedSequence(seed)
-    vals = np.empty(trials)
-    accs = np.empty(trials)
-    for i, child in enumerate(master.spawn(trials)):
-        rng = np.random.default_rng(child)
+
+    def one_trial(rng):
         if protocol == "trap":
             flags = tuple(sorted(int(v) for v in rng.choice(m, size=t, replace=False)))
             u1 = kron_all([clifford_to_matrix(random_clifford(1, rng)) for _ in range(m)])
             u2 = kron_all([clifford_to_matrix(random_clifford(1, rng)) for _ in range(m)])
-        elif protocol == "clifford":
+        else:
             flags = tuple(range(n, m))
             u1 = clifford_to_matrix(random_clifford(m, rng))
             u2 = clifford_to_matrix(random_clifford(m, rng))
-        else:
-            raise ValueError("unknown protocol %r" % protocol)
         block = _double_round(psi, n, t, u1, u2, kraus1, kraus2, flags, u_full_l)
         p_acc = float(np.real(np.trace(block)))
-        accs[i] = p_acc
-        vals[i] = p_acc - float(np.real(np.vdot(ideal, block @ ideal)))
-    err = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return float(np.mean(vals)), float(np.mean(accs)), err
+        return p_acc, p_acc - float(np.real(np.vdot(ideal, block @ ideal)))
+
+    return _sample(trials, seed, one_trial)
 
 
 def soundness_delegated(n: int, t: int, attack: AttackSpec, *, theta: float = 0.0,
@@ -921,10 +914,7 @@ def dense_trap_double(n: int, t: int, attack: AttackSpec,
         mid = _twirl_local(np.outer(vec, vec.conj()), kraus1, m, singles)
         mid_l = _to_logical(mid, flags, m)
         u_full = np.kron(u_data, np.eye(1 << t, dtype=complex))
-        enc_l = u_full @ mid_l @ u_full.conj().T
-        axes = _physical_axes(flags, m)
-        both = axes + [a + m for a in axes]
-        enc_p = enc_l.reshape([2] * (2 * m)).transpose(both).reshape(1 << m, 1 << m)
+        enc_p = _to_physical(u_full @ mid_l @ u_full.conj().T, flags, m)
         final = _twirl_local(enc_p, kraus2, m, singles)
         rho_l = _to_logical(final, flags, m)
         block = rho_l.reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
@@ -1054,83 +1044,6 @@ def privacy_deviation(protocol: str, n: int, t: int, *,
 
 
 # --------------------------------------------------------------------------
-# delegated measurement rounds
-
-
-_EIGENBASES = {
-    (1, 0): np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0),
-    (1, 1): np.array([[1, 1], [1j, -1j]], dtype=complex) / math.sqrt(2.0),
-    (0, 1): np.eye(2, dtype=complex),
-}
-
-
-def delegated_measurement_round(rho_theta: np.ndarray, t: int,
-                                basis: PauliString | str, key: TrapKey,
-                                attack: AttackSpec,
-                                ) -> tuple[float, dict[tuple[int, ...], float]]:
-    """One delegated measurement: returns (accept prob, outcome distribution).
-
-    The data qubits are measured in the basis of the single-qubit Pauli
-    ``basis`` and the flags in Z; the server sees only the permuted and
-    encrypted register, and the outcome bits are decrypted classically.
-    The distribution is over tuples of +-1 data outcomes, conditioned on all
-    flags reading +1, and sums to 1 when the acceptance probability is
-    nonzero.
-    """
-    if isinstance(basis, str):
-        basis = PauliString.from_label(basis)
-    if basis.n != 1 or basis.is_identity_axis():
-        raise ValueError("measurement basis must be a non-identity single-qubit Pauli")
-    rho_in = np.asarray(rho_theta, dtype=complex)
-    if rho_in.ndim == 1:
-        rho_in = np.outer(rho_in, rho_in.conj())
-    n = rho_in.shape[0].bit_length() - 1
-    m = n + t
-    if m > _DENSE_QUBIT_CAP:
-        raise ValueError("dense evaluation capped at %d qubits" % _DENSE_QUBIT_CAP)
-    if key.m != m or key.t != t:
-        raise ValueError("key is for m=%d, t=%d" % (key.m, key.t))
-    flag_set = set(key.flag_positions)
-    axes = _physical_axes(key.flag_positions, m)
-    flag_vec = np.zeros(1 << t, dtype=complex)
-    flag_vec[0] = 1.0
-    rho_l = np.kron(rho_in, np.outer(flag_vec, flag_vec))
-    both = axes + [a + m for a in axes]
-    rho_p = rho_l.reshape([2] * (2 * m)).transpose(both).reshape(1 << m, 1 << m)
-    u_enc = kron_all([clifford_to_matrix(c) for c in key.local_cliffords])
-    rho_att = _apply_channel(u_enc @ rho_p @ u_enc.conj().T, attack.kraus_ops(m))
-
-    z1 = PauliString.from_label("Z")
-    rotations = []
-    signs = []
-    for q in range(m):
-        want = z1 if q in flag_set else basis
-        img = clifford_apply(key.local_cliffords[q], want)
-        signs.append(img.sign())
-        rotations.append(_EIGENBASES[img.axes_key()])
-    v = kron_all(rotations)
-    probs = np.real(np.diag(v.conj().T @ rho_att @ v))
-
-    data_slots = [q for q in range(m) if q not in flag_set]
-    dist: dict[tuple[int, ...], float] = {}
-    accept = 0.0
-    for idx in range(1 << m):
-        p = float(probs[idx])
-        if p <= 0.0:
-            continue
-        vals = [signs[q] * (1 if not (idx >> (m - 1 - q)) & 1 else -1)
-                for q in range(m)]
-        if any(vals[q] != 1 for q in flag_set):
-            continue
-        accept += p
-        outcome = tuple(vals[q] for q in data_slots)
-        dist[outcome] = dist.get(outcome, 0.0) + p
-    if accept > 1e-14:
-        dist = {k_: v_ / accept for k_, v_ in sorted(dist.items())}
-    return accept, dist
-
-
-# --------------------------------------------------------------------------
 # integrity bounds and the end-to-end demonstration
 
 
@@ -1173,11 +1086,6 @@ def integrity_mse_bound(ip: IntegrityParams) -> float:
     return 4.0 * ip.o ** 2 * (2.0 * eps / ip.nu + eps * eps) / ip.dO_dtheta ** 2
 
 
-def functionality_ok(ip: IntegrityParams) -> bool:
-    """Whether the MSE penalty scales no worse than the ideal MSE."""
-    return ip.delta / ip.alpha <= 1.0 / ip.nu
-
-
 def flags_required(protocol: str, n: int, nu: int, alpha: float) -> int:
     """Flag count that keeps delta/alpha <= 1/nu, floored at one flag."""
     if not 0 < alpha <= 1:
@@ -1216,6 +1124,14 @@ class DemoResult:
     mse_stderr: float
     theta_true: float
     rounds_accepted: int
+
+
+# Eigenbasis (+1 eigenvector first) of the single-qubit Pauli with these axes.
+_EIGENBASES = {
+    (1, 0): np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0),
+    (1, 1): np.array([[1, 1], [1j, -1j]], dtype=complex) / math.sqrt(2.0),
+    (0, 1): np.eye(2, dtype=complex),
+}
 
 
 def _apply_single(vec: np.ndarray, mat: np.ndarray, q: int, m: int) -> np.ndarray:

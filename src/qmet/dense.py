@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "ID2", "SX", "SY", "SZ", "PAULI_1Q",
-    "ThetaFamily",
     "as_density", "pure", "ket", "ghz", "plus_state", "kron_all",
     "local_product_sum",
     "hermitian_eig", "hermitian_expm",
@@ -37,21 +36,6 @@ PAULI_1Q = {"I": ID2, "X": SX, "Y": SY, "Z": SZ}
 # Eigenvalues below this are treated as outside the support when dividing.
 EIGEN_CUT = 1e-12
 _HERM_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class ThetaFamily:
-    """A one-parameter family of density matrices theta -> rho(theta).
-
-    ``h`` optionally overrides the default finite-difference step used by
-    the QFI evaluators.
-    """
-
-    fun: Callable[[float], np.ndarray]
-    h: float | None = None
-
-    def __call__(self, theta: float) -> np.ndarray:
-        return self.fun(theta)
 
 
 def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -326,7 +310,7 @@ def _predicted_steps(state0: np.ndarray, gen: _Liouvillian, t: float, tol: float
     return max((err / (_STEP_MARGIN * tol)) ** 0.25, 0.5 * t * gen.rate())
 
 
-def _evolve(rho0, ham, jumps, t, tol, max_steps, dham=None) -> np.ndarray:
+def _evolve(rho0, ham, jumps, t, tol, dham=None) -> np.ndarray:
     """Validate, then integrate the stacked state with step doubling."""
     rho0 = as_density(rho0)
     t = float(t)
@@ -341,17 +325,17 @@ def _evolve(rho0, ham, jumps, t, tol, max_steps, dham=None) -> np.ndarray:
     state0[0] = rho0
     if t == 0:
         return state0
-    # The doubling never runs more than max_steps, so it starts at half that
+    # The doubling never runs more than _MAX_STEPS, so it starts at half that
     # at most (also when the prediction overflows).
-    cap = max(1, max_steps // 2)
+    cap = _MAX_STEPS // 2
     pred = _predicted_steps(state0, gen, t, tol)
     steps = max(1, int(np.ceil(pred))) if pred < cap else cap
     prev = _rk4_run(state0, gen, t, steps)
     while True:
         steps *= 2
-        if steps > max_steps:
+        if steps > _MAX_STEPS:
             raise ArithmeticError(
-                "step too coarse: no convergence to %.1e within %d steps" % (tol, max_steps))
+                "step too coarse: no convergence to %.1e within %d steps" % (tol, _MAX_STEPS))
         cur = _rk4_run(state0, gen, t, steps)
         if np.max(np.abs(cur - prev)) < tol:
             return cur
@@ -360,8 +344,7 @@ def _evolve(rho0, ham, jumps, t, tol, max_steps, dham=None) -> np.ndarray:
 
 def evolve_lindblad(rho0: np.ndarray, ham: np.ndarray,
                     jumps: Sequence[tuple[np.ndarray, float]],
-                    t: float, *, tol: float = 1e-9,
-                    max_steps: int = _MAX_STEPS) -> np.ndarray:
+                    t: float, *, tol: float = 1e-9) -> np.ndarray:
     """Integrate drho/dt = -i[H, rho] + sum_j gamma_j D[L_j](rho) to time t.
 
     Fixed-step RK4 with step doubling: the run is repeated with twice the
@@ -381,7 +364,7 @@ def evolve_lindblad(rho0: np.ndarray, ham: np.ndarray,
     in a jump operator, a non-finite or negative rate, or a tol that is not
     positive.
     """
-    return _evolve(rho0, ham, jumps, t, tol, max_steps)[0]
+    return _evolve(rho0, ham, jumps, t, tol)[0]
 
 
 def evolve_lindblad_tangent(rho0: np.ndarray, ham: np.ndarray, dham: np.ndarray,
@@ -397,7 +380,7 @@ def evolve_lindblad_tangent(rho0: np.ndarray, ham: np.ndarray, dham: np.ndarray,
     The inputs are validated as in :func:`evolve_lindblad`, and dham must
     likewise be finite and Hermitian.
     """
-    rho, drho = _evolve(rho0, ham, jumps, t, tol, _MAX_STEPS, dham)
+    rho, drho = _evolve(rho0, ham, jumps, t, tol, dham)
     return rho, drho
 
 
@@ -420,18 +403,14 @@ def default_fd_step(theta: float) -> float:
     return 1e-5 * max(1.0, abs(theta))
 
 
-def qfi_spectral(family: ThetaFamily | Callable[[float], np.ndarray],
-                 theta: float, *, h: float | None = None) -> float:
-    """QFI of a density-matrix family from its spectral decomposition.
+def qfi_spectral(family: Callable[[float], np.ndarray], theta: float) -> float:
+    """QFI of a density-matrix family theta -> rho(theta) from its spectrum.
 
     The derivative is a central finite difference in theta; the spectral
     formula is :func:`sld_qfi`.
     """
-    if not isinstance(family, ThetaFamily):
-        family = ThetaFamily(family)
-    step = h if h is not None else (family.h if family.h is not None else default_fd_step(theta))
     rho = as_density(family(theta))
-    drho = _central_diff(family.fun, theta, step)
+    drho = _central_diff(family, theta, default_fd_step(theta))
     return sld_qfi(rho, drho)
 
 
@@ -450,24 +429,23 @@ def sld_qfi(rho: np.ndarray, drho: np.ndarray) -> float:
     return float(q.real)
 
 
-def qfi_pure(psi_fun: Callable[[float], np.ndarray], theta: float, *,
-             h: float | None = None) -> float:
+def qfi_pure(psi_fun: Callable[[float], np.ndarray], theta: float) -> float:
     """QFI of a pure-state family, Q = 4 (<dpsi|dpsi> - |<psi|dpsi>|^2).
 
     The caller must keep psi(theta) normalized; a norm drift above 1e-8
     is rejected.
     """
-    step = h if h is not None else default_fd_step(theta)
     psi = np.asarray(psi_fun(theta), dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise ValueError("state family is not normalized at theta=%r" % theta)
-    dpsi = _central_diff(lambda x: np.asarray(psi_fun(x), dtype=complex), theta, step)
+    dpsi = _central_diff(lambda x: np.asarray(psi_fun(x), dtype=complex), theta,
+                         default_fd_step(theta))
     overlap = np.vdot(psi, dpsi)
     q = 4.0 * (np.vdot(dpsi, dpsi).real - abs(overlap) ** 2)
     return float(q)
 
 
-def qfi_fidelity_limit(family: ThetaFamily | Callable[[float], np.ndarray],
+def qfi_fidelity_limit(family: Callable[[float], np.ndarray],
                        theta: float, dtheta: float = 1e-4) -> float:
     """QFI from the fidelity drop between rho(theta) and rho(theta + dtheta).
 
@@ -475,6 +453,5 @@ def qfi_fidelity_limit(family: ThetaFamily | Callable[[float], np.ndarray],
     """
     if not (1e-6 <= dtheta <= 1e-2):
         raise ValueError("dtheta=%g outside the supported window [1e-6, 1e-2]" % dtheta)
-    fun = family.fun if isinstance(family, ThetaFamily) else family
-    f = fidelity(as_density(fun(theta)), as_density(fun(theta + dtheta)))
+    f = fidelity(as_density(family(theta)), as_density(family(theta + dtheta)))
     return float(8.0 * (1.0 - np.sqrt(f)) / dtheta ** 2)

@@ -4,9 +4,8 @@ Closed-form quantum Fisher information for an n-qubit GHZ probe that picks
 up phase at frequency ``omega`` while each qubit suffers transverse noise
 at rate ``gamma``: the uncorrected spectral sum, the ancilla-assisted
 parity-check code (ideal, noisy-ancilla and imperfect-syndrome variants),
-the odd-n majority-vote repetition code, the optimal sensing time, the
-Fisher information of the rotated transversal readout, and coherence
-diagnostics of the resulting rank-2 state.  Every closed form is
+the odd-n majority-vote repetition code, the optimal sensing time and the
+Fisher information of the rotated transversal readout.  Every closed form is
 cross-checked against :func:`amplitude_oracle`, which propagates the exact
 diagonal/anti-diagonal amplitude recursion and feeds the reconstructed
 density matrix to :func:`qmet.dense.qfi_spectral`.
@@ -16,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .dense import EIGEN_CUT, ThetaFamily, default_fd_step, qfi_spectral
+from .dense import EIGEN_CUT, default_fd_step, qfi_spectral
 
 _SERIES_CUT = 1e-4      # switch sin(delta*d)/delta over to its Taylor series
 _DEGENERATE_CUT = 1e-10  # Jordan fallback threshold for the 2x2 matrix power
@@ -153,12 +153,6 @@ def _xy_dot(omega: float, gamma: float, duration: float,
     swing = 1j * (s + omega * ds)
     return (c + 1j * omega * s, c - 1j * omega * s, gamma * s,
             dc + swing, dc - swing, gamma * ds)
-
-
-def _coherence(omega: float, gamma: float, duration: float) -> complex:
-    """Per-qubit coherence multiplier r*e^{i phi} over one stretch."""
-    x_plus, _, y = _xy(omega, gamma, duration)
-    return math.exp(-gamma * duration) * (x_plus + y)
 
 
 def factors(omega: float, gamma: float, duration: float) -> EvolutionFactors:
@@ -543,25 +537,6 @@ def fisher_alpha(params: EccParams, alpha: float) -> float:
     return total
 
 
-def coherence_report(big_r: float) -> tuple[float, float, float]:
-    """Entanglement, purity and entropy of the rank-2 GHZ mixture.
-
-    Returns (G, purity, entropy): the geometric entanglement
-    G = (1 - sqrt(1 - R^2))/2, the purity (1 + R^2)/2 and the von Neumann
-    entropy (natural log) of the eigenvalues (1 +- R)/2.
-    """
-    if not 0.0 <= big_r <= 1.0 + 1e-12:
-        raise ValueError("R must lie in [0, 1]")
-    big_r = min(big_r, 1.0)
-    ent = 0.5 * (1.0 - math.sqrt(max(0.0, 1.0 - big_r * big_r)))
-    purity = 0.5 * (1.0 + big_r * big_r)
-    entropy = 0.0
-    for lam in (0.5 * (1.0 + big_r), 0.5 * (1.0 - big_r)):
-        if lam > 0.0:
-            entropy -= lam * math.log(lam)
-    return ent, purity, entropy
-
-
 def _kron_power(mat: np.ndarray, k: int) -> np.ndarray:
     out = np.array([[1.0]], dtype=mat.dtype)
     for _ in range(k):
@@ -625,7 +600,8 @@ def propagate_amplitudes(params: EccParams, code: str, omega: float) -> Amplitud
     return AmplitudeOracleState(a_vec=a, b_vec=b)
 
 
-def amplitude_oracle(params: EccParams, code: str = "parity") -> tuple[ThetaFamily, float]:
+def amplitude_oracle(params: EccParams, code: str = "parity"
+                     ) -> tuple[Callable[[float], np.ndarray], float]:
     """Ground-truth QFI from the exact amplitude recursion.
 
     Returns the density-matrix family over omega and its spectral QFI at
@@ -635,5 +611,4 @@ def amplitude_oracle(params: EccParams, code: str = "parity") -> tuple[ThetaFami
     def rho_of(omega: float) -> np.ndarray:
         return propagate_amplitudes(params, code, omega).density()
 
-    family = ThetaFamily(rho_of)
-    return family, qfi_spectral(family, params.omega)
+    return rho_of, qfi_spectral(rho_of, params.omega)

@@ -57,15 +57,14 @@ class EstimatorStats:
             raise ValueError("mse does not decompose into variance + bias^2")
 
 
-def fisher_information(pmf: Pmf, theta: float, h: float | None = None) -> float:
+def fisher_information(pmf: Pmf, theta: float) -> float:
     """Classical Fisher information sum (dp/dtheta)^2 / p.
 
     Outcomes with probability below the support floor are dropped; the
     derivative is the shared central-difference rule.
     """
-    step = h if h is not None else default_fd_step(theta)
     p = pmf.probs(theta)
-    dp = _central_diff(pmf.probs, theta, step)
+    dp = _central_diff(pmf.probs, theta, default_fd_step(theta))
     mask = p > _PROB_FLOOR
     if not np.any(mask):
         return 0.0
@@ -111,8 +110,7 @@ def coin_mle_stats(p_true: float, n_flips: int) -> EstimatorStats:
                           mse=variance + bias * bias, bias=bias)
 
 
-def local_estimator_stats(pmf: Pmf, theta: float, n_rounds: int,
-                          h: float | None = None) -> EstimatorStats:
+def local_estimator_stats(pmf: Pmf, theta: float, n_rounds: int) -> EstimatorStats:
     """Exact moments of the locally optimized estimator at theta_0 = theta.
 
     The estimator adds the score-weighted outcome counts to theta_0,
@@ -125,9 +123,8 @@ def local_estimator_stats(pmf: Pmf, theta: float, n_rounds: int,
         raise ValueError("exact enumeration supports 1 <= N <= 12 rounds")
     if k > 6:
         raise ValueError("exact enumeration supports alphabets of at most 6")
-    step = h if h is not None else default_fd_step(theta)
     p = pmf.probs(theta)
-    dp = _central_diff(pmf.probs, theta, step)
+    dp = _central_diff(pmf.probs, theta, default_fd_step(theta))
     mask = p > _PROB_FLOOR
     fi = float(np.sum(dp[mask] ** 2 / p[mask]))
     if fi <= 0.0:

@@ -518,4 +518,4 @@ def oracle_graph_qfi(g: Graph, encoding: str = "x",
         u = dense.kron_all([u1] * g.n)
         return u @ rho @ u.conj().T
 
-    return dense.qfi_spectral(dense.ThetaFamily(fam), 0.0)
+    return dense.qfi_spectral(fam, 0.0)

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _PHASES = {0: 1.0 + 0j, 1: 1j, 2: -1.0 + 0j, 3: -1j}
+# Widest register clifford_to_matrix builds a dense 2^m x 2^m unitary for.
+_CLIFFORD_MATRIX_CAP = 7
 
 
 @dataclass(frozen=True)
@@ -236,16 +238,6 @@ class CliffordElement:
     def key(self) -> tuple:
         return tuple((g.x, g.z, g.k) for g in (*self.x_images, *self.z_images))
 
-    def is_symplectic(self) -> bool:
-        """Check all pairwise (anti)commutation relations of the images."""
-        gens = list(self.x_images) + list(self.z_images)
-        for i, gi in enumerate(gens):
-            for j in range(i + 1, len(gens)):
-                want = not (j == i + self.n and j - self.n == i)
-                if commutes(gi, gens[j]) != want:
-                    return False
-        return True
-
 
 def clifford_identity(n: int) -> CliffordElement:
     xs = tuple(PauliString(n, 1 << j, 0, 0) for j in range(n))
@@ -426,7 +418,7 @@ def _subset_products(gens) -> list[tuple[int, int, int]]:
     return out
 
 
-def clifford_to_matrix(c: CliffordElement, *, max_qubits: int = 7) -> np.ndarray:
+def clifford_to_matrix(c: CliffordElement) -> np.ndarray:
     """Dense unitary realizing the tableau, unique up to the fixed phase gauge.
 
     The first column is the joint +1 eigenvector of the images of all Z_j;
@@ -434,9 +426,9 @@ def clifford_to_matrix(c: CliffordElement, *, max_qubits: int = 7) -> np.ndarray
     phase is fixed by making the first nonzero entry real and positive.
     Both steps use the Pauli action on basis states, O(4^m) in all.
     """
-    if c.n > max_qubits:
+    if c.n > _CLIFFORD_MATRIX_CAP:
         raise ValueError("dense Clifford reconstruction capped at m = %d qubits, got m = %d"
-                         % (max_qubits, c.n))
+                         % (_CLIFFORD_MATRIX_CAP, c.n))
     m = c.n
     dim = 1 << m
     rev = _basis_tables(m)[2]
@@ -552,9 +544,6 @@ class PauliChannel:
 
     n: int
     terms: tuple[tuple[tuple[complex, PauliString], ...], ...]
-
-    def completeness(self) -> float:
-        return float(sum(abs(a) ** 2 for kraus in self.terms for a, _ in kraus))
 
     def pauli_weights(self) -> dict[tuple[int, int], float]:
         """Total twirled weight sum_alpha |a_{alpha,P}|^2 per unsigned Pauli."""

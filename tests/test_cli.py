@@ -291,6 +291,23 @@ def test_crypto_usage_errors(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("protocol,n,t,trials,attack,message", [
+    ("trap1", 2, 0, 2000, "id", "--t must be >= 1, got 0"),
+    ("trap2", 2, 0, 2000, "double:id;id", "--t must be >= 1, got 0"),
+    ("delegated", 2, 0, 2000, "id", "--t must be >= 1, got 0"),
+    ("trap1", 0, 1, 2000, "id", "--n must be >= 1, got 0"),
+    ("trap1", 5, 2, 0, "id", "--trials must be >= 1, got 0"),
+    ("trap1", 5, 2, -3, "id", "--trials must be >= 1, got -3"),
+], ids=["trap1-t0", "trap2-t0", "delegated-t0", "n0", "trials0", "trials-negative"])
+def test_crypto_degenerate_counts(tmp_path, capsys, protocol, n, t, trials, attack, message):
+    out_path = tmp_path / "x.json"
+    rc = run_cli(["crypto", "--protocol", protocol, "--n", str(n), "--t", str(t),
+                  "--trials", str(trials), "--attack", attack, "--out", str(out_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out_path.exists()
+
+
 def test_unknown_subcommand():
     with pytest.raises(SystemExit) as err:
         cli.main(["frobnicate"])
@@ -304,26 +321,6 @@ def _run_subprocess(args, env_extra=None):
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "qmet.cli", *args],
                           capture_output=True, text=True, env=env)
-
-
-def test_sweep_bytes_stable_across_thread_env(tmp_path):
-    args = ["ecc", "--code", "parity", "--n", "5", "--omega", "1",
-            "--gamma", "0.3", "--tau", "0.05", "--t", "0.5",
-            "--sweep", "t:0.1:1.0:7:lin"]
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    r1 = _run_subprocess(args + ["--out", str(a)], {"QMET_THREADS": "1"})
-    r2 = _run_subprocess(args + ["--out", str(b)], {"QMET_THREADS": "2"})
-    assert r1.returncode == 0 and r2.returncode == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_bad_thread_env(tmp_path):
-    r = _run_subprocess(["ecc", "--code", "none", "--n", "2", "--omega", "1",
-                         "--gamma", "0", "--tau", "0.1", "--t", "0.1",
-                         "--out", str(tmp_path / "x.csv")],
-                        {"QMET_THREADS": "zero"})
-    assert r.returncode == 2
 
 
 def test_verify_perturb_negative_control():

@@ -86,6 +86,37 @@ def test_exact_reduction_matches_dense_enumeration():
     np.testing.assert_allclose(r.lhs, lhs, atol=1e-9)
 
 
+def _amplitude_damping_on(slot, gamma=0.4):
+    """Amplitude damping on one qubit of a two-qubit register (qubit 0 leftmost)."""
+    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]])
+    k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])
+    ident = np.eye(2)
+    return crypto.AttackSpec.from_kraus(
+        [np.kron(k, ident) if slot == 0 else np.kron(ident, k) for k in (k0, k1)])
+
+
+@pytest.mark.parametrize("slot", [0, 1])
+def test_kraus_attack_dual_path(slot):
+    # A non-Pauli CPTP attack: the exact casework reads its twirled weights
+    # from channel_pauli_coeffs, the dense paths apply the Kraus operators to
+    # every key, and sampled mode runs trap_round_single per key.  Qubit 0 is
+    # the Clifford code's data slot and qubit 1 its flag slot.
+    att = _amplitude_damping_on(slot)
+    exact = crypto.soundness_trap_single(1, 1, att)
+    lhs, accept = crypto.dense_trap_single(1, 1, att)
+    assert abs(exact.lhs - lhs) <= 1e-9
+    assert abs(exact.accept_rate - accept) <= 1e-9
+    np.testing.assert_allclose(exact.lhs, 0.0709005551264, rtol=1e-9)
+    cliff = crypto.soundness_clifford_single(1, 1, att)
+    lhs, accept = crypto.dense_clifford_single(1, 1, att)
+    assert abs(cliff.lhs - lhs) <= 1e-9
+    assert abs(cliff.accept_rate - accept) <= 1e-9
+    np.testing.assert_allclose(cliff.lhs, 0.0567204441011, rtol=1e-9)
+    sampled = crypto.soundness_trap_single(1, 1, att, mode="sampled", trials=400)
+    assert sampled.stderr > 0
+    assert abs(sampled.lhs - exact.lhs) <= 4 * sampled.stderr
+
+
 def test_double_use():
     att = crypto.parse_attack("double:pauli:XI;pauli:ZY")
     r = crypto.soundness_double("trap", 1, 1, att)
@@ -179,3 +210,14 @@ def test_end_to_end_demo_obeys_bounds():
     assert abs(res.empirical_bias) <= res.bound_bias + 4 * res.bias_stderr
     excess = res.empirical_mse - res.ideal_mse
     assert excess <= res.bound_mse + 4 * res.mse_stderr
+
+
+def test_end_to_end_demo_acceptance_matches_exact():
+    # The demo samples delegated rounds one key and one attack term at a
+    # time; its acceptance rate estimates the exact delegated accept rate.
+    att = crypto.parse_attack("mix:0.6*III,0.4*XZY")
+    rounds = 4000
+    res = crypto.end_to_end_demo(2, 1, rounds, att, seed=13)
+    exact = crypto.soundness_delegated(2, 1, att, theta=res.theta_true).accept_rate
+    stderr = np.sqrt(exact * (1.0 - exact) / rounds)
+    assert abs(res.accept_rate - exact) <= 4 * stderr

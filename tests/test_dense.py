@@ -129,7 +129,7 @@ def test_qfi_spectral_matches_pure_case():
     def family(theta):
         return dense.pure(fun(theta))
 
-    q = dense.qfi_spectral(dense.ThetaFamily(family), 0.4)
+    q = dense.qfi_spectral(family, 0.4)
     np.testing.assert_allclose(q, 9.0, rtol=1e-6)
 
 
