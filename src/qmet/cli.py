@@ -336,6 +336,8 @@ def crypto_json(protocol: str, n: int, t: int, attack_text: str,
     for name, value in (("n", n), ("t", t), ("trials", trials)):
         if value < 1:
             raise CliError(EXIT_USAGE, "--%s must be >= 1, got %d" % (name, value))
+    if seed < 0:
+        raise CliError(EXIT_USAGE, "--seed must be >= 0, got %d" % seed)
     try:
         attack = crypto.parse_attack(attack_text)
     except ValueError as exc:

@@ -405,13 +405,12 @@ def _default_data(n: int) -> np.ndarray:
 
 
 class _VariantTable:
-    """Averages of 1 - |<psi| V |psi>|^2 over Pauli variants on index subsets.
+    """Averages of 1 - |<ideal| Q U P |psi>|^2 over Pauli variants on index subsets.
 
-    V runs over {X, Y, Z}^S for a subset S of data qubits; the table caches
-    the mean per subset, which is all the twirled soundness casework needs.
-    Amplitudes reduce to dot products of cached vectors: each pre-Pauli is
-    applied to psi once (with the encoding), each post-Pauli to the ideal
-    state once.
+    P and Q run over {X, Y, Z}^S and {X, Y, Z}^S' for subsets of data qubits
+    (the identity on an empty one), U is the encoding between the uses; the
+    table caches the mean per (S, S').  Each pre-Pauli is applied to psi once
+    (with the encoding), each post-Pauli to the ideal state once.
     """
 
     def __init__(self, psi: np.ndarray, u_encode: np.ndarray | None = None):
@@ -421,7 +420,6 @@ class _VariantTable:
         self.ideal = self.psi if u_encode is None else u_encode @ self.psi
         self._pre: dict[tuple[int, int], np.ndarray] = {}
         self._post: dict[tuple[int, int], np.ndarray] = {}
-        self._single: dict[frozenset, float] = {}
         self._double: dict[tuple[frozenset, frozenset], float] = {}
 
     def _pre_vec(self, v: PauliString) -> np.ndarray:
@@ -443,17 +441,10 @@ class _VariantTable:
     def _mask(subset: frozenset) -> int:
         return sum(1 << j for j in subset)
 
-    def single(self, subset: frozenset) -> float:
-        if subset not in self._single:
-            if not subset:
-                self._single[subset] = 0.0
-            else:
-                vals = [1.0 - abs(np.vdot(self.psi, v.to_matrix() @ self.psi)) ** 2
-                        for v in paulis_on_support(self.n, self._mask(subset))]
-                self._single[subset] = float(np.mean(vals))
-        return self._single[subset]
-
     def double(self, pre_set: frozenset, post_set: frozenset) -> float:
+        if not pre_set and not post_set:
+            # Untouched data: 0, not the rounding residue of 1 - |<ideal|ideal>|^2.
+            return 0.0
         key = (pre_set, post_set)
         if key not in self._double:
             ident = PauliString.identity(self.n)
@@ -498,38 +489,17 @@ def clifford_bound(t: int) -> float:
     return 2.0 ** (-t)
 
 
-def _trap_casework(n: int, t: int, attack: AttackSpec,
-                   table: _VariantTable) -> tuple[float, float]:
-    """Exact (lhs, accept_rate) for single-use trap-style protocols.
-
-    After the local-Clifford twirl each Pauli of weight w contributes
-    w * 3^{-s} per flag placement, with s support slots on flags (forced to
-    Z) and the remaining support slots averaged over {X, Y, Z} on the data.
-    """
-    m = n + t
-    weights = attack.support_weights(m)
-    lhs = accept = 0.0
-    placements = list(itertools.combinations(range(m), t))
-    for flags in placements:
-        flag_set = set(flags)
-        flag_mask = sum(1 << f for f in flags)
-        for support, w in weights.items():
-            s = (support & flag_mask).bit_count()
-            factor = w * 3.0 ** (-s)
-            accept += factor
-            lhs += factor * table.single(_data_subset(support, flag_set, m))
-    k = float(len(placements))
-    return lhs / k, accept / k
-
-
 def _trap_double_casework(n: int, t: int, first: AttackSpec, second: AttackSpec,
                           table: _VariantTable) -> tuple[float, float]:
-    """Exact (lhs, accept_rate) for the double-use trap code.
+    """Exact (lhs, accept_rate) for the trap code over two uses.
 
     Support slots on flags accept 1/3 of variants when only one attack
     touches them and 5/9 when both do (products ZZ, XX, YY, XY, YX fix |0>).
+    Single use is the case of an identity second attack.
     """
     m = n + t
+    if m > 4 and "kraus" in (first.variant, second.variant):
+        raise ValueError("exact Kraus decomposition capped at m = 4")
     w1 = first.support_weights(m)
     w2 = second.support_weights(m)
     lhs = accept = 0.0
@@ -558,10 +528,8 @@ def soundness_trap_single(n: int, t: int, attack: AttackSpec, mode: str = "exact
     m = n + t
     psi = _default_data(n) if data_state is None else np.asarray(data_state, complex)
     if mode == "exact":
-        if m > 4 and attack.variant == "kraus":
-            raise ValueError("exact Kraus decomposition capped at m = 4")
-        table = _get_table(psi)
-        lhs, accept = _trap_casework(n, t, attack, table)
+        lhs, accept = _trap_double_casework(n, t, attack, AttackSpec.identity(),
+                                            _get_table(psi))
         return SoundnessReport(lhs, trap_bound(n, t), accept, "exact")
     if mode == "sampled":
         if m > 10:
@@ -740,8 +708,6 @@ def soundness_double(protocol: str, n: int, t: int, attack: AttackSpec,
     if mode != "exact":
         raise ValueError("unknown mode %r" % mode)
     if protocol == "trap":
-        if m > 4 and (first.variant == "kraus" or second.variant == "kraus"):
-            raise ValueError("exact Kraus decomposition capped at m = 4")
         table = _get_table(psi, encode)
         lhs, accept = _trap_double_casework(n, t, first, second, table)
         return SoundnessReport(lhs, trap_double_bound(n, t), accept, "exact")
@@ -836,89 +802,63 @@ def worst_fixed_pauli(protocol: str, n: int, t: int) -> tuple[float, PauliString
 
 
 # --------------------------------------------------------------------------
-# dense key enumeration (independent cross-check path)
+# dense key enumeration: every key applied as a matrix to the whole register,
+# the independent cross-check of the casework above (see _dense_average).
 
 
-def _twirl_local(rho: np.ndarray, kraus: list[np.ndarray], m: int,
-                 singles: np.ndarray) -> np.ndarray:
-    """Average of U^dag Gamma(U rho U^dag) U over all local-Clifford U."""
+def _local_keys(m: int):
+    """Every trap key layer U_1 x ... x U_m of single-qubit Cliffords (24^m)."""
+    for combo in itertools.product(clifford_unitaries(1), repeat=m):
+        yield kron_all(list(combo))
+
+
+def _twirl(rho: np.ndarray, kraus: list[np.ndarray], keys) -> np.ndarray:
+    """Average of U^dag Gamma(U rho U^dag) U over the key unitaries U."""
     total = np.zeros_like(rho)
-    for combo in itertools.product(singles, repeat=m):
-        u = kron_all(list(combo))
-        mid = _apply_channel(u @ rho @ u.conj().T, kraus)
-        total += u.conj().T @ mid @ u
-    return total / (len(singles) ** m)
+    count = 0
+    for u in keys:
+        total += u.conj().T @ _apply_channel(u @ rho @ u.conj().T, kraus) @ u
+        count += 1
+    return total / count
 
 
-def dense_trap_single(n: int, t: int, attack: AttackSpec,
-                      data_state: np.ndarray | None = None) -> tuple[float, float]:
-    """(lhs, accept_rate) by literal enumeration of every trap key."""
-    m = n + t
-    if m > 3:
-        raise ValueError("dense key enumeration capped at m = 3")
-    psi = _default_data(n) if data_state is None else np.asarray(data_state, complex)
-    kraus = attack.kraus_ops(m)
-    singles = clifford_unitaries(1)
-    rho_id = np.outer(psi, psi.conj())
-    lhs = accept = 0.0
-    placements = list(itertools.combinations(range(m), t))
-    for flags in placements:
-        vec = _embed_with_flags(psi, flags, m)
-        avg = _twirl_local(np.outer(vec, vec.conj()), kraus, m, singles)
-        rho_l = _to_logical(avg, flags, m)
-        block = rho_l.reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
-        p_acc = float(np.real(np.trace(block)))
-        accept += p_acc
-        lhs += p_acc - float(np.real(np.trace(rho_id @ block)))
-    k = float(len(placements))
-    return lhs / k, accept / k
+def _dense_average(protocol: str, n: int, t: int, attacks,
+                   encode: np.ndarray | None = None,
+                   data_state: np.ndarray | None = None) -> tuple[float, float]:
+    """(lhs, accept_rate) by literal enumeration of every key, one use per attack.
 
-
-def dense_clifford_single(n: int, t: int, attack: AttackSpec,
-                          data_state: np.ndarray | None = None) -> tuple[float, float]:
-    """(lhs, accept_rate) by enumerating the full Clifford group (m <= 2)."""
-    m = n + t
-    psi = _default_data(n) if data_state is None else np.asarray(data_state, complex)
-    kraus = attack.kraus_ops(m)
-    vec = _with_flags(psi, t)
-    lhs = accept = 0.0
-    group = clifford_unitaries(m)
-    for u in group:
-        p_acc, val = _clifford_round(psi, vec, t, u, kraus)
-        accept += p_acc
-        lhs += val
-    return lhs / len(group), accept / len(group)
-
-
-def dense_trap_double(n: int, t: int, attack: AttackSpec,
-                      encode: np.ndarray | None = None,
-                      data_state: np.ndarray | None = None) -> tuple[float, float]:
-    """(lhs, accept_rate) for the double-use trap code by nested twirls.
-
-    The two key draws are independent, so the key average factors into one
-    local-Clifford twirl per use with the encoding map in between.
+    Trap keys are every flag placement times every local-Clifford layer
+    (m <= 3), Clifford keys the m-qubit Clifford group with the flags last
+    (m <= 2).  Each use draws its own key, so its key average is one
+    ``_twirl``; ``encode`` acts on the data between uses.  The flags are then
+    projected on |0...0> and the result averaged over placements.  This path
+    uses no Pauli weight, no support and no twirl lemma.
     """
     m = n + t
-    if m > 3:
-        raise ValueError("dense key enumeration capped at m = 3")
-    first, second = attack.pair
+    if protocol == "trap":
+        if m > 3:
+            raise ValueError("dense key enumeration capped at m = 3")
+        placements = list(itertools.combinations(range(m), t))
+        keys = _local_keys
+    else:
+        placements = [tuple(range(n, m))]
+        keys = clifford_unitaries
     psi = _default_data(n) if data_state is None else np.asarray(data_state, complex)
-    kraus1 = first.kraus_ops(m)
-    kraus2 = second.kraus_ops(m)
-    singles = clifford_unitaries(1)
-    lhs = accept = 0.0
-    placements = list(itertools.combinations(range(m), t))
+    krauses = [attack.kraus_ops(m) for attack in attacks]
     u_data = np.eye(1 << n, dtype=complex) if encode is None else encode
+    u_full = np.kron(u_data, np.eye(1 << t, dtype=complex))
+    ideal = u_data @ psi
+    lhs = accept = 0.0
     for flags in placements:
         vec = _embed_with_flags(psi, flags, m)
-        mid = _twirl_local(np.outer(vec, vec.conj()), kraus1, m, singles)
-        mid_l = _to_logical(mid, flags, m)
-        u_full = np.kron(u_data, np.eye(1 << t, dtype=complex))
-        enc_p = _to_physical(u_full @ mid_l @ u_full.conj().T, flags, m)
-        final = _twirl_local(enc_p, kraus2, m, singles)
-        rho_l = _to_logical(final, flags, m)
+        rho = np.outer(vec, vec.conj())
+        for use, kraus in enumerate(krauses):
+            if use:
+                rho = _to_physical(u_full @ _to_logical(rho, flags, m) @ u_full.conj().T,
+                                   flags, m)
+            rho = _twirl(rho, kraus, keys(m))
+        rho_l = _to_logical(rho, flags, m)
         block = rho_l.reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
-        ideal = u_data @ psi
         p_acc = float(np.real(np.trace(block)))
         accept += p_acc
         lhs += p_acc - float(np.real(np.vdot(ideal, block @ ideal)))
@@ -926,34 +866,30 @@ def dense_trap_double(n: int, t: int, attack: AttackSpec,
     return lhs / k, accept / k
 
 
+def dense_trap_single(n: int, t: int, attack: AttackSpec,
+                      data_state: np.ndarray | None = None) -> tuple[float, float]:
+    """(lhs, accept_rate) by literal enumeration of every trap key (m <= 3)."""
+    return _dense_average("trap", n, t, [attack], data_state=data_state)
+
+
+def dense_clifford_single(n: int, t: int, attack: AttackSpec,
+                          data_state: np.ndarray | None = None) -> tuple[float, float]:
+    """(lhs, accept_rate) by enumerating the full Clifford group (m <= 2)."""
+    return _dense_average("clifford", n, t, [attack], data_state=data_state)
+
+
+def dense_trap_double(n: int, t: int, attack: AttackSpec,
+                      encode: np.ndarray | None = None,
+                      data_state: np.ndarray | None = None) -> tuple[float, float]:
+    """(lhs, accept_rate) for the double-use trap code by nested twirls (m <= 3)."""
+    return _dense_average("trap", n, t, attack.pair, encode, data_state)
+
+
 def dense_clifford_double(n: int, t: int, attack: AttackSpec,
                           encode: np.ndarray | None = None,
                           data_state: np.ndarray | None = None) -> tuple[float, float]:
     """(lhs, accept_rate) for the double-use Clifford code, m <= 2."""
-    m = n + t
-    first, second = attack.pair
-    psi = _default_data(n) if data_state is None else np.asarray(data_state, complex)
-    kraus1 = first.kraus_ops(m)
-    kraus2 = second.kraus_ops(m)
-    vec = _with_flags(psi, t)
-    rho0 = np.outer(vec, vec.conj())
-    group = clifford_unitaries(m)
-
-    def twirl(rho, kraus):
-        total = np.zeros_like(rho)
-        for u in group:
-            total += u.conj().T @ _apply_channel(u @ rho @ u.conj().T, kraus) @ u
-        return total / len(group)
-
-    u_data = np.eye(1 << n, dtype=complex) if encode is None else encode
-    u_full = np.kron(u_data, np.eye(1 << t, dtype=complex))
-    mid = twirl(rho0, kraus1)
-    final = twirl(u_full @ mid @ u_full.conj().T, kraus2)
-    block = final.reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
-    ideal = u_data @ psi
-    p_acc = float(np.real(np.trace(block)))
-    lhs = p_acc - float(np.real(np.vdot(ideal, block @ ideal)))
-    return lhs, p_acc
+    return _dense_average("clifford", n, t, attack.pair, encode, data_state)
 
 
 def replay_attack_demo(n: int, t: int, theta: float, *,
@@ -990,15 +926,13 @@ def replay_attack_demo(n: int, t: int, theta: float, *,
     if m > 3:
         raise ValueError("replay enumeration capped at m = 3")
     pm = p_attack.to_matrix()
-    singles = clifford_unitaries(1)
     kraus_in = [pm]
     kraus_out = [pm.conj().T]
     u_full_l = np.kron(u_data, np.eye(1 << t, dtype=complex))
     lhs = 0.0
     count = 0
     for flags in itertools.combinations(range(m), t):
-        for combo in itertools.product(singles, repeat=m):
-            u = kron_all(list(combo))
+        for u in _local_keys(m):
             block = _double_round(psi, n, t, u, u, kraus_in, kraus_out,
                                   flags, u_full_l)
             p_acc = float(np.real(np.trace(block)))

@@ -488,28 +488,12 @@ def _twirl_sum(kind: str, q: PauliString, qp: PauliString,
                rho: np.ndarray) -> np.ndarray:
     """sum_G (G q G^dag) rho (G q' G^dag) over the twirl group ``kind``.
 
-    For ``local_clifford``, G = U_1 x ... x U_m and q = i^k q_1 x ... x q_m,
-    so the sum is a tensor product of single-qubit maps, one per qubit; it
-    still enumerates every single-qubit Clifford on every qubit.
+    The Pauli and Clifford groups are stacks of unitaries.  For
+    ``local_clifford``, G = U_1 x ... x U_m and q = i^k q_1 x ... x q_m, so
+    the sum is a tensor product of single-qubit maps, one per qubit.
     """
     m = q.n
     rho = np.asarray(rho, dtype=complex)
-    if kind == "pauli":
-        if m > 3:
-            raise ValueError("pauli twirl enumeration capped at m = 3")
-        qm, qpm = q.to_matrix(), qp.to_matrix()
-        total = np.zeros_like(rho)
-        for p in all_paulis(m):
-            pm = p.to_matrix()
-            total += (pm @ qm @ pm) @ rho @ (pm @ qpm @ pm)
-        return total
-    if kind == "clifford":
-        if m > 2:
-            raise ValueError("full Clifford enumeration capped at m = 2")
-        total = np.zeros_like(rho)
-        for c in enumerate_clifford(m):
-            total += clifford_apply(c, q).to_matrix() @ rho @ clifford_apply(c, qp).to_matrix()
-        return total
     if kind == "local_clifford":
         if m > 3:
             raise ValueError("local Clifford enumeration capped at m = 3")
@@ -519,7 +503,22 @@ def _twirl_sum(kind: str, q: PauliString, qp: PauliString,
             a, b = _factor(q, j), _factor(qp, j)
             pairs.append([(u @ a @ u.conj().T, u @ b @ u.conj().T) for u in units])
         return q.phase * qp.phase * local_product_sum(rho, pairs)
-    raise ValueError("unknown twirl kind %r" % kind)
+    if kind == "pauli":
+        if m > 3:
+            raise ValueError("pauli twirl enumeration capped at m = 3")
+        group = [p.to_matrix() for p in all_paulis(m)]
+    elif kind == "clifford":
+        if m > 2:
+            raise ValueError("full Clifford enumeration capped at m = 2")
+        group = clifford_unitaries(m)
+    else:
+        raise ValueError("unknown twirl kind %r" % kind)
+    qm, qpm = q.to_matrix(), qp.to_matrix()
+    total = np.zeros_like(rho)
+    for g in group:
+        gd = g.conj().T
+        total += (g @ qm @ gd) @ rho @ (g @ qpm @ gd)
+    return total
 
 
 def verify_twirl(kind: str, q: PauliString, qp: PauliString,

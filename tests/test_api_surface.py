@@ -1,10 +1,11 @@
-"""API-surface guard: every public module-level name in qmet has a user.
+"""API-surface guard: every module-level function and class in qmet has a user.
 
-A public function or class of ``src/qmet/*.py`` passes when some Python
-file under ``src/``, ``tests/``, ``demos/`` or ``perfbench/`` refers to it
-other than by its own definition, an ``__all__`` entry or a docstring: as
-a name, an attribute, an import, or a word inside a string (perfbench looks
-functions up by name).
+A function or class of ``src/qmet/*.py``, public or private, passes when
+some Python file under ``src/``, ``tests/``, ``demos/`` or ``perfbench/``
+refers to it other than by its own definition, an ``__all__`` entry or a
+docstring: as a name, an attribute, an import, or a word inside a string
+(perfbench looks functions up by name).  A function registered through a
+decorator defined in its own module (``checks._register``) counts as used.
 """
 
 import ast
@@ -16,10 +17,16 @@ SEARCHED = ("src", "tests", "demos", "perfbench")
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _public_definitions(tree):
+def _definitions(tree):
+    """Module-level functions and classes, less those a local decorator registers."""
+    local = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     for node in tree.body:
-        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and not node.name.startswith("_")):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        registered = any(
+            isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id in local
+            for d in node.decorator_list)
+        if not registered:
             yield node.name
 
 
@@ -49,14 +56,22 @@ def _referenced_words(tree):
     return words
 
 
-def test_every_public_name_has_a_user():
+def _unused(private):
     referenced = set()
     for top in SEARCHED:
         for path in sorted((ROOT / top).rglob("*.py")):
             referenced |= _referenced_words(ast.parse(path.read_text(encoding="utf-8")))
     unused = []
     for path in sorted((ROOT / "src" / "qmet").glob("*.py")):
-        for name in _public_definitions(ast.parse(path.read_text(encoding="utf-8"))):
-            if name not in referenced:
+        for name in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
+            if name.startswith("_") == private and name not in referenced:
                 unused.append("%s.%s" % (path.stem, name))
-    assert unused == []
+    return unused
+
+
+def test_every_public_name_has_a_user():
+    assert _unused(private=False) == []
+
+
+def test_every_private_name_has_a_user():
+    assert _unused(private=True) == []

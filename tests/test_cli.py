@@ -291,21 +291,32 @@ def test_crypto_usage_errors(tmp_path, capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("protocol,n,t,trials,attack,message", [
-    ("trap1", 2, 0, 2000, "id", "--t must be >= 1, got 0"),
-    ("trap2", 2, 0, 2000, "double:id;id", "--t must be >= 1, got 0"),
-    ("delegated", 2, 0, 2000, "id", "--t must be >= 1, got 0"),
-    ("trap1", 0, 1, 2000, "id", "--n must be >= 1, got 0"),
-    ("trap1", 5, 2, 0, "id", "--trials must be >= 1, got 0"),
-    ("trap1", 5, 2, -3, "id", "--trials must be >= 1, got -3"),
-], ids=["trap1-t0", "trap2-t0", "delegated-t0", "n0", "trials0", "trials-negative"])
-def test_crypto_degenerate_counts(tmp_path, capsys, protocol, n, t, trials, attack, message):
+@pytest.mark.parametrize("protocol,n,t,trials,seed,attack,message", [
+    ("trap1", 2, 0, 2000, 0, "id", "--t must be >= 1, got 0"),
+    ("trap2", 2, 0, 2000, 0, "double:id;id", "--t must be >= 1, got 0"),
+    ("delegated", 2, 0, 2000, 0, "id", "--t must be >= 1, got 0"),
+    ("trap1", 0, 1, 2000, 0, "id", "--n must be >= 1, got 0"),
+    ("trap1", 5, 2, 0, 0, "id", "--trials must be >= 1, got 0"),
+    ("trap1", 5, 2, -3, 0, "id", "--trials must be >= 1, got -3"),
+    ("trap1", 1, 1, 3, -1, "id", "--seed must be >= 0, got -1"),
+    ("trap1", 5, 2, 3, -1, "id", "--seed must be >= 0, got -1"),
+], ids=["trap1-t0", "trap2-t0", "delegated-t0", "n0", "trials0", "trials-negative",
+        "seed-negative-exact", "seed-negative-sampled"])
+def test_crypto_degenerate_counts(tmp_path, capsys, protocol, n, t, trials, seed, attack,
+                                  message):
     out_path = tmp_path / "x.json"
     rc = run_cli(["crypto", "--protocol", protocol, "--n", str(n), "--t", str(t),
-                  "--trials", str(trials), "--attack", attack, "--out", str(out_path)])
+                  "--trials", str(trials), "--seed", str(seed), "--attack", attack,
+                  "--out", str(out_path)])
     assert rc == 2
     assert capsys.readouterr().err == "error: %s\n" % message
     assert not out_path.exists()
+
+
+def test_crypto_identity_on_both_uses_is_exactly_zero():
+    report = json.loads(cli.crypto_json("trap2", 1, 1, "double:id;id", 3, 0))
+    assert report["lhs"] == 0.0
+    assert report["trace_distance_budget"] == 0.0
 
 
 def test_unknown_subcommand():

@@ -86,13 +86,12 @@ def test_exact_reduction_matches_dense_enumeration():
     np.testing.assert_allclose(r.lhs, lhs, atol=1e-9)
 
 
-def _amplitude_damping_on(slot, gamma=0.4):
-    """Amplitude damping on one qubit of a two-qubit register (qubit 0 leftmost)."""
+def _amplitude_damping_on(slot, gamma=0.4, m=2):
+    """Amplitude damping on one qubit of an m-qubit register (qubit 0 leftmost)."""
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]])
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])
-    ident = np.eye(2)
     return crypto.AttackSpec.from_kraus(
-        [np.kron(k, ident) if slot == 0 else np.kron(ident, k) for k in (k0, k1)])
+        [np.kron(np.kron(np.eye(1 << slot), k), np.eye(1 << (m - 1 - slot))) for k in (k0, k1)])
 
 
 @pytest.mark.parametrize("slot", [0, 1])
@@ -127,6 +126,59 @@ def test_double_use():
     np.testing.assert_allclose(r.lhs, lhs, atol=1e-9)
     with pytest.raises(ValueError):
         crypto.soundness_double("trap", 1, 1, crypto.parse_attack("pauli:XI"))
+
+
+def _single_use_attacks(m):
+    """A fixed Pauli, a mixture, depolarizing noise and a Kraus attack on m qubits."""
+    return [crypto.AttackSpec.fixed_pauli("XZYX"[:m]),
+            crypto.AttackSpec.pauli_mixture([(0.7, "I" * m), (0.3, "ZXYZ"[:m])]),
+            crypto.parse_attack("depol:0.3"),
+            _amplitude_damping_on(0, m=m)]
+
+
+@pytest.mark.parametrize("n,t", [(1, 1), (2, 1), (2, 2)])
+def test_single_use_is_double_use_with_identity_second(n, t):
+    ident = crypto.AttackSpec.identity()
+    for att in _single_use_attacks(n + t):
+        single = crypto.soundness_trap_single(n, t, att)
+        double = crypto.soundness_double("trap", n, t, crypto.AttackSpec.double(att, ident))
+        assert abs(single.lhs - double.lhs) <= 1e-12
+        assert abs(single.accept_rate - double.accept_rate) <= 1e-12
+
+
+def test_dense_single_use_is_double_use_with_identity_second():
+    ident = crypto.AttackSpec.identity()
+    for att in _single_use_attacks(2):
+        both = crypto.AttackSpec.double(att, ident)
+        np.testing.assert_allclose(crypto.dense_trap_double(1, 1, both),
+                                   crypto.dense_trap_single(1, 1, att), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(crypto.dense_clifford_double(1, 1, both),
+                                   crypto.dense_clifford_single(1, 1, att), rtol=0, atol=1e-9)
+
+
+def test_identity_attack_on_both_uses_is_exactly_zero():
+    r = crypto.soundness_double("trap", 1, 1, crypto.parse_attack("double:id;id"))
+    assert r.lhs == 0.0
+    assert r.trace_distance_budget() == 0.0
+
+
+def _random_unitary(dim, seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("text", ["double:pauli:XI;pauli:ZY",
+                                  "double:mix:0.6*II,0.4*XZ;depol:0.5"])
+def test_dense_double_use_with_encoding(text):
+    att = crypto.parse_attack(text)
+    for encode in (crypto._phase_unitary(1, 0.7), _random_unitary(2, 17)):
+        for protocol, dense in (("trap", crypto.dense_trap_double),
+                                ("clifford", crypto.dense_clifford_double)):
+            exact = crypto.soundness_double(protocol, 1, 1, att, encode=encode)
+            lhs, accept = dense(1, 1, att, encode=encode)
+            assert abs(exact.lhs - lhs) <= 1e-9
+            assert abs(exact.accept_rate - accept) <= 1e-9
 
 
 def test_double_use_mixture_point():
