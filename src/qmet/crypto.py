@@ -24,13 +24,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .dense import kron_all, local_product_sum
 from .pauli import (
+    _STACK_CHUNK,
     CliffordElement,
     PauliString,
+    _conjugation_sum,
     all_paulis,
     channel_pauli_coeffs,
     clifford_apply,
@@ -404,6 +407,20 @@ def _default_data(n: int) -> np.ndarray:
     return _ghz_theta(n, 0.0)
 
 
+def _data_state(n: int, t: int, data_state, default: bool = True) -> np.ndarray | None:
+    """Check n, t >= 1 and the state (unit norm, shape (2^n,)); return it, GHZ or None."""
+    for name, value in (("n", n), ("t", t)):
+        if value < 1:
+            raise ValueError("%s must be >= 1, got %r" % (name, value))
+    if data_state is None:
+        return _default_data(n) if default else None
+    shape, norm = np.shape(data_state), float(np.linalg.norm(data_state))
+    if shape != (1 << n,) or abs(norm - 1.0) > 1e-9:
+        raise ValueError("data_state must be a unit vector of shape (%d,), got shape %r, "
+                         "norm %r" % (1 << n, shape, norm))
+    return np.asarray(data_state, dtype=complex)
+
+
 class _VariantTable:
     """Averages of 1 - |<ideal| Q U P |psi>|^2 over Pauli variants on index subsets.
 
@@ -525,8 +542,8 @@ def soundness_trap_single(n: int, t: int, attack: AttackSpec, mode: str = "exact
                           *, data_state: np.ndarray | None = None,
                           trials: int = 2000, seed: int = 0) -> SoundnessReport:
     """Soundness of the single-use trap code against one attack."""
+    psi = _data_state(n, t, data_state)
     m = n + t
-    psi = _default_data(n) if data_state is None else np.asarray(data_state, complex)
     if mode == "exact":
         lhs, accept = _trap_double_casework(n, t, attack, AttackSpec.identity(),
                                             _get_table(psi))
@@ -642,6 +659,7 @@ def soundness_clifford_single(n: int, t: int, attack: AttackSpec,
     Exact mode uses the closed form 2^m (2^{m-t}-1) (1-a) / (4^m-1), where a
     is the attack's identity weight; sampling draws uniform m-qubit Cliffords.
     """
+    psi = _data_state(n, t, data_state, default=mode == "sampled")
     m = n + t
     if mode == "exact":
         a = attack.identity_weight(m)
@@ -649,7 +667,6 @@ def soundness_clifford_single(n: int, t: int, attack: AttackSpec,
         accept = a + (1.0 - a) * (2 ** (m + n) - 1) / (4 ** m - 1)
         return SoundnessReport(lhs, clifford_bound(t), accept, "exact")
     if mode == "sampled":
-        psi = _default_data(n) if data_state is None else np.asarray(data_state, complex)
         lhs, accept, err = _sample_clifford_single(n, t, attack, psi, trials, seed)
         return SoundnessReport(lhs, clifford_bound(t), accept, "sampled",
                                trials=trials, seed=seed, stderr=err)
@@ -697,8 +714,8 @@ def soundness_double(protocol: str, n: int, t: int, attack: AttackSpec,
     if attack.variant != "double":
         raise ValueError("double-use soundness needs a double attack spec")
     first, second = attack.pair
+    psi = _data_state(n, t, data_state)
     m = n + t
-    psi = _default_data(n) if data_state is None else np.asarray(data_state, complex)
     if mode == "sampled":
         lhs, accept, err = _sample_double(protocol, n, t, first, second,
                                           psi, encode, trials, seed)
@@ -726,20 +743,6 @@ def soundness_double(protocol: str, n: int, t: int, attack: AttackSpec,
     raise ValueError("unknown protocol %r" % protocol)
 
 
-def _double_round(psi, n, t, u1, u2, kraus1, kraus2, flags, u_full_l):
-    """One double-use round for explicit keys in the physical frame."""
-    m = n + t
-    vec = _embed_with_flags(psi, flags, m)
-    rho = _apply_channel(u1 @ np.outer(vec, vec.conj()) @ u1.conj().T, kraus1)
-    rho = u1.conj().T @ rho @ u1
-    rho_l = _to_logical(rho, flags, m)
-    rho_p = _to_physical(u_full_l @ rho_l @ u_full_l.conj().T, flags, m)
-    rho_p = _apply_channel(u2 @ rho_p @ u2.conj().T, kraus2)
-    rho_p = u2.conj().T @ rho_p @ u2
-    out_l = _to_logical(rho_p, flags, m)
-    return out_l.reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
-
-
 def _sample_double(protocol, n, t, first, second, psi, encode, trials, seed):
     m = n + t
     if m > _DENSE_QUBIT_CAP:
@@ -761,7 +764,12 @@ def _sample_double(protocol, n, t, first, second, psi, encode, trials, seed):
             flags = tuple(range(n, m))
             u1 = clifford_to_matrix(random_clifford(m, rng))
             u2 = clifford_to_matrix(random_clifford(m, rng))
-        block = _double_round(psi, n, t, u1, u2, kraus1, kraus2, flags, u_full_l)
+        vec = _embed_with_flags(psi, flags, m)
+        rho = np.outer(vec, vec.conj())
+        rho = u1.conj().T @ _apply_channel(u1 @ rho @ u1.conj().T, kraus1) @ u1
+        rho = _to_physical(u_full_l @ _to_logical(rho, flags, m) @ u_full_l.conj().T, flags, m)
+        rho = u2.conj().T @ _apply_channel(u2 @ rho @ u2.conj().T, kraus2) @ u2
+        block = _to_logical(rho, flags, m).reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
         p_acc = float(np.real(np.trace(block)))
         return p_acc, p_acc - float(np.real(np.vdot(ideal, block @ ideal)))
 
@@ -802,24 +810,47 @@ def worst_fixed_pauli(protocol: str, n: int, t: int) -> tuple[float, PauliString
 
 
 # --------------------------------------------------------------------------
-# dense key enumeration: every key applied as a matrix to the whole register,
-# the independent cross-check of the casework above (see _dense_average).
+# dense key enumeration: the cross-check of the casework above, over the literal
+# key set (trap keys one qubit at a time, Clifford and replay keys as stacks).
 
 
-def _local_keys(m: int):
-    """Every trap key layer U_1 x ... x U_m of single-qubit Cliffords (24^m)."""
-    for combo in itertools.product(clifford_unitaries(1), repeat=m):
-        yield kron_all(list(combo))
+@lru_cache(maxsize=1)
+def _local_twirl_map() -> np.ndarray:
+    """[a, b, c, d, a', b', c', d'] = mean_u conj(u)[a', a] u[b', b] u[c', c] conj(u)[d', d]."""
+    u = clifford_unitaries(1)
+    out = np.einsum("upa,uqb,urc,usd->abcdpqrs", u.conj(), u, u, u.conj()) / len(u)
+    out.flags.writeable = False
+    return out
 
 
-def _twirl(rho: np.ndarray, kraus: list[np.ndarray], keys) -> np.ndarray:
-    """Average of U^dag Gamma(U rho U^dag) U over the key unitaries U."""
-    total = np.zeros_like(rho)
-    count = 0
-    for u in keys:
-        total += u.conj().T @ _apply_channel(u @ rho @ u.conj().T, kraus) @ u
-        count += 1
-    return total / count
+def _twirl(rho: np.ndarray, kraus: list[np.ndarray], protocol: str) -> np.ndarray:
+    """Average of U^dag Gamma(U rho U^dag) U over every key U of ``protocol``.
+
+    For trap keys U = U_1 x ... x U_m, the superoperator S = sum_K K x conj(K)
+    is averaged on each qubit's four axes of S as a [2] * 4m tensor.
+    """
+    m = rho.shape[0].bit_length() - 1
+    if protocol == "clifford":
+        group = clifford_unitaries(m)
+        return sum(_conjugation_sum(group, k, k.conj().T, rho) for k in kraus) / len(group)
+    s = sum(kron_all([k, k.conj()]) for k in kraus).reshape([2] * (4 * m))
+    for q in range(m):
+        axes = [q, q + m, q + 2 * m, q + 3 * m]
+        s = np.moveaxis(np.tensordot(_local_twirl_map(), s, axes=([4, 5, 6, 7], axes)),
+                        [0, 1, 2, 3], axes)
+    return (s.reshape(rho.size, rho.size) @ rho.reshape(-1)).reshape(rho.shape)
+
+
+def _local_key_chunks(m: int):
+    """Every trap key layer U_1 x ... x U_m (24^m), in stacks of at most _STACK_CHUNK."""
+    units = clifford_unitaries(1)
+    choices = np.array(list(itertools.product(range(len(units)), repeat=m)))
+    for rows in np.array_split(choices, -(-len(choices) // _STACK_CHUNK)):
+        keys = units[rows[:, 0]]
+        for q in range(1, m):
+            keys = np.einsum("kab,kcd->kacbd", keys, units[rows[:, q]])
+            keys = keys.reshape(len(rows), 2 << q, 2 << q)
+        yield keys
 
 
 def _dense_average(protocol: str, n: int, t: int, attacks,
@@ -832,18 +863,20 @@ def _dense_average(protocol: str, n: int, t: int, attacks,
     (m <= 2).  Each use draws its own key, so its key average is one
     ``_twirl``; ``encode`` acts on the data between uses.  The flags are then
     projected on |0...0> and the result averaged over placements.  This path
-    uses no Pauli weight, no support and no twirl lemma.
+    uses no Pauli weight, no support and no twirl lemma; the per-qubit map
+    for trap keys uses only the fact that the key's per-qubit draws are
+    independent.
     """
+    if attacks is None:  # the pair of a spec that is not a double one
+        raise ValueError("double-use soundness needs a double attack spec")
+    psi = _data_state(n, t, data_state)
     m = n + t
     if protocol == "trap":
         if m > 3:
             raise ValueError("dense key enumeration capped at m = 3")
         placements = list(itertools.combinations(range(m), t))
-        keys = _local_keys
     else:
         placements = [tuple(range(n, m))]
-        keys = clifford_unitaries
-    psi = _default_data(n) if data_state is None else np.asarray(data_state, complex)
     krauses = [attack.kraus_ops(m) for attack in attacks]
     u_data = np.eye(1 << n, dtype=complex) if encode is None else encode
     u_full = np.kron(u_data, np.eye(1 << t, dtype=complex))
@@ -856,7 +889,7 @@ def _dense_average(protocol: str, n: int, t: int, attacks,
             if use:
                 rho = _to_physical(u_full @ _to_logical(rho, flags, m) @ u_full.conj().T,
                                    flags, m)
-            rho = _twirl(rho, kraus, keys(m))
+            rho = _twirl(rho, kraus, protocol)
         rho_l = _to_logical(rho, flags, m)
         block = rho_l.reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
         p_acc = float(np.real(np.trace(block)))
@@ -906,8 +939,8 @@ def replay_attack_demo(n: int, t: int, theta: float, *,
     shared keys (m <= 3) instead of the per-slot axis average the shared-key
     twirl reduces to.
     """
+    psi = _data_state(n, t, None)
     m = n + t
-    psi = _default_data(n)
     u_data = _phase_unitary(n, theta)
     ideal = u_data @ psi
     p_attack = PauliString(m, (1 << m) - 1, 0, 0)
@@ -925,20 +958,20 @@ def replay_attack_demo(n: int, t: int, theta: float, *,
         return broken, honest.lhs, honest.bound
     if m > 3:
         raise ValueError("replay enumeration capped at m = 3")
+    # Shared key U: A_U = (U^dag P^dag U) E (U^dag P U) |v>, E the physical-frame encoding.
     pm = p_attack.to_matrix()
-    kraus_in = [pm]
-    kraus_out = [pm.conj().T]
-    u_full_l = np.kron(u_data, np.eye(1 << t, dtype=complex))
+    placements = list(itertools.combinations(range(m), t))
     lhs = 0.0
-    count = 0
-    for flags in itertools.combinations(range(m), t):
-        for u in _local_keys(m):
-            block = _double_round(psi, n, t, u, u, kraus_in, kraus_out,
-                                  flags, u_full_l)
-            p_acc = float(np.real(np.trace(block)))
-            lhs += p_acc - float(np.real(np.vdot(ideal, block @ ideal)))
-            count += 1
-    return lhs / count, honest.lhs, honest.bound
+    for flags in placements:
+        vec = _embed_with_flags(psi, flags, m)
+        enc = _to_physical(np.kron(u_data, np.eye(1 << t)), flags, m)
+        # Physical index of each data basis state with its flags at |0>.
+        accepted = [np.flatnonzero(_embed_with_flags(e, flags, m))[0] for e in np.eye(1 << n)]
+        for keys in _local_key_chunks(m):
+            keys_d = keys.conj().swapaxes(1, 2)
+            out = (keys_d @ pm.conj().T @ keys @ enc @ keys_d @ pm @ keys @ vec)[:, accepted]
+            lhs += float(np.sum(np.abs(out) ** 2) - np.sum(np.abs(out @ ideal.conj()) ** 2))
+    return lhs / (len(placements) * 24 ** m), honest.lhs, honest.bound
 
 
 # --------------------------------------------------------------------------
@@ -948,8 +981,8 @@ def replay_attack_demo(n: int, t: int, theta: float, *,
 def privacy_deviation(protocol: str, n: int, t: int, *,
                       data_state: np.ndarray | None = None) -> float:
     """Max-norm distance of the key-averaged encrypted state from I/2^m."""
+    psi = _data_state(n, t, data_state)
     m = n + t
-    psi = _default_data(n) if data_state is None else np.asarray(data_state, complex)
     if protocol in ("trap", "delegated"):
         if m > 3:
             raise ValueError("trap privacy enumeration capped at m = 3")

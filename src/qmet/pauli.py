@@ -484,41 +484,46 @@ def _factor(p: PauliString, j: int) -> np.ndarray:
     return _FACTORS_1Q[((p.x >> j) & 1, (p.z >> j) & 1)]
 
 
+# Most unitaries a stack sum multiplies at once (128 KiB per two-qubit temporary).
+_STACK_CHUNK = 512
+
+
+def _conjugation_sum(group: np.ndarray, a: np.ndarray, b: np.ndarray,
+                     rho: np.ndarray) -> np.ndarray:
+    """sum_g (g^dag a g) rho (g^dag b g) over a stack of unitaries, a chunk at a time."""
+    dim = rho.shape[0]
+    total = np.zeros_like(rho)
+    for start in range(0, len(group), _STACK_CHUNK):
+        g = group[start:start + _STACK_CHUNK]
+        gd_rows = g.conj().swapaxes(1, 2).reshape(-1, dim)
+        left = (gd_rows @ a).reshape(g.shape) @ g
+        right = (gd_rows @ b).reshape(g.shape) @ g
+        total += ((left.reshape(-1, dim) @ rho).reshape(g.shape) @ right).sum(axis=0)
+    return total
+
+
 def _twirl_sum(kind: str, q: PauliString, qp: PauliString,
                rho: np.ndarray) -> np.ndarray:
     """sum_G (G q G^dag) rho (G q' G^dag) over the twirl group ``kind``.
 
-    The Pauli and Clifford groups are stacks of unitaries.  For
-    ``local_clifford``, G = U_1 x ... x U_m and q = i^k q_1 x ... x q_m, so
-    the sum is a tensor product of single-qubit maps, one per qubit.
+    For ``pauli`` and ``local_clifford``, G = U_1 x ... x U_m and q = i^k q_1
+    x ... x q_m, so the sum is a tensor product of single-qubit maps.  The
+    Clifford group, closed under G -> G^dag, is summed as G^dag q G.
     """
     m = q.n
     rho = np.asarray(rho, dtype=complex)
-    if kind == "local_clifford":
-        if m > 3:
-            raise ValueError("local Clifford enumeration capped at m = 3")
-        units = clifford_unitaries(1)
-        pairs = []
-        for j in range(m):
-            a, b = _factor(q, j), _factor(qp, j)
-            pairs.append([(u @ a @ u.conj().T, u @ b @ u.conj().T) for u in units])
-        return q.phase * qp.phase * local_product_sum(rho, pairs)
-    if kind == "pauli":
-        if m > 3:
-            raise ValueError("pauli twirl enumeration capped at m = 3")
-        group = [p.to_matrix() for p in all_paulis(m)]
-    elif kind == "clifford":
+    if kind == "clifford":
         if m > 2:
             raise ValueError("full Clifford enumeration capped at m = 2")
-        group = clifford_unitaries(m)
-    else:
+        return _conjugation_sum(clifford_unitaries(m), q.to_matrix(), qp.to_matrix(), rho)
+    units = {"pauli": list(PAULI_1Q.values()), "local_clifford": clifford_unitaries(1)}
+    if kind not in units:
         raise ValueError("unknown twirl kind %r" % kind)
-    qm, qpm = q.to_matrix(), qp.to_matrix()
-    total = np.zeros_like(rho)
-    for g in group:
-        gd = g.conj().T
-        total += (g @ qm @ gd) @ rho @ (g @ qpm @ gd)
-    return total
+    if m > 3:
+        raise ValueError("%s twirl enumeration capped at m = 3" % kind)
+    pairs = [[(u @ _factor(q, j) @ u.conj().T, u @ _factor(qp, j) @ u.conj().T)
+              for u in units[kind]] for j in range(m)]
+    return q.phase * qp.phase * local_product_sum(rho, pairs)
 
 
 def verify_twirl(kind: str, q: PauliString, qp: PauliString,

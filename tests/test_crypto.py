@@ -1,9 +1,13 @@
 """Authenticated-channel tests: soundness, privacy, replay, integrity."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qmet import crypto, pauli
+from qmet.dense import kron_all
 
 
 def test_parse_attack_variants():
@@ -154,6 +158,95 @@ def test_dense_single_use_is_double_use_with_identity_second():
                                    crypto.dense_trap_single(1, 1, att), rtol=0, atol=1e-9)
         np.testing.assert_allclose(crypto.dense_clifford_double(1, 1, both),
                                    crypto.dense_clifford_single(1, 1, att), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("dense", [crypto.dense_trap_double, crypto.dense_clifford_double])
+def test_dense_double_use_rejects_a_single_use_attack(dense):
+    with pytest.raises(ValueError, match="double-use soundness needs a double attack spec"):
+        dense(1, 1, crypto.AttackSpec.fixed_pauli("XZ"))
+
+
+_X2 = crypto.AttackSpec.fixed_pauli("XZ")
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: crypto.dense_trap_single(0, 1, crypto.AttackSpec.fixed_pauli("X")), "n"),
+    (lambda: crypto.soundness_trap_single(0, 1, crypto.AttackSpec.fixed_pauli("X")), "n"),
+    (lambda: crypto.soundness_trap_single(1, 0, crypto.AttackSpec.fixed_pauli("X")), "t"),
+    (lambda: crypto.soundness_clifford_single(1, 0, crypto.AttackSpec.fixed_pauli("X")), "t"),
+    (lambda: crypto.replay_attack_demo(1, 0, 0.3), "t"),
+    (lambda: crypto.replay_attack_demo(1, 0, 0.3, dense=True), "t"),
+    (lambda: crypto.soundness_clifford_single(1, 1, _X2, data_state=[1, 1]), "data_state"),
+    (lambda: crypto.soundness_trap_single(1, 1, _X2, data_state=[1, 1]), "data_state"),
+    (lambda: crypto.dense_clifford_single(1, 1, _X2, data_state=[1, 1]), "data_state"),
+    (lambda: crypto.soundness_trap_single(1, 1, _X2, data_state=[1, 0, 0, 0]), "data_state"),
+    (lambda: crypto.dense_trap_single(1, 1, _X2, data_state=[1, 0, 0, 0]), "data_state"),
+    (lambda: crypto.soundness_double("trap", 1, 1, crypto.parse_attack("double:id;id"),
+                                     data_state=[[1], [0]]), "data_state"),
+    (lambda: crypto.privacy_deviation("trap", 1, 1, data_state=[1, 1]), "data_state"),
+], ids=["dense-n0", "trap-n0", "trap-t0", "cliff-t0", "replay-t0", "replay-dense-t0",
+        "cliff-norm", "trap-norm", "dense-cliff-norm", "trap-shape", "dense-trap-shape",
+        "double-shape", "privacy-norm"])
+def test_sizes_and_data_states_are_checked(call, name):
+    with pytest.raises(ValueError, match="^%s must" % name):
+        call()
+
+
+def _literal_twirl(rho, kraus, keys):
+    """Average of U^dag Gamma(U rho U^dag) U, one key at a time."""
+    total = np.zeros_like(rho)
+    count = 0
+    for u in keys:
+        sigma = u @ rho @ u.conj().T
+        total += u.conj().T @ sum(k @ sigma @ k.conj().T for k in kraus) @ u
+        count += 1
+    return total / count
+
+
+@pytest.mark.parametrize("attack", _single_use_attacks(2), ids=["pauli", "mix", "depol", "ad"])
+def test_twirl_matches_literal_key_loop(attack):
+    rng = np.random.default_rng(41)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    kraus = attack.kraus_ops(2)
+    local = (kron_all(list(c)) for c in itertools.product(pauli.clifford_unitaries(1), repeat=2))
+    for protocol, keys in (("trap", local), ("clifford", iter(pauli.clifford_unitaries(2)))):
+        want = _literal_twirl(rho, kraus, keys)
+        assert np.abs(crypto._twirl(rho, kraus, protocol) - want).max() <= 1e-12, protocol
+
+
+@pytest.mark.parametrize("n,t,attack,dense", [
+    (1, 2, crypto.parse_attack("depol:0.3"), crypto.dense_trap_single),
+    (2, 1, _amplitude_damping_on(0, m=3), crypto.dense_trap_single),
+    (2, 1, crypto.parse_attack("double:depol:0.4;mix:0.7*III,0.3*XZY"),
+     crypto.dense_trap_double),
+], ids=["single-depol", "single-ad", "double-mix"])
+def test_dense_matches_casework_at_three_qubits(n, t, attack, dense):
+    if attack.variant == "double":
+        exact = crypto.soundness_double("trap", n, t, attack)
+    else:
+        exact = crypto.soundness_trap_single(n, t, attack)
+    lhs, accept = dense(n, t, attack)
+    assert abs(exact.lhs - lhs) <= 1e-9
+    assert abs(exact.accept_rate - accept) <= 1e-9
+
+
+def test_clifford_stack_sums_run_in_bounded_memory():
+    # The 11,520-element stack is summed in chunks: a whole-stack product
+    # would allocate several 2.9 MB temporaries.
+    pauli.clifford_unitaries(2)
+    q, qp = pauli.PauliString.from_label("XI"), pauli.PauliString.from_label("ZY")
+    rho = np.eye(4, dtype=complex) / 4
+    attack = crypto.parse_attack("double:mix:0.6*II,0.4*XZ;pauli:YX")
+    for call in (lambda: crypto.dense_clifford_double(1, 1, attack),
+                 lambda: pauli.verify_twirl("clifford", q, qp, rho)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 def test_identity_attack_on_both_uses_is_exactly_zero():

@@ -119,6 +119,39 @@ def test_local_clifford_sum_matches_literal_group_sum(m, labels):
         assert np.abs(got - want).max() / scale < 1e-12, (ql, qpl)
 
 
+def _literal_group(kind, m):
+    """The twirl group as a list of matrices, one per element."""
+    if kind == "pauli":
+        return [p.to_matrix() for p in pauli.all_paulis(m)]
+    if kind == "clifford":
+        return list(pauli.clifford_unitaries(m))
+    return [dense.kron_all(list(c))
+            for c in itertools.product(pauli.clifford_unitaries(1), repeat=m)]
+
+
+@pytest.mark.parametrize("kind,m", [("pauli", 2), ("pauli", 3), ("clifford", 2),
+                                    ("local_clifford", 2)])
+def test_twirl_sum_matches_literal_stack_loop(kind, m):
+    rng = np.random.default_rng(50 + m)
+    a = rng.normal(size=(1 << m, 1 << m)) + 1j * rng.normal(size=(1 << m, 1 << m))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    group = _literal_group(kind, m)
+    elems = list(pauli.all_paulis(m))
+    i, j = (int(v) for v in rng.choice(len(elems), size=2, replace=False))
+    for i, j in ((i, i), (i, j), (j, i)):
+        q, qp = elems[i], elems[j]
+        want = np.zeros_like(rho)
+        for g in group:
+            gd = g.conj().T
+            want += (g @ q.to_matrix() @ gd) @ rho @ (g @ qp.to_matrix() @ gd)
+        got = pauli._twirl_sum(kind, q, qp, rho)
+        # As in the local-Clifford test above: relative to the sum when it
+        # is nonzero, to the size of its terms when it vanishes.
+        scale = np.abs(want).max() if i == j else len(group) * np.abs(rho).max()
+        assert np.abs(got - want).max() / scale < 1e-12, (kind, q.label(), qp.label())
+
+
 def test_mul_and_commute_against_matrices():
     rng = np.random.default_rng(3)
     labels = ["XYZ", "ZZI", "IYX", "YIY", "XXZ"]
