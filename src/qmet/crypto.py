@@ -253,10 +253,6 @@ class TrapKey:
     def m(self) -> int:
         return len(self.local_cliffords)
 
-    @property
-    def t(self) -> int:
-        return len(self.flag_positions)
-
 
 def random_trap_key(n: int, t: int, rng: np.random.Generator) -> TrapKey:
     m = n + t
@@ -310,38 +306,48 @@ def _to_physical(rho_l: np.ndarray, flag_positions, m: int) -> np.ndarray:
     return rho_l.reshape([2] * (2 * m)).transpose(both).reshape(1 << m, 1 << m)
 
 
-def _apply_channel(rho: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for k in kraus:
-        out += k @ rho @ k.conj().T
-    return out
+def _channel(attack: AttackSpec, m: int):
+    """The attack as a map on m-qubit density matrices.
 
-
-def trap_round_single(data_state: np.ndarray, t: int, key: TrapKey,
-                      attack: AttackSpec) -> tuple[float, np.ndarray]:
-    """One trap-code transmission: encrypt, attack, decrypt, project flags.
-
-    Returns the exact acceptance probability and the normalized post-accept
-    data state.
+    A depolarizing attack acts in closed form, (1 - s) rho + s Tr(rho) I / 2^m,
+    so that its 4^m Kraus matrices are never listed; any other is a Kraus sum.
     """
-    psi = np.asarray(data_state, dtype=complex).reshape(-1)
-    n = psi.size.bit_length() - 1
+    if attack.variant == "depolarizing":
+        s, dim = attack.strength, 1 << m
+        return lambda rho: (1.0 - s) * rho + (s * np.trace(rho) / dim) * np.eye(dim)
+    kraus = attack.kraus_ops(m)
+
+    def apply(rho):
+        out = np.zeros_like(rho)
+        for k in kraus:
+            out += k @ rho @ k.conj().T
+        return out
+
+    return apply
+
+
+def _round(psi: np.ndarray, flags, uses, encode: np.ndarray | None = None) -> tuple[float, float]:
+    """(p_accept, p_accept - <ideal|block|ideal>) of one round over the given uses.
+
+    The data ``psi`` gets |0> flags at the physical slots ``flags``.  Each use
+    maps the register state: the first receives the pure start as a vector,
+    the later ones a density matrix, and ``encode`` (skipped when None) acts on
+    the data between uses.  ``block`` is the data block left by projecting the
+    flags on |0...0>, ``ideal`` is psi after every encoding.
+    """
+    n, t = psi.size.bit_length() - 1, len(flags)
     m = n + t
-    if m > _DENSE_QUBIT_CAP:
-        raise ValueError("dense evaluation capped at %d qubits" % _DENSE_QUBIT_CAP)
-    if key.m != m or key.t != t:
-        raise ValueError("key is for m=%d, t=%d" % (key.m, key.t))
-    vec = _embed_with_flags(psi, key.flag_positions, m)
-    u_enc = kron_all([clifford_to_matrix(c) for c in key.local_cliffords])
-    enc = u_enc @ vec
-    rho = _apply_channel(np.outer(enc, enc.conj()), attack.kraus_ops(m))
-    rho = u_enc.conj().T @ rho @ u_enc
-    rho_l = _to_logical(rho, key.flag_positions, m)
-    block = rho_l.reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
+    state, ideal = _embed_with_flags(psi, flags, m), psi
+    for use_index, use in enumerate(uses):
+        if use_index and encode is not None:
+            u_full = np.kron(encode, np.eye(1 << t, dtype=complex))
+            state = _to_physical(u_full @ _to_logical(state, flags, m) @ u_full.conj().T,
+                                 flags, m)
+            ideal = encode @ ideal
+        state = use(state)
+    block = _to_logical(state, flags, m).reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
     p_acc = float(np.real(np.trace(block)))
-    if p_acc < 1e-14:
-        return p_acc, np.zeros_like(block)
-    return p_acc, block / p_acc
+    return p_acc, p_acc - float(np.real(np.vdot(ideal, block @ ideal)))
 
 
 # --------------------------------------------------------------------------
@@ -622,6 +628,10 @@ def _sample(trials, seed, one_trial):
     Trial i calls ``one_trial(rng)`` once, with a generator seeded by the
     i-th child of ``SeedSequence(seed)``, and gets (p_accept, lhs term).
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1, got %r" % trials)
+    if seed < 0:
+        raise ValueError("seed must be >= 0, got %r" % seed)
     vals = np.empty(trials)
     accs = np.empty(trials)
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
@@ -631,21 +641,51 @@ def _sample(trials, seed, one_trial):
 
 
 def _sample_trap_single(n, t, attack, psi, trials, seed):
-    m = n + t
+    """Trap keys: the tableau per key for a Pauli mixture, else ``_sample_keys``."""
     try:
-        terms = attack.pauli_terms(m)
+        terms = attack.pauli_terms(n + t)
     except ValueError:
-        terms = None
-    if terms is None and m > _DENSE_QUBIT_CAP:
-        raise ValueError("sampled Kraus attacks capped at %d qubits" % _DENSE_QUBIT_CAP)
-    rho_id = np.outer(psi, psi.conj())
+        return _sample_keys("trap", n, t, [attack], psi, None, trials, seed)
+    return _sample(trials, seed,
+                   lambda rng: _trap_key_value(psi, n, random_trap_key(n, t, rng), terms))
+
+
+def _keyed_use(u: np.ndarray, channel):
+    """The use U^dag Gamma(U rho U^dag) U of one key U; a vector input is the pure start."""
+    def use(state):
+        if state.ndim == 1:
+            enc = u @ state
+            rho = np.outer(enc, enc.conj())
+        else:
+            rho = u @ state @ u.conj().T
+        return u.conj().T @ channel(rho) @ u
+
+    return use
+
+
+def _sample_keys(protocol, n, t, attacks, psi, encode, trials, seed):
+    """(mean lhs, mean accept, stderr) of ``_round`` with a fresh random key per use.
+
+    A trial draws the flag placement, then one key per attack: m single-qubit
+    Cliffords for the trap code, one m-qubit Clifford for the Clifford code,
+    whose flags stay last.
+    """
+    m = n + t
+    if m > _DENSE_QUBIT_CAP:
+        raise ValueError("sampled %s code capped at m = %d qubits, got m = %d"
+                         % ("trap" if protocol == "trap" else "Clifford", _DENSE_QUBIT_CAP, m))
+    channels = [_channel(attack, m) for attack in attacks]
 
     def one_trial(rng):
-        key = random_trap_key(n, t, rng)
-        if terms is not None:
-            return _trap_key_value(psi, n, key, terms)
-        p_acc, cond = trap_round_single(psi, t, key, attack)
-        return p_acc, p_acc * (1.0 - float(np.real(np.trace(rho_id @ cond))))
+        if protocol == "trap":
+            flags = tuple(sorted(int(v) for v in rng.choice(m, size=t, replace=False)))
+            keys = [kron_all([clifford_to_matrix(random_clifford(1, rng)) for _ in range(m)])
+                    for _ in channels]
+        else:
+            flags = tuple(range(n, m))
+            keys = [clifford_to_matrix(random_clifford(m, rng)) for _ in channels]
+        uses = [_keyed_use(u, channel) for u, channel in zip(keys, channels)]
+        return _round(psi, flags, uses, encode)
 
     return _sample(trials, seed, one_trial)
 
@@ -667,37 +707,10 @@ def soundness_clifford_single(n: int, t: int, attack: AttackSpec,
         accept = a + (1.0 - a) * (2 ** (m + n) - 1) / (4 ** m - 1)
         return SoundnessReport(lhs, clifford_bound(t), accept, "exact")
     if mode == "sampled":
-        lhs, accept, err = _sample_clifford_single(n, t, attack, psi, trials, seed)
+        lhs, accept, err = _sample_keys("clifford", n, t, [attack], psi, None, trials, seed)
         return SoundnessReport(lhs, clifford_bound(t), accept, "sampled",
                                trials=trials, seed=seed, stderr=err)
     raise ValueError("unknown mode %r" % mode)
-
-
-def _clifford_round(psi, vec, t, u_enc, kraus):
-    """(accept, lhs term) of one Clifford key; vec is ``_with_flags(psi, t)``."""
-    n = psi.size.bit_length() - 1
-    enc = u_enc @ vec
-    rho = _apply_channel(np.outer(enc, enc.conj()), kraus)
-    rho = u_enc.conj().T @ rho @ u_enc
-    block = rho.reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
-    p_acc = float(np.real(np.trace(block)))
-    overlap = float(np.real(np.vdot(psi, block @ psi)))
-    return p_acc, p_acc - overlap
-
-
-def _sample_clifford_single(n, t, attack, psi, trials, seed):
-    m = n + t
-    if m > _DENSE_QUBIT_CAP:
-        raise ValueError("sampled Clifford code capped at m = %d qubits, got m = %d"
-                         % (_DENSE_QUBIT_CAP, m))
-    kraus = attack.kraus_ops(m)
-    vec = _with_flags(psi, t)
-
-    def one_trial(rng):
-        u_enc = clifford_to_matrix(random_clifford(m, rng))
-        return _clifford_round(psi, vec, t, u_enc, kraus)
-
-    return _sample(trials, seed, one_trial)
 
 
 def soundness_double(protocol: str, n: int, t: int, attack: AttackSpec,
@@ -715,10 +728,11 @@ def soundness_double(protocol: str, n: int, t: int, attack: AttackSpec,
         raise ValueError("double-use soundness needs a double attack spec")
     first, second = attack.pair
     psi = _data_state(n, t, data_state)
+    if protocol not in ("trap", "clifford"):
+        raise ValueError("unknown protocol %r" % protocol)
     m = n + t
     if mode == "sampled":
-        lhs, accept, err = _sample_double(protocol, n, t, first, second,
-                                          psi, encode, trials, seed)
+        lhs, accept, err = _sample_keys(protocol, n, t, attack.pair, psi, encode, trials, seed)
         bound = trap_double_bound(n, t) if protocol == "trap" else clifford_bound(t)
         return SoundnessReport(lhs, bound, accept, "sampled",
                                trials=trials, seed=seed, stderr=err)
@@ -728,52 +742,17 @@ def soundness_double(protocol: str, n: int, t: int, attack: AttackSpec,
         table = _get_table(psi, encode)
         lhs, accept = _trap_double_casework(n, t, first, second, table)
         return SoundnessReport(lhs, trap_double_bound(n, t), accept, "exact")
-    if protocol == "clifford":
-        a = first.identity_weight(m)
-        b = second.identity_weight(m)
-        dim4 = 4 ** m
-        c1 = a - (1.0 - a) / (dim4 - 1)
-        c2 = b - (1.0 - b) / (dim4 - 1)
-        # The fully-scrambled component of the first twirl survives the
-        # second twirl, so (1-a)(1-b) feeds the identity term as well.
-        coeff = c1 * (1.0 - b) + (1.0 - a)
-        lhs = coeff * (1 << m) * ((1 << (m - t)) - 1) / (dim4 - 1)
-        accept = c1 * c2 + coeff * 2 ** (m + n) / (dim4 - 1)
-        return SoundnessReport(lhs, clifford_bound(t), accept, "exact")
-    raise ValueError("unknown protocol %r" % protocol)
-
-
-def _sample_double(protocol, n, t, first, second, psi, encode, trials, seed):
-    m = n + t
-    if m > _DENSE_QUBIT_CAP:
-        raise ValueError("sampled double use capped at %d qubits" % _DENSE_QUBIT_CAP)
-    if protocol not in ("trap", "clifford"):
-        raise ValueError("unknown protocol %r" % protocol)
-    kraus1 = first.kraus_ops(m)
-    kraus2 = second.kraus_ops(m)
-    u_data = np.eye(1 << n, dtype=complex) if encode is None else encode
-    u_full_l = np.kron(u_data, np.eye(1 << t, dtype=complex))
-    ideal = u_data @ psi
-
-    def one_trial(rng):
-        if protocol == "trap":
-            flags = tuple(sorted(int(v) for v in rng.choice(m, size=t, replace=False)))
-            u1 = kron_all([clifford_to_matrix(random_clifford(1, rng)) for _ in range(m)])
-            u2 = kron_all([clifford_to_matrix(random_clifford(1, rng)) for _ in range(m)])
-        else:
-            flags = tuple(range(n, m))
-            u1 = clifford_to_matrix(random_clifford(m, rng))
-            u2 = clifford_to_matrix(random_clifford(m, rng))
-        vec = _embed_with_flags(psi, flags, m)
-        rho = np.outer(vec, vec.conj())
-        rho = u1.conj().T @ _apply_channel(u1 @ rho @ u1.conj().T, kraus1) @ u1
-        rho = _to_physical(u_full_l @ _to_logical(rho, flags, m) @ u_full_l.conj().T, flags, m)
-        rho = u2.conj().T @ _apply_channel(u2 @ rho @ u2.conj().T, kraus2) @ u2
-        block = _to_logical(rho, flags, m).reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
-        p_acc = float(np.real(np.trace(block)))
-        return p_acc, p_acc - float(np.real(np.vdot(ideal, block @ ideal)))
-
-    return _sample(trials, seed, one_trial)
+    a = first.identity_weight(m)
+    b = second.identity_weight(m)
+    dim4 = 4 ** m
+    c1 = a - (1.0 - a) / (dim4 - 1)
+    c2 = b - (1.0 - b) / (dim4 - 1)
+    # The fully-scrambled component of the first twirl survives the
+    # second twirl, so (1-a)(1-b) feeds the identity term as well.
+    coeff = c1 * (1.0 - b) + (1.0 - a)
+    lhs = coeff * (1 << m) * ((1 << (m - t)) - 1) / (dim4 - 1)
+    accept = c1 * c2 + coeff * 2 ** (m + n) / (dim4 - 1)
+    return SoundnessReport(lhs, clifford_bound(t), accept, "exact")
 
 
 def soundness_delegated(n: int, t: int, attack: AttackSpec, *, theta: float = 0.0,
@@ -861,11 +840,10 @@ def _dense_average(protocol: str, n: int, t: int, attacks,
     Trap keys are every flag placement times every local-Clifford layer
     (m <= 3), Clifford keys the m-qubit Clifford group with the flags last
     (m <= 2).  Each use draws its own key, so its key average is one
-    ``_twirl``; ``encode`` acts on the data between uses.  The flags are then
-    projected on |0...0> and the result averaged over placements.  This path
-    uses no Pauli weight, no support and no twirl lemma; the per-qubit map
-    for trap keys uses only the fact that the key's per-qubit draws are
-    independent.
+    ``_twirl`` inside ``_round``; the rounds are averaged over placements.
+    This path uses no Pauli weight, no support and no twirl lemma; the
+    per-qubit map for trap keys uses only the fact that the key's per-qubit
+    draws are independent.
     """
     if attacks is None:  # the pair of a spec that is not a double one
         raise ValueError("double-use soundness needs a double attack spec")
@@ -877,26 +855,15 @@ def _dense_average(protocol: str, n: int, t: int, attacks,
         placements = list(itertools.combinations(range(m), t))
     else:
         placements = [tuple(range(n, m))]
-    krauses = [attack.kraus_ops(m) for attack in attacks]
-    u_data = np.eye(1 << n, dtype=complex) if encode is None else encode
-    u_full = np.kron(u_data, np.eye(1 << t, dtype=complex))
-    ideal = u_data @ psi
-    lhs = accept = 0.0
-    for flags in placements:
-        vec = _embed_with_flags(psi, flags, m)
-        rho = np.outer(vec, vec.conj())
-        for use, kraus in enumerate(krauses):
-            if use:
-                rho = _to_physical(u_full @ _to_logical(rho, flags, m) @ u_full.conj().T,
-                                   flags, m)
-            rho = _twirl(rho, kraus, protocol)
-        rho_l = _to_logical(rho, flags, m)
-        block = rho_l.reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
-        p_acc = float(np.real(np.trace(block)))
-        accept += p_acc
-        lhs += p_acc - float(np.real(np.vdot(ideal, block @ ideal)))
-    k = float(len(placements))
-    return lhs / k, accept / k
+
+    def twirled(kraus):
+        return lambda state: _twirl(state if state.ndim == 2 else np.outer(state, state.conj()),
+                                    kraus, protocol)
+
+    uses = [twirled(attack.kraus_ops(m)) for attack in attacks]
+    rounds = [_round(psi, flags, uses, encode) for flags in placements]
+    accept, lhs = (sum(column) / len(rounds) for column in zip(*rounds))
+    return lhs, accept
 
 
 def dense_trap_single(n: int, t: int, attack: AttackSpec,

@@ -267,14 +267,18 @@ def test_crypto_clifford_sampled_cap(tmp_path, capsys):
     assert not (tmp_path / "c.json").exists()
 
 
-def test_crypto_sampled_depolarizing_kraus_cap(tmp_path, capsys):
-    # Sampled Clifford rounds apply the attack's Kraus form; for a depolarizing
-    # attack at m = 7 that would be 4^7 matrices of 128 x 128, so it is refused.
+def test_crypto_sampled_depolarizing_in_closed_form(tmp_path):
+    # Sampled rounds apply depol:s as (1 - s) rho + s Tr(rho) I / 2^m, not as
+    # 4^7 Kraus matrices.  The noise commutes with every key, so every trial
+    # gives the exact value and the stderr is rounding noise.
+    out_path = tmp_path / "c.json"
     rc = run_cli(["crypto", "--protocol", "cliff1", "--n", "4", "--t", "3",
-                  "--attack", "depol:0.3", "--trials", "20",
-                  "--out", str(tmp_path / "c.json")])
-    assert rc == 3
-    assert "depolarizing Kraus form capped at m = 5" in capsys.readouterr().err
+                  "--attack", "depol:0.3", "--trials", "200", "--out", str(out_path)])
+    assert rc == 0
+    data = json.loads(out_path.read_text())
+    assert data["mode"] == "sampled"
+    # Closed form 2^m (2^(m-t) - 1)(1 - a)/(4^m - 1) with 1 - a = 0.3 (4^7 - 1)/4^7.
+    assert abs(data["lhs"] - 0.03515625) <= 4 * data["stderr"] + 1e-12
 
 
 def test_crypto_usage_errors(tmp_path, capsys):

@@ -102,8 +102,8 @@ def _amplitude_damping_on(slot, gamma=0.4, m=2):
 def test_kraus_attack_dual_path(slot):
     # A non-Pauli CPTP attack: the exact casework reads its twirled weights
     # from channel_pauli_coeffs, the dense paths apply the Kraus operators to
-    # every key, and sampled mode runs trap_round_single per key.  Qubit 0 is
-    # the Clifford code's data slot and qubit 1 its flag slot.
+    # every key, and sampled mode applies them to one random key per trial.
+    # Qubit 0 is the Clifford code's data slot and qubit 1 its flag slot.
     att = _amplitude_damping_on(slot)
     exact = crypto.soundness_trap_single(1, 1, att)
     lhs, accept = crypto.dense_trap_single(1, 1, att)
@@ -115,9 +115,11 @@ def test_kraus_attack_dual_path(slot):
     assert abs(cliff.lhs - lhs) <= 1e-9
     assert abs(cliff.accept_rate - accept) <= 1e-9
     np.testing.assert_allclose(cliff.lhs, 0.0567204441011, rtol=1e-9)
-    sampled = crypto.soundness_trap_single(1, 1, att, mode="sampled", trials=400)
-    assert sampled.stderr > 0
-    assert abs(sampled.lhs - exact.lhs) <= 4 * sampled.stderr
+    for want, sample in ((exact, crypto.soundness_trap_single),
+                         (cliff, crypto.soundness_clifford_single)):
+        sampled = sample(1, 1, att, mode="sampled", trials=400)
+        assert sampled.stderr > 0
+        assert abs(sampled.lhs - want.lhs) <= 4 * sampled.stderr
 
 
 def test_double_use():
@@ -279,6 +281,144 @@ def test_double_use_mixture_point():
     r = crypto.soundness_double("trap", 2, 2, att)
     np.testing.assert_allclose(r.lhs, 0.10856481481, rtol=1e-9)
     assert r.lhs <= r.bound
+
+
+def _apply_kraus(rho, kraus):
+    out = np.zeros_like(rho)
+    for k in kraus:
+        out += k @ rho @ k.conj().T
+    return out
+
+
+def _reference_trap_round_single(psi, t, key, attack):
+    """One trap-code key as the rounds were written before ``crypto._round``.
+
+    Returns (p_accept, normalized post-accept data state).
+    """
+    n = psi.size.bit_length() - 1
+    m = n + t
+    vec = crypto._embed_with_flags(psi, key.flag_positions, m)
+    u_enc = kron_all([pauli.clifford_to_matrix(c) for c in key.local_cliffords])
+    enc = u_enc @ vec
+    rho = _apply_kraus(np.outer(enc, enc.conj()), attack.kraus_ops(m))
+    rho = u_enc.conj().T @ rho @ u_enc
+    rho_l = crypto._to_logical(rho, key.flag_positions, m)
+    block = rho_l.reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
+    p_acc = float(np.real(np.trace(block)))
+    if p_acc < 1e-14:
+        return p_acc, np.zeros_like(block)
+    return p_acc, block / p_acc
+
+
+def _reference_clifford_round(psi, vec, t, u_enc, kraus):
+    """(accept, lhs term) of one Clifford key; vec is psi with t |0> flags last."""
+    n = psi.size.bit_length() - 1
+    enc = u_enc @ vec
+    rho = _apply_kraus(np.outer(enc, enc.conj()), kraus)
+    rho = u_enc.conj().T @ rho @ u_enc
+    block = rho.reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
+    p_acc = float(np.real(np.trace(block)))
+    overlap = float(np.real(np.vdot(psi, block @ psi)))
+    return p_acc, p_acc - overlap
+
+
+def _reference_double_trial(protocol, n, t, kraus1, kraus2, psi, u_data, rng):
+    """(accept, lhs term) of one double-use trial with two independent keys."""
+    m = n + t
+    u_full_l = np.kron(u_data, np.eye(1 << t, dtype=complex))
+    ideal = u_data @ psi
+    if protocol == "trap":
+        flags = tuple(sorted(int(v) for v in rng.choice(m, size=t, replace=False)))
+        u1 = kron_all([pauli.clifford_to_matrix(pauli.random_clifford(1, rng)) for _ in range(m)])
+        u2 = kron_all([pauli.clifford_to_matrix(pauli.random_clifford(1, rng)) for _ in range(m)])
+    else:
+        flags = tuple(range(n, m))
+        u1 = pauli.clifford_to_matrix(pauli.random_clifford(m, rng))
+        u2 = pauli.clifford_to_matrix(pauli.random_clifford(m, rng))
+    vec = crypto._embed_with_flags(psi, flags, m)
+    rho = np.outer(vec, vec.conj())
+    rho = u1.conj().T @ _apply_kraus(u1 @ rho @ u1.conj().T, kraus1) @ u1
+    rho = crypto._to_physical(u_full_l @ crypto._to_logical(rho, flags, m) @ u_full_l.conj().T,
+                              flags, m)
+    rho = u2.conj().T @ _apply_kraus(u2 @ rho @ u2.conj().T, kraus2) @ u2
+    block = crypto._to_logical(rho, flags, m).reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
+    p_acc = float(np.real(np.trace(block)))
+    return p_acc, p_acc - float(np.real(np.vdot(ideal, block @ ideal)))
+
+
+def _reference_trial(protocol, n, t, attacks, psi, encode, rng):
+    m = n + t
+    if len(attacks) == 2:
+        u_data = np.eye(1 << n, dtype=complex) if encode is None else encode
+        return _reference_double_trial(protocol, n, t, attacks[0].kraus_ops(m),
+                                       attacks[1].kraus_ops(m), psi, u_data, rng)
+    if protocol == "trap":
+        p_acc, cond = _reference_trap_round_single(psi, t, crypto.random_trap_key(n, t, rng),
+                                                   attacks[0])
+        rho_id = np.outer(psi, psi.conj())
+        return p_acc, p_acc * (1.0 - float(np.real(np.trace(rho_id @ cond))))
+    u_enc = pauli.clifford_to_matrix(pauli.random_clifford(m, rng))
+    vec = np.kron(psi, np.eye(1 << t)[0])
+    return _reference_clifford_round(psi, vec, t, u_enc, attacks[0].kraus_ops(m))
+
+
+@pytest.mark.parametrize("n,t", [(2, 1), (3, 2)])
+@pytest.mark.parametrize("protocol", ["trap", "clifford"])
+def test_sampled_round_matches_reference_rounds(n, t, protocol):
+    # One seeded trial of _sample_keys draws the keys of the reference rounds
+    # in the same order, so each (p_accept, lhs) pair must agree to rounding.
+    m = n + t
+    fixed = crypto.AttackSpec.fixed_pauli("XZYXZ"[:m])
+    mix = crypto.AttackSpec.pauli_mixture([(0.7, "I" * m), (0.3, "ZXYZX"[:m])])
+    damping = _amplitude_damping_on(0, gamma=0.4, m=m)
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    psi /= np.linalg.norm(psi)
+    cases = [([fixed], None), ([mix], None), ([damping], None),
+             ([mix, damping], crypto._phase_unitary(n, 0.7)), ([damping, fixed], None)]
+    for attacks, encode in cases:
+        for seed in range(20):
+            lhs, accept, _ = crypto._sample_keys(protocol, n, t, attacks, psi, encode, 1, seed)
+            trial_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+            want = _reference_trial(protocol, n, t, attacks, psi, encode, trial_rng)
+            assert abs(accept - want[0]) <= 1e-12
+            assert abs(lhs - want[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("n,t", [(1, 1), (2, 1)])
+@pytest.mark.parametrize("protocol", ["trap", "clifford"])
+def test_sampled_double_use_matches_exact(n, t, protocol):
+    m = n + t
+    att = crypto.parse_attack("double:mix:0.6*%s,0.4*%s;depol:0.5" % ("I" * m, "XZY"[:m]))
+    for encode in (None, crypto._phase_unitary(n, 0.7)):
+        exact = crypto.soundness_double(protocol, n, t, att, encode=encode)
+        sampled = crypto.soundness_double(protocol, n, t, att, encode=encode, mode="sampled",
+                                          trials=400)
+        assert sampled.mode == "sampled" and sampled.stderr > 0
+        assert abs(sampled.lhs - exact.lhs) <= 4 * sampled.stderr + 1e-12
+
+
+def test_depolarizing_kraus_form_is_capped():
+    # The Kraus form lists all 4^m Paulis (4.3 GB at m = 7); sampled rounds
+    # apply depolarizing noise in closed form instead.
+    with pytest.raises(ValueError, match="depolarizing Kraus form capped at m = 5"):
+        crypto.AttackSpec.depolarizing(0.3).kraus_ops(6)
+
+
+@pytest.mark.parametrize("trials,seed,message", [
+    (0, 0, "trials must be >= 1, got 0"),
+    (-2, 0, "trials must be >= 1, got -2"),
+    (3, -1, "seed must be >= 0, got -1"),
+], ids=["trials-zero", "trials-negative", "seed-negative"])
+@pytest.mark.parametrize("sample", [
+    lambda **kw: crypto.soundness_trap_single(2, 1, crypto.parse_attack("pauli:XII"), **kw),
+    lambda **kw: crypto.soundness_clifford_single(2, 1, crypto.parse_attack("pauli:XII"), **kw),
+    lambda **kw: crypto.soundness_double("trap", 2, 1, crypto.parse_attack("double:pauli:XII;id"),
+                                         **kw),
+], ids=["trap", "clifford", "double"])
+def test_sampled_trials_and_seed_are_checked(sample, trials, seed, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        sample(mode="sampled", trials=trials, seed=seed)
 
 
 def test_sampled_mode_agrees_with_bound():
