@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -227,9 +228,11 @@ def ecc_csv(code: str, *, n: int, omega: float, gamma: float, xi: float = 0.0,
                                    gamma=point["gamma"], tau=point["tau"],
                                    t=point["t"], xi=point["xi"], p=point["p"])
             q = _ecc_qfi(code, params)
+            hl = (params.n * params.t) * (params.n * params.t)
+            if not (math.isfinite(q) and math.isfinite(hl)):
+                raise ValueError("QFI %g and (n t)^2 %g must be finite" % (q, hl))
         except (ValueError, OverflowError) as exc:
             raise CliError(EXIT_DOMAIN, str(exc))
-        hl = (point["n"] * point["t"]) ** 2
         row = [swept, point["omega"], point["gamma"], point["xi"], point["p"],
                point["tau"], point["t"], point["n"], q, q / hl]
         if oracle:

@@ -641,11 +641,14 @@ def _sample(trials, seed, one_trial):
 
 
 def _sample_trap_single(n, t, attack, psi, trials, seed):
-    """Trap keys: the tableau per key for a Pauli mixture, else ``_sample_keys``."""
-    try:
-        terms = attack.pauli_terms(n + t)
-    except ValueError:
+    """Trap keys: the tableau per key for a listed Pauli mixture, else ``_sample_keys``.
+
+    A depolarizing attack takes ``_sample_keys``, whose closed-form channel
+    never lists the 4^m Pauli terms.
+    """
+    if attack.variant not in ("identity", "fixed_pauli", "pauli_mixture"):
         return _sample_keys("trap", n, t, [attack], psi, None, trials, seed)
+    terms = attack.pauli_terms(n + t)
     return _sample(trials, seed,
                    lambda rng: _trap_key_value(psi, n, random_trap_key(n, t, rng), terms))
 

@@ -5,10 +5,14 @@ up phase at frequency ``omega`` while each qubit suffers transverse noise
 at rate ``gamma``: the uncorrected spectral sum, the ancilla-assisted
 parity-check code (ideal, noisy-ancilla and imperfect-syndrome variants),
 the odd-n majority-vote repetition code, the optimal sensing time and the
-Fisher information of the rotated transversal readout.  Every closed form is
-cross-checked against :func:`amplitude_oracle`, which propagates the exact
-diagonal/anti-diagonal amplitude recursion and feeds the reconstructed
-density matrix to :func:`qmet.dense.qfi_spectral`.
+Fisher information of the rotated transversal readout.  Every omega-derivative
+is exact: the corrected codes differentiate their round matrix entry by entry
+and take the derivative of its power from one block-triangular power (Van
+Loan 1978).  Every closed form is cross-checked against
+:func:`amplitude_oracle`, which propagates the exact diagonal/anti-diagonal
+amplitude recursion together with the omega-derivative of the anti-diagonal
+amplitudes and feeds the reconstructed density matrix and its derivative to
+:func:`qmet.dense.sld_qfi`.
 """
 
 from __future__ import annotations
@@ -19,11 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dense import EIGEN_CUT, default_fd_step, qfi_spectral
+from .dense import EIGEN_CUT, as_density, sld_qfi
 
 _SERIES_CUT = 1e-4      # switch sin(delta*d)/delta over to its Taylor series
-_DEGENERATE_CUT = 1e-10  # Jordan fallback threshold for the 2x2 matrix power
-_PURE_CUT = 1e-14
 
 
 @dataclass(frozen=True)
@@ -85,21 +87,12 @@ class EvolutionFactors:
 
 
 @dataclass(frozen=True)
-class Rank2State:
-    """Rank-2 GHZ-like state (1 +- R)/2 with relative phase theta."""
-
-    R: float
-    theta: float
-    dR_domega: float
-    dtheta_domega: float
-
-
-@dataclass(frozen=True)
 class AmplitudeOracleState:
-    """Diagonal (a) and anti-diagonal (b) density-matrix amplitudes."""
+    """Diagonal (a) and anti-diagonal (b) density-matrix amplitudes, and db/domega."""
 
     a_vec: np.ndarray
     b_vec: np.ndarray
+    db_vec: np.ndarray
 
     def density(self) -> np.ndarray:
         dim = self.a_vec.size
@@ -110,49 +103,42 @@ class AmplitudeOracleState:
         return 0.5 * (rho + rho.conj().T)
 
 
-def _xy(omega: float, gamma: float, duration: float) -> tuple[complex, complex, complex]:
-    """Entries x_plus, x_minus, y of the anti-diagonal transfer matrix."""
-    delta = np.sqrt(complex(omega * omega - gamma * gamma))
-    z = delta * duration
-    if abs(z) < _SERIES_CUT:
-        u = z * z
-        s = duration * (1.0 - u / 6.0 * (1.0 - u / 20.0 * (1.0 - u / 42.0)))
-    else:
-        s = np.sin(z) / delta
-    c = np.cos(z)
-    return c + 1j * omega * s, c - 1j * omega * s, gamma * s
-
-
 def _xy_dot(omega: float, gamma: float, duration: float,
             ) -> tuple[complex, complex, complex, complex, complex, complex]:
-    """x_pm, y and their exact omega-derivatives.
+    """x_pm, y of the anti-diagonal transfer matrix and their exact omega-derivatives.
 
     The entries are entire functions of q = omega^2 - gamma^2, so
     d/domega = 2*omega * d/dq, with series fallbacks where the closed forms
     lose digits to cancellation.  Central differences are useless here: near
     the overdamped axis d(ln r)/domega sits many orders below the resolution
     of a double-precision difference quotient, and the noise gets amplified
-    by 1/(1 - R^2) in the rank-2 QFI.
+    by 1/(1 - R^2) in the rank-2 QFI.  Entries that overflow (omega^2 or
+    |delta| * duration out of range) raise ValueError rather than return nan.
     """
     d = duration
-    q = complex(omega * omega - gamma * gamma)
-    delta = np.sqrt(q)
-    z = delta * d
-    v = z * z
-    if abs(z) < _SERIES_CUT:
-        s = d * (1.0 - v / 6.0 * (1.0 - v / 20.0 * (1.0 - v / 42.0)))
-    else:
-        s = np.sin(z) / delta
-    c = np.cos(z)
-    if abs(v) < 1e-3:
-        ds_dq = -(d ** 3 / 6.0) * (1.0 - v / 10.0 * (1.0 - v / 28.0 * (1.0 - v / 54.0)))
-    else:
-        ds_dq = (d * c - s) / (2.0 * q)
-    dc = -omega * d * s
-    ds = 2.0 * omega * ds_dq
-    swing = 1j * (s + omega * ds)
-    return (c + 1j * omega * s, c - 1j * omega * s, gamma * s,
-            dc + swing, dc - swing, gamma * ds)
+    with np.errstate(all="ignore"):
+        q = complex(omega * omega - gamma * gamma)
+        delta = np.sqrt(q)
+        z = delta * d
+        v = z * z
+        if abs(z) < _SERIES_CUT:
+            s = d * (1.0 - v / 6.0 * (1.0 - v / 20.0 * (1.0 - v / 42.0)))
+        else:
+            s = np.sin(z) / delta
+        c = np.cos(z)
+        if abs(v) < 1e-3:
+            ds_dq = -(d ** 3 / 6.0) * (1.0 - v / 10.0 * (1.0 - v / 28.0 * (1.0 - v / 54.0)))
+        else:
+            ds_dq = (d * c - s) / (2.0 * q)
+        dc = -omega * d * s
+        ds = 2.0 * omega * ds_dq
+        swing = 1j * (s + omega * ds)
+        out = (c + 1j * omega * s, c - 1j * omega * s, gamma * s,
+               dc + swing, dc - swing, gamma * ds)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("transfer entries are not finite at omega=%r, gamma=%r, "
+                         "duration=%r" % (omega, gamma, duration))
+    return out
 
 
 def factors(omega: float, gamma: float, duration: float) -> EvolutionFactors:
@@ -165,7 +151,7 @@ def factors(omega: float, gamma: float, duration: float) -> EvolutionFactors:
     """
     if duration < 0:
         raise ValueError("duration must be non-negative")
-    x_plus, x_minus, y = _xy(omega, gamma, duration)
+    x_plus, x_minus, y = _xy_dot(omega, gamma, duration)[:3]
     w = math.exp(-gamma * duration) * (x_plus + y)
     gd = gamma * duration
     return EvolutionFactors(
@@ -178,23 +164,6 @@ def factors(omega: float, gamma: float, duration: float) -> EvolutionFactors:
         r=float(abs(w)),
         phi=float(np.angle(w)),
     )
-
-
-def rank2_qfi(state: Rank2State) -> float:
-    """QFI of the rank-2 state with eigenvalues (1 +- R)/2 and phase theta.
-
-    Q = (dR)^2 / (1 - R^2) + R^2 (dtheta)^2.  At R = 1 the first term is a
-    0/0 limit: it vanishes when dR = 0 (the pure-state case) and diverges
-    otherwise, which is reported as an error.
-    """
-    big_r, d_r, d_th = state.R, state.dR_domega, state.dtheta_domega
-    if not 0.0 <= big_r <= 1.0 + 1e-12:
-        raise ValueError("R must lie in [0, 1]")
-    if big_r >= 1.0 - _PURE_CUT:
-        if abs(d_r) > 1e-9:
-            raise ArithmeticError("singular purity: R = 1 but dR/domega != 0")
-        return d_th * d_th
-    return d_r * d_r / (1.0 - big_r * big_r) + big_r * big_r * d_th * d_th
 
 
 def qfi_no_ecc(n: int, omega: float, gamma: float, t: float) -> float:
@@ -271,34 +240,28 @@ def _qfi_from_logs(ln_big_r: float, dln_big_r: float, dtheta: float) -> float:
     return (big_r * dln_big_r) ** 2 / denom + phase
 
 
-def _ideal_logs(params: EccParams) -> tuple[float, float, float]:
-    """(ln r, dln r/domega, dphi/domega) for one correction period."""
+def _qfi_of_amplitude(z: complex, dz: complex, ln_scale: float = 0.0,
+                      dln_scale: float = 0.0) -> float:
+    """Rank-2 QFI of the coherence e^{ln_scale} z, given dz/domega and d(ln_scale)/domega.
+
+    Returns 0 once |z| has decayed below 1e-150, where the QFI is below
+    any representable fraction of (n t)^2.
+    """
+    r = abs(z)
+    if r < 1e-150:
+        return 0.0
+    inner = np.conj(z) * dz / (r * r)
+    return _qfi_from_logs(ln_scale + math.log(r), dln_scale + inner.real, inner.imag)
+
+
+def _ideal_logs(params: EccParams) -> tuple[float, float, float, float]:
+    """(ln r, dln r/domega, phi, dphi/domega) for one correction period."""
     w, wdot = _coherence_dot(params.omega, params.gamma, params.tau)
     r = abs(w)
     if r < 1e-300:
-        return -math.inf, 0.0, 0.0
+        return -math.inf, 0.0, 0.0, 0.0
     inner = np.conj(w) * wdot
-    return math.log(r), inner.real / (r * r), inner.imag / (r * r)
-
-
-def _rank2_ideal(params: EccParams) -> Rank2State:
-    """R, theta and their omega-derivatives for the ideal parity code.
-
-    Uses log space (ln R = n*(t/tau)*ln r), which stays accurate when the
-    number of rounds is large enough that r^{n t/tau} underflows.
-    """
-    w, _ = _coherence_dot(params.omega, params.gamma, params.tau)
-    lnr, dlnr, dphi = _ideal_logs(params)
-    if lnr == -math.inf:
-        return Rank2State(0.0, 0.0, 0.0, 0.0)
-    k = params.n * params.rounds
-    big_r = math.exp(min(k * lnr, 0.0))
-    return Rank2State(
-        R=big_r,
-        theta=k * float(np.angle(w)),
-        dR_domega=big_r * k * dlnr,
-        dtheta_domega=k * dphi,
-    )
+    return math.log(r), inner.real / (r * r), float(np.angle(w)), inner.imag / (r * r)
 
 
 def qfi_parity_ideal(params: EccParams) -> float:
@@ -306,7 +269,7 @@ def qfi_parity_ideal(params: EccParams) -> float:
     correction; evaluated in log space through the rank-2 form."""
     if params.xi != 0.0 or params.p != 0.0:
         raise ValueError("ideal parity code needs xi = 0 and p = 0")
-    lnr, dlnr, dphi = _ideal_logs(params)
+    lnr, dlnr, _, dphi = _ideal_logs(params)
     if lnr == -math.inf:
         return 0.0
     k = params.n * params.rounds
@@ -343,70 +306,69 @@ def qfi_parity_imperfect(params: EccParams) -> float:
     )
 
 
-def _mat_power_2x2(mat: np.ndarray, k: int) -> np.ndarray:
-    """mat**k for a complex 2x2 matrix via its characteristic roots."""
-    if k == 0:
-        return np.eye(2, dtype=complex)
-    tr = mat[0, 0] + mat[1, 1]
-    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    disc = np.sqrt(tr * tr - 4.0 * det + 0j)
-    mu_p = 0.5 * (tr + disc)
-    mu_m = 0.5 * (tr - disc)
-    eye = np.eye(2, dtype=complex)
-    if abs(mu_p - mu_m) > _DEGENERATE_CUT:
-        return ((mat - mu_m * eye) * mu_p ** k
-                - (mat - mu_p * eye) * mu_m ** k) / (mu_p - mu_m)
-    mu = 0.5 * (mu_p + mu_m)
-    return mu ** k * eye + k * mu ** (k - 1) * (mat - mu * eye)
+def _power_dot(mat: np.ndarray, dmat: np.ndarray, k: int, head: np.ndarray,
+               dhead: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M^k h, d(M^k h)/domega) from one power of [[M, dM], [0, M]].
 
-
-def _z_recurrence(params: EccParams, omega: float) -> complex:
-    """Coherence amplitude Z = R e^{-i theta} of the corrected probe.
-
-    After one round the anti-diagonal amplitudes live in a two-dimensional
-    subspace spanned by the ancilla-conditional product vectors; the first
-    round maps the GHZ start onto (upsilon_-, upsilon_+) and each later
-    round applies the 2x2 matrix with top row (c_xi q_-^n, s_xi q_+^n)
-    once: n syndrome factors per sensing round, one ancilla mixing.
+    The block-triangular power is [[M^k, d(M^k)], [0, M^k]] (Van Loan 1978),
+    so one repeated-squaring power gives the amplitude and its exact
+    derivative, with no eigen-decomposition and no degenerate-root branch.
     """
-    n, m = params.n, params.rounds
-    fac = factors(omega, params.gamma, params.tau)
-    phase = np.exp(1j * fac.phi)
-    q_m = (1.0 - params.p) * np.conj(phase) + params.p * phase
-    q_p = (1.0 - params.p) * phase + params.p * np.conj(phase)
-    c_xi = math.cosh(params.xi * params.tau)
-    s_xi = math.sinh(params.xi * params.tau)
-    mat = np.array([[c_xi * q_m ** n, s_xi * q_p ** n],
-                    [s_xi * q_m ** n, c_xi * q_p ** n]])
-    anc = np.exp(1j * n * fac.phi)
-    head = np.array([c_xi * np.conj(anc) + s_xi * anc,
-                     c_xi * anc + s_xi * np.conj(anc)])
-    amp = (_mat_power_2x2(mat, m - 1) @ head)[0]
-    return fac.r ** (n * m) * math.exp(-params.xi * params.t) * amp
+    dim = mat.shape[0]
+    block = np.block([[mat, dmat], [np.zeros_like(mat), mat]])
+    out = np.linalg.matrix_power(block, k) @ np.concatenate([dhead, head])
+    return out[dim:], out[:dim]
+
+
+def _z_recurrence(params: EccParams, phi: float, dphi: float) -> tuple[complex, complex]:
+    """Coherence amplitude z of the corrected probe and dz/domega.
+
+    The coherence is Z = r^{n t/tau} z, where r e^{i phi} is the per-round
+    coherence multiplier.  After one round the anti-diagonal amplitudes live
+    in a two-dimensional subspace spanned by the ancilla-conditional product
+    vectors; the first round maps the GHZ start onto (upsilon_-, upsilon_+)
+    and each later round applies the 2x2 matrix with top row
+    (c q_-^n, s q_+^n) once: n syndrome factors per sensing round, one
+    ancilla mixing.  The ancilla decay e^{-xi tau} is folded into
+    c, s = (1 +- e^{-2 xi tau})/2, which keeps the powers bounded.
+    """
+    n, p = params.n, params.p
+    keep = 0.5 * (1.0 + math.exp(-2.0 * params.xi * params.tau))
+    flip = 1.0 - keep
+    u = complex(math.cos(phi), math.sin(phi))
+    q_m = (1.0 - p) * u.conjugate() + p * u
+    q_p = (1.0 - p) * u + p * u.conjugate()
+    dq_m = 1j * dphi * (p * u - (1.0 - p) * u.conjugate())
+    dq_p = 1j * dphi * ((1.0 - p) * u - p * u.conjugate())
+    qm_n, qp_n = q_m ** n, q_p ** n
+    dqm_n, dqp_n = n * q_m ** (n - 1) * dq_m, n * q_p ** (n - 1) * dq_p
+    mat = np.array([[keep * qm_n, flip * qp_n], [flip * qm_n, keep * qp_n]])
+    dmat = np.array([[keep * dqm_n, flip * dqp_n], [flip * dqm_n, keep * dqp_n]])
+    anc = u ** n
+    head = np.array([keep * anc.conjugate() + flip * anc,
+                     keep * anc + flip * anc.conjugate()])
+    dhead = 1j * n * dphi * np.array([flip * anc - keep * anc.conjugate(),
+                                      keep * anc - flip * anc.conjugate()])
+    z, dz = _power_dot(mat, dmat, params.rounds - 1, head, dhead)
+    return z[0], dz[0]
 
 
 def qfi_parity(params: EccParams) -> float:
     """QFI of the parity-check-corrected probe for any xi >= 0, p in [0,1].
 
     The xi = 0 cases route through the log-space closed forms; otherwise
-    the coherence comes from the 2x2 recurrence power and the derivatives
-    from central differences in omega.
+    the coherence and its exact omega-derivative come from the 2x2
+    recurrence, with r^{n t/tau} kept in log space.
     """
     if params.xi == 0.0:
         if params.p == 0.0:
             return qfi_parity_ideal(params)
         return qfi_parity_imperfect(params)
-    step = default_fd_step(params.omega)
-    z0 = _z_recurrence(params, params.omega)
-    zdot = (_z_recurrence(params, params.omega + step)
-            - _z_recurrence(params, params.omega - step)) / (2.0 * step)
-    big_r = abs(z0)
-    if big_r < 1e-150:
+    lnr, dlnr, phi, dphi = _ideal_logs(params)
+    if lnr == -math.inf:
         return 0.0
-    inner = np.conj(z0) * zdot
-    state = Rank2State(big_r, -float(np.angle(z0)),
-                       inner.real / big_r, -inner.imag / (big_r * big_r))
-    return rank2_qfi(state)
+    k = params.n * params.rounds
+    return _qfi_of_amplitude(*_z_recurrence(params, phi, dphi), k * lnr, k * dlnr)
 
 
 def qfi_parity_noisy_ancilla(params: EccParams) -> tuple[float, float]:
@@ -432,20 +394,31 @@ def qfi_parity_noisy_ancilla(params: EccParams) -> tuple[float, float]:
     return q2, (q1 - q2) / math.exp(ln_scale)
 
 
-def _z_majority(params: EccParams, omega: float) -> complex:
-    """Coherence amplitude under the odd-n majority-vote repetition code."""
-    n, m = params.n, params.rounds
-    xp, xm, y = _xy(omega, params.gamma, params.tau)
-    pref = math.exp(-n * params.gamma * params.tau)
-    half = n // 2
-    eta_m = pref * sum(math.comb(n, j) * xm ** (n - j) * y ** j for j in range(half + 1))
-    eta_p = pref * sum(math.comb(n, j) * xp ** (n - j) * y ** j for j in range(half + 1))
-    zeta_m = pref * sum(math.comb(n, j) * y ** (n - j) * xm ** j for j in range(half + 1))
-    zeta_p = pref * sum(math.comb(n, j) * y ** (n - j) * xp ** j for j in range(half + 1))
-    mat = np.array([[eta_m, zeta_p],
-                    [zeta_m, eta_p]])
-    b = _mat_power_2x2(mat, m) @ np.array([0.5, 0.5])
-    return 2.0 * b[0]
+def _z_majority(params: EccParams) -> tuple[complex, complex]:
+    """Coherence amplitude under the odd-n majority-vote code and its omega-derivative."""
+    n, half = params.n, params.n // 2
+    damp = math.exp(-params.gamma * params.tau)
+    xp, xm, y, dxp, dxm, dy = (damp * v for v in _xy_dot(params.omega, params.gamma,
+                                                         params.tau))
+
+    def truncated(u, du, v, dv):
+        """sum_{j <= n/2} C(n, j) u^{n-j} v^j and its derivative."""
+        val = dval = 0j
+        for j in range(half + 1):
+            c = math.comb(n, j)
+            val += c * u ** (n - j) * v ** j
+            dval += c * ((n - j) * u ** (n - j - 1) * du * v ** j
+                         + j * u ** (n - j) * v ** max(j - 1, 0) * dv)
+        return val, dval
+
+    eta_m, deta_m = truncated(xm, dxm, y, dy)
+    eta_p, deta_p = truncated(xp, dxp, y, dy)
+    zeta_m, dzeta_m = truncated(y, dy, xm, dxm)
+    zeta_p, dzeta_p = truncated(y, dy, xp, dxp)
+    mat = np.array([[eta_m, zeta_p], [zeta_m, eta_p]])
+    dmat = np.array([[deta_m, dzeta_p], [dzeta_m, deta_p]])
+    b, db = _power_dot(mat, dmat, params.rounds, np.ones(2), np.zeros(2))
+    return b[0], db[0]
 
 
 def qfi_bitflip(params: EccParams) -> float:
@@ -459,17 +432,7 @@ def qfi_bitflip(params: EccParams) -> float:
         raise ValueError("repetition-code variant needs xi = 0 and p = 0")
     if params.n % 2 == 0:
         raise ValueError("majority vote needs odd n")
-    step = default_fd_step(params.omega)
-    z0 = _z_majority(params, params.omega)
-    zdot = (_z_majority(params, params.omega + step)
-            - _z_majority(params, params.omega - step)) / (2.0 * step)
-    big_r = abs(z0)
-    if big_r < 1e-150:
-        return 0.0
-    inner = np.conj(z0) * zdot
-    state = Rank2State(big_r, -float(np.angle(z0)),
-                       inner.real / big_r, -inner.imag / (big_r * big_r))
-    return rank2_qfi(state)
+    return _qfi_of_amplitude(*_z_majority(params))
 
 
 def optimal_time(params: EccParams) -> tuple[float, float]:
@@ -486,7 +449,7 @@ def optimal_time(params: EccParams) -> tuple[float, float]:
         raise ValueError("need omega != 0 and gamma > 0")
     t_analytic = 1.0 / ((2.0 / 3.0) * n * ga * om * om * tau * tau)
 
-    lnr, dlnr, dphi = _ideal_logs(params)
+    lnr, dlnr, _, dphi = _ideal_logs(params)
 
     def q1(t: float) -> float:
         k = n * t / tau
@@ -523,13 +486,15 @@ def fisher_alpha(params: EccParams, alpha: float) -> float:
     """
     if params.xi != 0.0 or params.p != 0.0:
         raise ValueError("readout analysis assumes the ideal code")
-    st = _rank2_ideal(params)
-    beta = st.theta - alpha
-    dterm = st.dR_domega * math.cos(beta) - st.R * math.sin(beta) * st.dtheta_domega
+    lnr, dlnr, phi, dphi = _ideal_logs(params)
+    k = params.n * params.rounds
+    big_r = math.exp(min(k * lnr, 0.0))
+    beta = k * phi - alpha
+    dterm = big_r * k * (dlnr * math.cos(beta) - math.sin(beta) * dphi)
     m = params.n + 1
     total = 0.0
     for j in range(m + 1):
-        pj = (1.0 + (-1) ** j * st.R * math.cos(beta)) / 2 ** m
+        pj = (1.0 + (-1) ** j * big_r * math.cos(beta)) / 2 ** m
         if pj < EIGEN_CUT:
             continue
         dpj = (-1) ** j * dterm / 2 ** m
@@ -549,9 +514,11 @@ def propagate_amplitudes(params: EccParams, code: str, omega: float) -> Amplitud
 
     The diagonal amplitudes a_J and anti-diagonal amplitudes b_J close
     under both the free evolution (Kronecker powers of the single-qubit
-    factors) and the correction map E, so the full density matrix never
-    has to be formed until the end.  For the parity code the ancilla is
-    the last tensor factor.
+    factors) and the correction map C, so the full density matrix never
+    has to be formed until the end.  Each round applies S = C M once; the
+    derivative db/domega rides along through dS = C dM, where dM is the
+    product rule over the Kronecker factors.  For the parity code the
+    ancilla is the last tensor factor.
     """
     if code not in ("none", "parity", "bitflip"):
         raise ValueError("code must be one of: none, parity, bitflip")
@@ -561,18 +528,22 @@ def propagate_amplitudes(params: EccParams, code: str, omega: float) -> Amplitud
     if code == "bitflip" and n % 2 == 0:
         raise ValueError("majority vote needs odd n")
     ga, xi, p, tau = params.gamma, params.xi, params.p, params.tau
-    xp, xm, y = _xy(omega, ga, tau)
+    xp, xm, y, dxp, dxm, dy = _xy_dot(omega, ga, tau)
     eg = math.exp(-ga * tau)
     cg, sg = math.cosh(ga * tau), math.sinh(ga * tau)
     mat_a = _kron_power(eg * np.array([[cg, sg], [sg, cg]]), n)
-    mat_b = _kron_power(eg * np.array([[xm, y], [y, xp]]), n)
-    corr = None
+    one_b = eg * np.array([[xm, y], [y, xp]])
+    one_db = eg * np.array([[dxm, dy], [dy, dxp]])
+    mat_b, dmat_b = np.ones((1, 1), dtype=complex), np.zeros((1, 1), dtype=complex)
+    for _ in range(n):
+        mat_b, dmat_b = np.kron(mat_b, one_b), np.kron(dmat_b, one_b) + np.kron(mat_b, one_db)
     if code == "parity":
         exi = math.exp(-xi * tau)
         anc = exi * np.array([[math.cosh(xi * tau), math.sinh(xi * tau)],
                               [math.sinh(xi * tau), math.cosh(xi * tau)]])
         mat_a = np.kron(mat_a, anc)
         mat_b = np.kron(mat_b, anc)
+        dmat_b = np.kron(dmat_b, anc)
         reset0 = _kron_power(np.array([[1.0 - p, 1.0 - p], [p, p]]), n)
         reset1 = _kron_power(np.array([[p, p], [1.0 - p, 1.0 - p]]), n)
         corr = (np.kron(reset0, np.diag([1.0, 0.0]))
@@ -583,32 +554,36 @@ def propagate_amplitudes(params: EccParams, code: str, omega: float) -> Amplitud
         corr = np.zeros((dim, dim))
         corr[0, low] = 1.0
         corr[dim - 1, ~low] = 1.0
+    else:
+        corr = np.eye(2 ** n)
+    step_a, step_b, dstep_b = corr @ mat_a, corr @ mat_b, corr @ dmat_b
 
     dim = mat_a.shape[0]
     a = np.zeros(dim)
     b = np.zeros(dim, dtype=complex)
     a[0] = a[dim - 1] = 0.5
     b[0] = b[dim - 1] = 0.5
+    db = np.zeros(dim, dtype=complex)
     for _ in range(params.rounds):
-        a = mat_a @ a
-        b = mat_b @ b
-        if corr is not None:
-            a = corr @ a
-            b = corr @ b
+        a = step_a @ a
+        b, db = step_b @ b, step_b @ db + dstep_b @ b
     if abs(a.sum() - 1.0) > 1e-10:
         raise ArithmeticError("amplitude propagation lost normalisation")
-    return AmplitudeOracleState(a_vec=a, b_vec=b)
+    return AmplitudeOracleState(a_vec=a, b_vec=b, db_vec=db)
 
 
 def amplitude_oracle(params: EccParams, code: str = "parity"
                      ) -> tuple[Callable[[float], np.ndarray], float]:
     """Ground-truth QFI from the exact amplitude recursion.
 
-    Returns the density-matrix family over omega and its spectral QFI at
-    ``params.omega``.  This is the reference every closed form above is
-    validated against.
+    Returns the density-matrix family over omega and the SLD QFI at
+    ``params.omega`` of its value and exact derivative there.  This is the
+    reference every closed form above is validated against.
     """
     def rho_of(omega: float) -> np.ndarray:
         return propagate_amplitudes(params, code, omega).density()
 
-    return rho_of, qfi_spectral(rho_of, params.omega)
+    st = propagate_amplitudes(params, code, params.omega)
+    # density() is linear in (a, b), and a does not depend on omega.
+    drho = replace(st, a_vec=np.zeros_like(st.a_vec), b_vec=st.db_vec).density()
+    return rho_of, sld_qfi(as_density(st.density()), drho)

@@ -183,7 +183,13 @@ def test_ecc_preset_fills_unset(tmp_path):
     np.testing.assert_allclose(float(row[5]), 1e-6)
 
 
-@pytest.mark.parametrize("bad", [["--t", "inf"], ["--omega", "nan", "--t", "0.5"]])
+@pytest.mark.parametrize("bad", [
+    ["--t", "inf"], ["--omega", "nan", "--t", "0.5"],
+    # finite flags whose (n t)^2 or transfer entries overflow
+    ["--code", "parity", "--n", "5", "--t", "1e300"],
+    ["--n", "5", "--omega", "1e300", "--t", "1"],
+    ["--code", "parity", "--n", "5", "--omega", "1e300", "--t", "1"],
+])
 def test_ecc_non_finite_input_fails_cleanly(tmp_path, bad):
     out_path = tmp_path / "x.csv"
     args = ["ecc", "--code", "none", "--n", "2", "--omega", "1", "--gamma", "0.1",
@@ -195,6 +201,29 @@ def test_ecc_non_finite_input_fails_cleanly(tmp_path, bad):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "finite" in lines[0]
     assert not out_path.exists() or "nan" not in out_path.read_text()
+
+
+def _ecc_rows(args, tmp_path):
+    out_path = tmp_path / "e.csv"
+    assert run_cli(["ecc", "--omega", "1", *args, "--out", str(out_path)]) == 0
+    lines = out_path.read_text().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+
+
+def test_ecc_small_gamma_tau_stays_below_heisenberg(tmp_path):
+    # Small gamma*tau puts R near 1, where the rank-2 QFI divides d(ln R)^2
+    # by 1 - R^2 and any error in the omega-derivative is amplified.
+    (row,) = _ecc_rows(["--n", "5", "--gamma", "0.05", "--tau", "1e-6", "--t", "1e-3",
+                        "--code", "bitflip", "--oracle"], tmp_path)
+    assert row["qfi"] <= (5 * 1e-3) ** 2
+    assert abs(row["qfi"] - row["qfi_oracle"]) <= 1e-6 * row["qfi_oracle"]
+    rows = _ecc_rows(["--n", "25", "--gamma", "0.05", "--tau", "1e-4", "--t", "0.1",
+                      "--code", "bitflip", "--sweep", "tau:1e-6:0.3:40:log"], tmp_path)
+    assert len(rows) == 40 and all(0.0 <= r["qfi_over_HL"] <= 1.0 for r in rows)
+    (row,) = _ecc_rows(["--n", "25", "--gamma", "0.2", "--xi", "0.05", "--tau", "1e-6",
+                        "--t", "1e-5", "--code", "parity"], tmp_path)
+    assert 0.0 <= row["qfi_over_HL"] <= 1.0
 
 
 def test_ecc_bad_sweep_spec(tmp_path):
@@ -281,6 +310,17 @@ def test_crypto_sampled_depolarizing_in_closed_form(tmp_path):
     assert abs(data["lhs"] - 0.03515625) <= 4 * data["stderr"] + 1e-12
 
 
+def test_crypto_sampled_trap_over_cap_exits_at_once(tmp_path):
+    # m = 10 is over the sampled cap; a depolarizing attack must not list its
+    # 4^10 Pauli terms before that is found.
+    out_path = tmp_path / "c.json"
+    proc = _run_subprocess(["crypto", "--protocol", "trap1", "--n", "5", "--t", "5",
+                            "--attack", "depol:0.3", "--out", str(out_path)], timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr.strip() == "error: sampled trap code capped at m = 7 qubits, got m = 10"
+    assert not out_path.exists()
+
+
 def test_crypto_usage_errors(tmp_path, capsys):
     rc = run_cli(["crypto", "--protocol", "trap2", "--n", "1", "--t", "1",
                   "--attack", "pauli:XI", "--out", str(tmp_path / "x.json")])
@@ -329,13 +369,13 @@ def test_unknown_subcommand():
     assert err.value.code == 2
 
 
-def _run_subprocess(args, env_extra=None):
+def _run_subprocess(args, env_extra=None, timeout=None):
     env = dict(os.environ)
     env.pop("QMET_VERIFY_PERTURB", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "qmet.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_verify_perturb_negative_control():

@@ -506,3 +506,17 @@ def test_end_to_end_demo_acceptance_matches_exact():
     exact = crypto.soundness_delegated(2, 1, att, theta=res.theta_true).accept_rate
     stderr = np.sqrt(exact * (1.0 - exact) / rounds)
     assert abs(res.accept_rate - exact) <= 4 * stderr
+
+
+@pytest.mark.parametrize("sample", [
+    lambda **kw: crypto.soundness_trap_single(4, 3, crypto.parse_attack("depol:0.37"), **kw),
+    lambda **kw: crypto.soundness_delegated(4, 3, crypto.parse_attack("depol:0.37"), **kw),
+], ids=["trap1", "delegated"])
+def test_sampled_depolarizing_trap_equals_exact(sample):
+    # Depolarizing noise commutes with every key, so each sampled trial at
+    # m = 7 gives the exact casework value up to rounding.
+    exact = sample()
+    sampled = sample(mode="sampled", trials=2, seed=0)
+    assert sampled.mode == "sampled"
+    np.testing.assert_allclose(sampled.lhs, exact.lhs, rtol=1e-12)
+    np.testing.assert_allclose(sampled.accept_rate, exact.accept_rate, rtol=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qmet import ecc
+from qmet import dense, ecc
 
 
 def test_params_validation():
@@ -138,3 +138,59 @@ def test_propagate_amplitudes_shapes_and_norm():
     norm = np.sum(np.abs(st.a_vec) ** 2) + np.sum(np.abs(st.b_vec) ** 2)
     assert norm <= 1.0 + 1e-12
     assert 1.0 - norm < 10 * p.rounds * (p.gamma * p.tau) ** 2
+
+
+@given(st.sampled_from([3, 5, 7, 25]),
+       st.floats(-8.0, 0.0), st.floats(-6.0, 0.0), st.integers(1, 1000),
+       st.floats(0.0, 0.5), st.floats(0.0, 0.1))
+def test_corrected_codes_obey_heisenberg_bound(n, log_gt, log_tau, rounds, xi, p):
+    tau = 10.0 ** log_tau
+    base = dict(n=n, omega=1.0, gamma=10.0 ** log_gt / tau, tau=tau, t=rounds * tau)
+    hl = (n * base["t"]) ** 2
+    for q in (ecc.qfi_bitflip(ecc.EccParams(**base)),
+              ecc.qfi_parity(ecc.EccParams(**base, xi=xi, p=p))):
+        assert np.isfinite(q)
+        assert 0.0 <= q <= hl * (1 + 1e-9)
+
+
+def test_bitflip_noiseless_is_heisenberg():
+    np.testing.assert_allclose(ecc.qfi_bitflip(ecc.EccParams(5, 1.0, 0.0, 0.1, 1.0)),
+                               25.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("omega", [0.9, 1.1])
+@pytest.mark.parametrize("z_abs", [0.5 * ecc._SERIES_CUT, 2.0 * ecc._SERIES_CUT, 0.5, 3.0])
+def test_xy_dot_matches_central_difference(omega, z_abs):
+    # gamma = 1 puts omega on both sides of the critical point omega = gamma;
+    # |delta| * duration = z_abs on both sides of the series cut
+    duration = z_abs / abs(omega * omega - 1.0) ** 0.5
+    h = 1e-3
+
+    def entries(w):
+        return np.array(ecc._xy_dot(w, 1.0, duration)[:3])
+
+    want = (entries(omega - 2 * h) - 8 * entries(omega - h)
+            + 8 * entries(omega + h) - entries(omega + 2 * h)) / (12 * h)
+    got = np.array(ecc._xy_dot(omega, 1.0, duration)[3:])
+    np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8 * duration)
+
+
+@pytest.mark.parametrize("code,params", [
+    ("parity", ecc.EccParams(2, 0.8, 0.35, 0.07, 0.21, xi=0.1, p=0.02)),
+    ("parity", ecc.EccParams(3, 1.1, 0.2, 0.1, 0.2, xi=0.3, p=0.05)),
+    ("parity", ecc.EccParams(4, 1.0, 0.25, 0.05, 0.1, xi=0.2, p=0.08)),
+    ("bitflip", ecc.EccParams(3, 1.0, 0.5, 0.1, 0.4)),
+])
+def test_tangent_oracle_matches_finite_difference_family(code, params):
+    family, q = ecc.amplitude_oracle(params, code)
+    np.testing.assert_allclose(q, dense.qfi_spectral(family, params.omega), rtol=1e-6)
+
+
+def test_small_gamma_tau_closed_forms_match_oracle():
+    for n in (3, 5, 7):
+        p = ecc.EccParams(n, 1.0, 0.05, 1e-5, 1e-2)
+        q = ecc.qfi_bitflip(p)
+        assert q <= (n * p.t) ** 2
+        np.testing.assert_allclose(q, ecc.amplitude_oracle(p, "bitflip")[1], rtol=1e-8)
+    p = ecc.EccParams(25, 1.0, 0.2, 1e-6, 1e-5, xi=0.05)
+    assert 0.99 < ecc.qfi_parity(p) / (25 * p.t) ** 2 <= 1.0
