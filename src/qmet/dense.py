@@ -3,11 +3,12 @@
 Everything in here is brute force on purpose.  The closed-form modules
 (graphs, ecc, crypto) are checked against these routines at small qubit
 number, so this file avoids clever shortcuts: states are explicit complex
-arrays, evolution is fixed-step RK4, and the quantum Fisher information
-is evaluated straight from the spectral decomposition.  For a Lindblad
-family the derivative it needs is exact: the sensitivity equation for
-d rho / d omega is integrated alongside rho, so no finite difference of
-separate evolutions enters.
+arrays, Lindblad evolution applies exp(t G) of the generator by a
+truncated Taylor series with a proven remainder bound, and the quantum
+Fisher information is evaluated straight from the spectral decomposition.
+For a Lindblad family the derivative it needs is exact: the sensitivity
+equation for d rho / d omega is evolved alongside rho, so no finite
+difference of separate evolutions enters.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ def _hermitian_matrix(name: str, mat, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Liouvillian:
-    """The master equation in the form the RK4 runner steps.
+    """The master equation's generator G, applied by the Taylor runner.
 
     L(rho) = A rho + rho A^dag + sum_j K_j rho K_j^dag with A = -i H_eff,
     H_eff = H - (i/2) sum_j K_j^dag K_j and K_j = sqrt(gamma_j) L_j (jumps
@@ -237,14 +238,20 @@ class _Liouvillian:
         out = self.a @ s
         out += out.conj().swapaxes(-1, -2)
         if self.kops is not None:
-            out += ((self.kops[:, None] @ s) @ self.kdag[:, None]).sum(axis=0)
+            for k, kd in zip(self.kops, self.kdag):
+                out += (k @ s) @ kd
         if self.force is not None:
             f = self.force @ s[0]
             out[1] += f + f.conj().T
         return out
 
     def rate(self) -> float:
-        """Upper bound on the norm of L (and of the tangent system's diagonal)."""
+        """2 |A| + sum_j |K_j|^2 in the spectral norm.
+
+        This bounds L, and the tangent system's diagonal blocks, in every
+        unitarily invariant norm, the trace norm included.  It leaves out the
+        force term, which the runner adds as 2 |dH| for the tangent system.
+        """
         out = 2.0 * float(np.linalg.norm(self.a, 2))
         if self.kops is not None:
             out += sum(float(np.linalg.norm(k, 2)) ** 2 for k in self.kops)
@@ -271,47 +278,40 @@ def _liouvillian(dim: int, ham, jumps, dham=None) -> _Liouvillian:
     return _Liouvillian(a, stack, kdag, force)
 
 
-def _rk4_run(state0: np.ndarray, gen: _Liouvillian, t: float, steps: int) -> np.ndarray:
-    """``steps`` RK4 steps of the stacked state (rho[, rho']), shape (k, d, d).
+# Past this many pieces (t * rate above it) a run would take hours.
+_MAX_PIECES = 1 << 16
 
-    After each step every slice is made Hermitian and divided by Tr rho.
+
+def _taylor_run(state0: np.ndarray, gen: _Liouvillian, t: float, pieces: int,
+                rate: float, tol: float) -> np.ndarray:
+    """exp(t G) applied to the stacked state (rho[, rho']), shape (k, d, d).
+
+    ``rate`` bounds G in the norm |x| = largest trace norm over the slices,
+    and t * rate <= ``pieces``, so each of the equal pieces has
+    a = dt * rate <= 1.  A piece sums dt^j G^j x / j! for j <= k, the least k
+    whose remainder bound a^(k+1) / (k+1)! e^a |x| is below tol / pieces
+    (the caller scales tol for |x| > 1), never stopping on the size of the
+    last term.  Then every slice is made Hermitian and divided by Tr rho.
     """
-    dt = t / steps
+    dt = t / pieces
+    a = dt * rate
+    k, bound = 0, a * np.exp(a)
+    while bound > tol / pieces:
+        k += 1
+        bound *= a / (k + 1)
     s = state0.copy()
-    for _ in range(steps):
-        k1 = gen(s)
-        k2 = gen(s + 0.5 * dt * k1)
-        k3 = gen(s + 0.5 * dt * k2)
-        k4 = gen(s + dt * k3)
-        s = s + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    for _ in range(pieces):
+        term = s
+        for j in range(1, k + 1):
+            term = (dt / j) * gen(term)
+            s = s + term
         s = 0.5 * (s + s.conj().swapaxes(-1, -2))
         s /= np.trace(s[0]).real
     return s
 
 
-# Share of tol that the predicted first pair of runs aims for.
-_STEP_MARGIN = 0.5
-# Step doubling gives up past this many RK4 steps.
-_MAX_STEPS = 1 << 22
-
-
-def _predicted_steps(state0: np.ndarray, gen: _Liouvillian, t: float, tol: float) -> float:
-    """Step count at which runs of N and 2N steps should agree to ``tol``.
-
-    For a linear generator G one RK4 step is exp(dt G) less dt^5 G^5 / 120
-    and higher orders, so N steps miss by about t dt^4 |G^5 s| / 120 and
-    the runs at N and 2N differ by 15/16 of that.  The count is raised to
-    keep dt * rate <= 2, inside RK4's stability region.
-    """
-    g5 = state0
-    for _ in range(5):
-        g5 = gen(g5)
-    err = float(np.max(np.abs(g5))) * t ** 5 / 128.0
-    return max((err / (_STEP_MARGIN * tol)) ** 0.25, 0.5 * t * gen.rate())
-
-
 def _evolve(rho0, ham, jumps, t, tol, dham=None) -> np.ndarray:
-    """Validate, then integrate the stacked state with step doubling."""
+    """Validate, then apply exp(t G) to the stacked state by :func:`_taylor_run`."""
     rho0 = as_density(rho0)
     t = float(t)
     if not np.isfinite(t):
@@ -325,21 +325,17 @@ def _evolve(rho0, ham, jumps, t, tol, dham=None) -> np.ndarray:
     state0[0] = rho0
     if t == 0:
         return state0
-    # The doubling never runs more than _MAX_STEPS, so it starts at half that
-    # at most (also when the prediction overflows).
-    cap = _MAX_STEPS // 2
-    pred = _predicted_steps(state0, gen, t, tol)
-    steps = max(1, int(np.ceil(pred))) if pred < cap else cap
-    prev = _rk4_run(state0, gen, t, steps)
-    while True:
-        steps *= 2
-        if steps > _MAX_STEPS:
-            raise ArithmeticError(
-                "step too coarse: no convergence to %.1e within %d steps" % (tol, _MAX_STEPS))
-        cur = _rk4_run(state0, gen, t, steps)
-        if np.max(np.abs(cur - prev)) < tol:
-            return cur
-        prev = cur
+    # 2 |dH| bounds the source term -i[dH, rho] of the tangent system.
+    source = 0.0 if dham is None else 2.0 * float(np.linalg.norm(gen.force, 2))
+    rate = gen.rate() + source
+    if not t * rate <= _MAX_PIECES:
+        raise ArithmeticError("t * rate = %.3e needs more than %d Taylor pieces"
+                              % (t * rate, _MAX_PIECES))
+    # exp(tau L) never grows a trace norm, so |rho| = 1 throughout and
+    # |rho'| <= t * source; an error left in rho at one piece reaches rho'
+    # at t grown by at most the same 1 + t * source.
+    grow = 1.0 + t * source
+    return _taylor_run(state0, gen, t, max(1, int(np.ceil(t * rate))), rate, tol / grow ** 2)
 
 
 def evolve_lindblad(rho0: np.ndarray, ham: np.ndarray,
@@ -347,10 +343,10 @@ def evolve_lindblad(rho0: np.ndarray, ham: np.ndarray,
                     t: float, *, tol: float = 1e-9) -> np.ndarray:
     """Integrate drho/dt = -i[H, rho] + sum_j gamma_j D[L_j](rho) to time t.
 
-    Fixed-step RK4 with step doubling: the run is repeated with twice the
-    step count until two successive results agree to ``tol`` in max norm.
-    The first step count is the one RK4's leading error term predicts for
-    that agreement.
+    rho(t) = exp(t L) rho0 by a truncated Taylor series on ceil(t * rate)
+    equal pieces, where rate bounds the norm of L; the number of terms
+    comes from a proven remainder bound, so the result is within ``tol`` of
+    the exact one in max norm (rounding aside).
 
     Parameters
     ----------
@@ -359,10 +355,11 @@ def evolve_lindblad(rho0: np.ndarray, ham: np.ndarray,
     jumps : sequence of (operator, rate) pairs
     t : evolution time, >= 0
 
-    Raises ValueError, before any step, for a non-finite or negative t, a
+    Raises ValueError, before any piece, for a non-finite or negative t, a
     ham that is not Hermitian or has non-finite entries, non-finite entries
     in a jump operator, a non-finite or negative rate, or a tol that is not
-    positive.
+    positive; and ArithmeticError, also before any piece, when t * rate
+    would need more than ``_MAX_PIECES`` pieces.
     """
     return _evolve(rho0, ham, jumps, t, tol)[0]
 
@@ -374,14 +371,13 @@ def evolve_lindblad_tangent(rho0: np.ndarray, ham: np.ndarray, dham: np.ndarray,
 
     rho' = d rho / d w obeys the sensitivity equation
     d rho'/dt = L(rho') - i[dH, rho] with rho'(0) = 0 (rho0 and the jumps
-    do not depend on w); it is integrated together with rho by the same
-    RK4 runner as :func:`evolve_lindblad`, and step doubling stops when
-    two successive results agree to ``tol`` in max norm on rho and on rho'.
-    The inputs are validated as in :func:`evolve_lindblad`, and dham must
-    likewise be finite and Hermitian.
+    do not depend on w); it is evolved together with rho by the same
+    Taylor runner as :func:`evolve_lindblad`.  The stacked generator's norm
+    bound adds 2 |dH| for the source term, and both rho and rho' come out
+    within ``tol`` in max norm.  The inputs are validated as in
+    :func:`evolve_lindblad`, and dham must likewise be finite and Hermitian.
     """
-    rho, drho = _evolve(rho0, ham, jumps, t, tol, dham)
-    return rho, drho
+    return tuple(_evolve(rho0, ham, jumps, t, tol, dham))
 
 
 def _central_diff(fun: Callable[[float], np.ndarray], x: float, h: float) -> np.ndarray:

@@ -182,8 +182,10 @@ def qfi_no_ecc(n: int, omega: float, gamma: float, t: float) -> float:
     if t == 0:
         return 0.0
     weights = np.arange(n + 1)
-
-    xp, xm, y, dxp, dxm, dy = _xy_dot(omega, gamma, t)
+    # e^{-gamma t} goes into every entry before the powers: x_pm^w y^(n-w)
+    # alone grows like e^{n |delta| t} in the overdamped regime.
+    damp = math.exp(-gamma * t)
+    xp, xm, y, dxp, dxm, dy = (damp * v for v in _xy_dot(omega, gamma, t))
     z0 = xp ** weights * y ** (n - weights) + xm ** (n - weights) * y ** weights
     # Clipped exponents keep 0 * y**-1 out of the product; every clipped
     # power is multiplied by a vanishing combinatorial coefficient.
@@ -194,9 +196,8 @@ def qfi_no_ecc(n: int, omega: float, gamma: float, t: float) -> float:
             + (n - weights) * xm ** nwm1 * dxm * y ** weights
             + weights * xm ** (n - weights) * y ** wm1 * dy)
 
-    cg, sg = math.cosh(gamma * t), math.sinh(gamma * t)
+    cg, sg = 0.5 * (1.0 + damp * damp), -0.5 * math.expm1(-2.0 * gamma * t)  # damped cosh, sinh
     svec = cg ** (n - weights) * sg ** weights + cg ** weights * sg ** (n - weights)
-    pref = math.exp(-n * gamma * t)
 
     total = 0.0
     for h in range(n + 1):
@@ -204,16 +205,16 @@ def qfi_no_ecc(n: int, omega: float, gamma: float, t: float) -> float:
         if r < 1e-150:
             continue
         inner = np.conj(z0[h]) * zdot[h]
-        dlam = 0.5 * pref * inner.real / r
+        dlam = 0.5 * inner.real / r
         block = 0.0
-        lam_p = 0.5 * pref * (s + r)
-        lam_m = 0.5 * pref * (s - r)
+        lam_p = 0.5 * (s + r)
+        lam_m = 0.5 * (s - r)
         if lam_p > EIGEN_CUT:
             block += dlam * dlam / lam_p
         if lam_m > EIGEN_CUT:
             block += dlam * dlam / lam_m
-        if pref * s > EIGEN_CUT:
-            block += pref * (inner.imag / r) ** 2 / s
+        if s > EIGEN_CUT:
+            block += (inner.imag / r) ** 2 / s
         total += math.comb(n, h) * block
     return 0.5 * total
 

@@ -363,6 +363,19 @@ def test_crypto_identity_on_both_uses_is_exactly_zero():
     assert report["trace_distance_budget"] == 0.0
 
 
+def test_ecc_overdamped_oracle_matches_without_warnings(tmp_path):
+    out_path = tmp_path / "x.csv"
+    proc = _run_subprocess(["ecc", "--code", "none", "--n", "5", "--omega", "1",
+                            "--gamma", "200", "--tau", "0.1", "--t", "1", "--oracle",
+                            "--out", str(out_path)], {"PYTHONWARNINGS": "error"})
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr
+    header, row = out_path.read_text().splitlines()
+    cols = dict(zip(header.split(","), row.split(",")))
+    np.testing.assert_allclose(float(cols["qfi_oracle"]), 0.02475, rtol=1e-4)
+    np.testing.assert_allclose(float(cols["qfi"]), float(cols["qfi_oracle"]), rtol=1e-6)
+
+
 def test_unknown_subcommand():
     with pytest.raises(SystemExit) as err:
         cli.main(["frobnicate"])

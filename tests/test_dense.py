@@ -226,9 +226,71 @@ def test_lindblad_rejects_bad_input_before_stepping(monkeypatch, field, value, m
     def no_steps(*_):
         raise AssertionError("integrator ran on invalid input")
 
-    monkeypatch.setattr(dense, "_rk4_run", no_steps)
+    monkeypatch.setattr(dense, "_taylor_run", no_steps)
     if field != "dham":
         with pytest.raises(ValueError, match=match):
             dense.evolve_lindblad(rho0, args["ham"], bad, args["t"])
     with pytest.raises(ValueError, match=match):
         dense.evolve_lindblad_tangent(rho0, args["ham"], args["dham"], bad, args["t"])
+
+
+def test_lindblad_piece_cap_raises_before_running(monkeypatch):
+    h0, h1, jumps, rho0 = _two_qubit_tangent_case()
+
+    def no_pieces(*_):
+        raise AssertionError("runner called past the piece cap")
+
+    monkeypatch.setattr(dense, "_taylor_run", no_pieces)
+    with pytest.raises(ArithmeticError, match=r"t \* rate = .* Taylor pieces"):
+        dense.evolve_lindblad(rho0, h0, jumps, 1e9)
+    with pytest.raises(ArithmeticError, match=r"t \* rate"):
+        dense.evolve_lindblad_tangent(rho0, h0, h1, jumps, 1e9)
+
+
+def test_lindblad_unitary_many_pieces_matches_expm():
+    # |H| t = 40: about 80 Taylor pieces, each error carried to the end
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    ham = a + a.conj().T
+    ham /= np.linalg.norm(ham, 2)
+    psi0 = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0][:, 0]
+    t = 40.0
+    want = dense.pure(dense.hermitian_expm(ham, -1j * t) @ psi0)
+    got = dense.evolve_lindblad(dense.pure(psi0), ham, [], t, tol=1e-12)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def test_lindblad_stiff_dephasing_keeps_relative_accuracy():
+    # gamma t = 20: the coherence falls to exp(-40) / 2 ~ 2e-18
+    plus = dense.pure(dense.plus_state(1))
+    g, t = 20.0, 1.0
+    rho = dense.evolve_lindblad(plus, np.zeros((2, 2)), [(dense.SZ, g)], t, tol=1e-12)
+    np.testing.assert_allclose(rho[0, 1], 0.5 * np.exp(-2 * g * t), rtol=1e-9)
+    np.testing.assert_allclose(np.diag(rho), [0.5, 0.5], atol=1e-12)
+
+
+def test_lindblad_tangent_strong_force_matches_central_difference(monkeypatch):
+    # 2 |dH| t ~ 45 against |L| t ~ 1: the force term sets the piece count
+    h0, h1, jumps, rho0 = _two_qubit_tangent_case()
+    h0, h1 = 0.1 * h0, 10.0 * h1
+    jumps = [(op, 0.1 * rate) for op, rate in jumps]
+    w, t, tol = 0.02, 2.0, 1e-12
+
+    def evolve(x):
+        return dense.evolve_lindblad(rho0, h0 + x * h1, jumps, t, tol=tol)
+
+    pieces = []
+    run = dense._taylor_run
+
+    def spy(state0, gen, duration, count, *rest):
+        pieces.append(count)
+        return run(state0, gen, duration, count, *rest)
+
+    monkeypatch.setattr(dense, "_taylor_run", spy)
+    rho, drho = dense.evolve_lindblad_tangent(rho0, h0 + w * h1, h1, jumps, t, tol=tol)
+    assert pieces[0] >= 2 * np.linalg.norm(h1, 2) * t
+    h = 1e-4
+    fd = (8 * (evolve(w + h) - evolve(w - h)) - (evolve(w + 2 * h) - evolve(w - 2 * h))) / (12 * h)
+    assert np.abs(fd).max() > 1.0
+    assert np.abs(drho - fd).max() <= 1e-7 * np.abs(fd).max()
+    assert np.abs(rho - evolve(w)).max() <= 1e-10

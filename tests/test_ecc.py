@@ -1,10 +1,12 @@
 """Corrected-GHZ sensing tests: closed forms against the amplitude oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qmet import dense, ecc
+from qmet import checks, dense, ecc
 
 
 def test_params_validation():
@@ -102,6 +104,30 @@ def test_amplitude_oracle_none_matches_closed_form():
     p = ecc.EccParams(2, 1.0, 0.3, 0.2, 0.4)
     fam, q = ecc.amplitude_oracle(p, code="none")
     np.testing.assert_allclose(q, ecc.qfi_no_ecc(2, 1.0, 0.3, 0.4), rtol=1e-9)
+
+
+@pytest.mark.parametrize("n, gamma", [(3, 50.0), (4, 30.0)])
+def test_no_ecc_overdamped_matches_lindblad_oracle(n, gamma):
+    # gamma t >> 1: x_pm^w y^(n-w) alone grows like e^{n |delta| t}
+    want = checks.lindblad_ghz_qfi(n, 1.0, gamma, 1.0)
+    np.testing.assert_allclose(ecc.qfi_no_ecc(n, 1.0, gamma, 1.0), want, rtol=1e-9)
+
+
+@pytest.mark.parametrize("gamma", [100.0, 200.0])
+def test_no_ecc_overdamped_matches_amplitude_oracle(gamma):
+    p = ecc.EccParams(5, 1.0, gamma, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = ecc.qfi_no_ecc(5, 1.0, gamma, 1.0)
+    np.testing.assert_allclose(q, ecc.amplitude_oracle(p, "none")[1], rtol=1e-9)
+
+
+@given(st.integers(1, 30), st.floats(-3.0, np.log10(200.0)), st.floats(0.1, 3.0))
+def test_no_ecc_finite_without_warnings_up_to_gamma_t_200(n, log_gt, omega):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = ecc.qfi_no_ecc(n, omega, 10.0 ** log_gt, 1.0)
+    assert np.isfinite(q) and 0.0 <= q <= n * n * (1.0 + 1e-9)
 
 
 def test_optimal_time():
