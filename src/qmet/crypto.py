@@ -39,6 +39,7 @@ from .pauli import (
     clifford_apply,
     clifford_to_matrix,
     clifford_unitaries,
+    enumerate_clifford,
     paulis_on_support,
     random_clifford,
 )
@@ -195,6 +196,9 @@ class AttackSpec:
         return out
 
     def identity_weight(self, m: int) -> float:
+        """T[0], the twirled weight of the identity; for ``depol:s`` it is 1 - s + s/4^m."""
+        if self.variant == "depolarizing":
+            return 1.0 - self.strength + self.strength / 4 ** m
         return self.support_weights(m).get(0, 0.0)
 
 
@@ -252,6 +256,12 @@ class TrapKey:
     @property
     def m(self) -> int:
         return len(self.local_cliffords)
+
+
+@lru_cache(maxsize=1)
+def _local_unitaries() -> dict[tuple, np.ndarray]:
+    """clifford_to_matrix(c) by c.key() for single-qubit c: rows of clifford_unitaries(1)."""
+    return {c.key(): u for c, u in zip(enumerate_clifford(1), clifford_unitaries(1))}
 
 
 def random_trap_key(n: int, t: int, rng: np.random.Generator) -> TrapKey:
@@ -678,11 +688,12 @@ def _sample_keys(protocol, n, t, attacks, psi, encode, trials, seed):
         raise ValueError("sampled %s code capped at m = %d qubits, got m = %d"
                          % ("trap" if protocol == "trap" else "Clifford", _DENSE_QUBIT_CAP, m))
     channels = [_channel(attack, m) for attack in attacks]
+    local = _local_unitaries()
 
     def one_trial(rng):
         if protocol == "trap":
             flags = tuple(sorted(int(v) for v in rng.choice(m, size=t, replace=False)))
-            keys = [kron_all([clifford_to_matrix(random_clifford(1, rng)) for _ in range(m)])
+            keys = [kron_all([local[random_clifford(1, rng).key()] for _ in range(m)])
                     for _ in channels]
         else:
             flags = tuple(range(n, m))
@@ -971,10 +982,7 @@ def privacy_deviation(protocol: str, n: int, t: int, *,
         vec = _with_flags(psi, t)
         rho = np.outer(vec, vec.conj())
         group = clifford_unitaries(m)
-        total = np.zeros_like(rho)
-        for u in group:
-            total += u @ rho @ u.conj().T
-        avg = total / len(group)
+        avg = np.einsum("uab,bc,udc->ad", group, rho, group.conj()) / len(group)
     else:
         raise ValueError("unknown protocol %r" % protocol)
     return float(np.max(np.abs(avg - np.eye(1 << m) / (1 << m))))
@@ -1110,6 +1118,7 @@ def end_to_end_demo(n: int, t: int, nu: int, attack: AttackSpec,
     z1 = PauliString.from_label("Z")
     x1 = PauliString.from_label("X")
 
+    local = _local_unitaries()
     outcomes = []
     for child in master.spawn(nu):
         rng = np.random.default_rng(child)
@@ -1117,7 +1126,7 @@ def end_to_end_demo(n: int, t: int, nu: int, attack: AttackSpec,
         flag_set = set(key.flag_positions)
         vec = _embed_with_flags(psi_theta, key.flag_positions, m)
         for q in range(m):
-            vec = _apply_single(vec, clifford_to_matrix(key.local_cliffords[q]), q, m)
+            vec = _apply_single(vec, local[key.local_cliffords[q].key()], q, m)
         chosen = terms[int(rng.choice(len(terms), p=term_probs))][1]
         signs = []
         for q in range(m):

@@ -52,18 +52,17 @@ def local_product_sum(rho: np.ndarray,
 
     ``pairs[j]`` lists the 2x2 pairs (A_j, B_j) allowed on qubit j (qubit 0
     leftmost).  The sum over all prod_j len(pairs[j]) combinations is a
-    tensor product of single-qubit maps, so each is applied in turn on row
-    axis j and column axis m + j of rho as a [2] * 2m tensor: sum_j
-    len(pairs[j]) small contractions and no Kronecker product.
+    tensor product of single-qubit maps.  Qubit j's map is summed once into
+    one [2, 2, 2, 2] tensor sum_k A_k[a, a'] B_k[b', b], which one
+    contraction applies on row axis j and column axis m + j of rho as a
+    [2] * 2m tensor: m contractions and no Kronecker product.
     """
     m = len(pairs)
     t = np.asarray(rho, dtype=complex).reshape([2] * (2 * m))
     for j, options in enumerate(pairs):
-        acc = np.zeros_like(t)
-        for a, b in options:
-            left = np.moveaxis(np.tensordot(a, t, axes=(1, j)), 0, j)
-            acc += np.moveaxis(np.tensordot(left, b, axes=(m + j, 0)), -1, m + j)
-        t = acc
+        a, b = (np.array(side) for side in zip(*options))
+        kernel = np.einsum("kac,kdb->acdb", a, b)
+        t = np.moveaxis(np.tensordot(kernel, t, axes=([1, 2], [j, m + j])), [0, 1], [j, m + j])
     return t.reshape(1 << m, 1 << m)
 
 

@@ -105,15 +105,18 @@ class AmplitudeOracleState:
 
 def _xy_dot(omega: float, gamma: float, duration: float,
             ) -> tuple[complex, complex, complex, complex, complex, complex]:
-    """x_pm, y of the anti-diagonal transfer matrix and their exact omega-derivatives.
+    """e^{-gamma d} times x_pm, y of the anti-diagonal transfer matrix and their omega-derivatives.
 
     The entries are entire functions of q = omega^2 - gamma^2, so
     d/domega = 2*omega * d/dq, with series fallbacks where the closed forms
     lose digits to cancellation.  Central differences are useless here: near
     the overdamped axis d(ln r)/domega sits many orders below the resolution
     of a double-precision difference quotient, and the noise gets amplified
-    by 1/(1 - R^2) in the rank-2 QFI.  Entries that overflow (omega^2 or
-    |delta| * duration out of range) raise ValueError rather than return nan.
+    by 1/(1 - R^2) in the rank-2 QFI.  Overdamped, the damped cosh and sinh
+    of |delta| d come from e^{-(gamma -+ |delta|) d}, with gamma - |delta| =
+    omega^2 / (gamma + |delta|): finite where cosh(|delta| d) overflows.
+    Entries that overflow (omega^2 out of range) raise ValueError rather
+    than return nan.
     """
     d = duration
     with np.errstate(all="ignore"):
@@ -121,11 +124,14 @@ def _xy_dot(omega: float, gamma: float, duration: float,
         delta = np.sqrt(q)
         z = delta * d
         v = z * z
-        if abs(z) < _SERIES_CUT:
-            s = d * (1.0 - v / 6.0 * (1.0 - v / 20.0 * (1.0 - v / 42.0)))
+        if q.real < 0 and z.imag > 1.0:     # |delta| d > 1: slow - fast keeps its digits
+            a = delta.imag
+            slow, fast = math.exp(-omega * omega / (gamma + a) * d), math.exp(-(gamma + a) * d)
+            c, s, damp = 0.5 * (slow + fast), 0.5 * (slow - fast) / a, 1.0
         else:
-            s = np.sin(z) / delta
-        c = np.cos(z)
+            s = (d * (1.0 - v / 6.0 * (1.0 - v / 20.0 * (1.0 - v / 42.0)))
+                 if abs(z) < _SERIES_CUT else np.sin(z) / delta)
+            c, damp = np.cos(z), math.exp(-gamma * d)
         if abs(v) < 1e-3:
             ds_dq = -(d ** 3 / 6.0) * (1.0 - v / 10.0 * (1.0 - v / 28.0 * (1.0 - v / 54.0)))
         else:
@@ -133,8 +139,8 @@ def _xy_dot(omega: float, gamma: float, duration: float,
         dc = -omega * d * s
         ds = 2.0 * omega * ds_dq
         swing = 1j * (s + omega * ds)
-        out = (c + 1j * omega * s, c - 1j * omega * s, gamma * s,
-               dc + swing, dc - swing, gamma * ds)
+        out = tuple(damp * e for e in (c + 1j * omega * s, c - 1j * omega * s, gamma * s,
+                                       dc + swing, dc - swing, gamma * ds))
     if not np.all(np.isfinite(out)):
         raise ValueError("transfer entries are not finite at omega=%r, gamma=%r, "
                          "duration=%r" % (omega, gamma, duration))
@@ -152,15 +158,16 @@ def factors(omega: float, gamma: float, duration: float) -> EvolutionFactors:
     if duration < 0:
         raise ValueError("duration must be non-negative")
     x_plus, x_minus, y = _xy_dot(omega, gamma, duration)[:3]
-    w = math.exp(-gamma * duration) * (x_plus + y)
+    w = x_plus + y
     gd = gamma * duration
+    undamp = math.exp(gd)
     return EvolutionFactors(
         c_gamma=math.cosh(gd),
         s_gamma=math.sinh(gd),
         delta=complex(np.sqrt(complex(omega * omega - gamma * gamma))),
-        x_plus=complex(x_plus),
-        x_minus=complex(x_minus),
-        y=complex(y),
+        x_plus=complex(undamp * x_plus),
+        x_minus=complex(undamp * x_minus),
+        y=complex(undamp * y),
         r=float(abs(w)),
         phi=float(np.angle(w)),
     )
@@ -182,10 +189,9 @@ def qfi_no_ecc(n: int, omega: float, gamma: float, t: float) -> float:
     if t == 0:
         return 0.0
     weights = np.arange(n + 1)
-    # e^{-gamma t} goes into every entry before the powers: x_pm^w y^(n-w)
-    # alone grows like e^{n |delta| t} in the overdamped regime.
-    damp = math.exp(-gamma * t)
-    xp, xm, y, dxp, dxm, dy = (damp * v for v in _xy_dot(omega, gamma, t))
+    # The entries come damped by e^{-gamma t}, before the powers: x_pm^w
+    # y^(n-w) alone grows like e^{n |delta| t} in the overdamped regime.
+    xp, xm, y, dxp, dxm, dy = _xy_dot(omega, gamma, t)
     z0 = xp ** weights * y ** (n - weights) + xm ** (n - weights) * y ** weights
     # Clipped exponents keep 0 * y**-1 out of the product; every clipped
     # power is multiplied by a vanishing combinatorial coefficient.
@@ -196,6 +202,7 @@ def qfi_no_ecc(n: int, omega: float, gamma: float, t: float) -> float:
             + (n - weights) * xm ** nwm1 * dxm * y ** weights
             + weights * xm ** (n - weights) * y ** wm1 * dy)
 
+    damp = math.exp(-gamma * t)
     cg, sg = 0.5 * (1.0 + damp * damp), -0.5 * math.expm1(-2.0 * gamma * t)  # damped cosh, sinh
     svec = cg ** (n - weights) * sg ** weights + cg ** weights * sg ** (n - weights)
 
@@ -222,8 +229,7 @@ def qfi_no_ecc(n: int, omega: float, gamma: float, t: float) -> float:
 def _coherence_dot(omega: float, gamma: float, tau: float) -> tuple[complex, complex]:
     """(w, dw/domega) for the per-round coherence multiplier, both exact."""
     x_plus, _, y, dx_plus, _, dy = _xy_dot(omega, gamma, tau)
-    damp = math.exp(-gamma * tau)
-    return damp * (x_plus + y), damp * (dx_plus + dy)
+    return x_plus + y, dx_plus + dy
 
 
 def _qfi_from_logs(ln_big_r: float, dln_big_r: float, dtheta: float) -> float:
@@ -398,9 +404,7 @@ def qfi_parity_noisy_ancilla(params: EccParams) -> tuple[float, float]:
 def _z_majority(params: EccParams) -> tuple[complex, complex]:
     """Coherence amplitude under the odd-n majority-vote code and its omega-derivative."""
     n, half = params.n, params.n // 2
-    damp = math.exp(-params.gamma * params.tau)
-    xp, xm, y, dxp, dxm, dy = (damp * v for v in _xy_dot(params.omega, params.gamma,
-                                                         params.tau))
+    xp, xm, y, dxp, dxm, dy = _xy_dot(params.omega, params.gamma, params.tau)
 
     def truncated(u, du, v, dv):
         """sum_{j <= n/2} C(n, j) u^{n-j} v^j and its derivative."""
@@ -533,8 +537,8 @@ def propagate_amplitudes(params: EccParams, code: str, omega: float) -> Amplitud
     eg = math.exp(-ga * tau)
     cg, sg = math.cosh(ga * tau), math.sinh(ga * tau)
     mat_a = _kron_power(eg * np.array([[cg, sg], [sg, cg]]), n)
-    one_b = eg * np.array([[xm, y], [y, xp]])
-    one_db = eg * np.array([[dxm, dy], [dy, dxp]])
+    one_b = np.array([[xm, y], [y, xp]])
+    one_db = np.array([[dxm, dy], [dy, dxp]])
     mat_b, dmat_b = np.ones((1, 1), dtype=complex), np.zeros((1, 1), dtype=complex)
     for _ in range(n):
         mat_b, dmat_b = np.kron(mat_b, one_b), np.kron(dmat_b, one_b) + np.kron(mat_b, one_db)

@@ -280,59 +280,6 @@ def clifford_tensor(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     return CliffordElement(n, xs, zs)
 
 
-def _gen_hadamard(n: int, j: int) -> CliffordElement:
-    base = clifford_identity(n)
-    xs = list(base.x_images)
-    zs = list(base.z_images)
-    xs[j] = PauliString(n, 0, 1 << j, 0)
-    zs[j] = PauliString(n, 1 << j, 0, 0)
-    return CliffordElement(n, tuple(xs), tuple(zs))
-
-
-def _gen_phase(n: int, j: int) -> CliffordElement:
-    base = clifford_identity(n)
-    xs = list(base.x_images)
-    xs[j] = PauliString(n, 1 << j, 1 << j, 1)   # S X S^dag = Y
-    return CliffordElement(n, tuple(xs), base.z_images)
-
-
-def _gen_cz(n: int, i: int, j: int) -> CliffordElement:
-    base = clifford_identity(n)
-    xs = list(base.x_images)
-    xs[i] = PauliString(n, 1 << i, 1 << j, 0)
-    xs[j] = PauliString(n, 1 << j, 1 << i, 0)
-    return CliffordElement(n, tuple(xs), base.z_images)
-
-
-@lru_cache(maxsize=4)
-def enumerate_clifford(m: int) -> tuple[CliffordElement, ...]:
-    """All Clifford tableaux on m qubits (global phase quotiented), m <= 2.
-
-    BFS closure over the generators {H_j, S_j, CZ_jk} starting from the
-    identity.  Sizes follow the group order 2^{m^2+2m} prod_j (4^j - 1):
-    24 at m = 1 and 11520 at m = 2.
-    """
-    if m > 2:
-        raise ValueError("enumeration too large for m=%d (supported: m <= 2)" % m)
-    gens = [_gen_hadamard(m, j) for j in range(m)]
-    gens += [_gen_phase(m, j) for j in range(m)]
-    gens += [_gen_cz(m, i, j) for i in range(m) for j in range(i + 1, m)]
-    start = clifford_identity(m)
-    seen = {start.key(): start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for g in gens:
-                cand = clifford_compose(c, g)
-                key = cand.key()
-                if key not in seen:
-                    seen[key] = cand
-                    nxt.append(cand)
-        frontier = nxt
-    return tuple(seen.values())
-
-
 def _symp_product(a: int, b: int, m: int) -> int:
     """Symplectic inner product of (x|z) packed vectors of length 2m."""
     mask = (1 << m) - 1
@@ -460,19 +407,91 @@ def clifford_to_matrix(c: CliffordElement) -> np.ndarray:
     return u
 
 
+# Most unitaries a stack sum multiplies at once (128 KiB per two-qubit temporary).
+_STACK_CHUNK = 512
+
+
 @lru_cache(maxsize=2)
 def clifford_unitaries(m: int) -> np.ndarray:
-    """Every m-qubit Clifford unitary (m <= 2), stacked in ``enumerate_clifford(m)`` order.
+    """Every m-qubit Clifford unitary modulo phase (m <= 2), as one read-only stack.
 
-    Built on first use and kept for the process, read-only: 24 matrices at
-    m = 1, 11,520 (about 2.9 MB) at m = 2.
+    C_1 is the 4 Paulis times the 6 permutations of the axes X, Y, Z (I, SH
+    and (SH)^2, each with or without H).  C_2 is (C_1 x C_1) . {I, SWAP,
+    CNOT (A x B), iSWAP (A x B)}, with A and B the three axis cycles
+    (Corcoles et al., PRA 87, 030301, 2013): 576 * 20 = 11,520 matrices.
+    Built one coset representative at a time; each matrix is put in the
+    phase gauge of ``clifford_to_matrix`` (first nonzero entry real and
+    positive), and each real and imaginary part snapped to 0, +-1/2,
+    +-1/sqrt(2) or +-1 (ArithmeticError if more than 1e-9 off), so entries
+    are exact and equal ``clifford_to_matrix``'s bit for bit.  Kept for the
+    process (2.9 MB at m = 2), in ``enumerate_clifford(m)`` order.
     """
-    group = enumerate_clifford(m)
-    out = np.empty((len(group), 1 << m, 1 << m), dtype=complex)
-    for i, c in enumerate(group):
-        out[i] = clifford_to_matrix(c)
+    if not 1 <= m <= 2:
+        raise ValueError("Clifford enumeration supports m = 1 or 2, got m=%d" % m)
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    cycles = [ID2, np.diag([1, 1j]) @ hadamard]     # SH: X -> Z -> Y -> X
+    cycles.append(cycles[1] @ cycles[1])
+    if m == 1:
+        local = np.array(list(PAULI_1Q.values()))
+        reps = [c @ h for h in (ID2, hadamard) for c in cycles]
+    else:
+        one = clifford_unitaries(1)
+        local = np.einsum("iab,jcd->ijacbd", one, one).reshape(-1, 4, 4)
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        entanglers = (np.eye(4)[[0, 1, 3, 2]], np.diag([1, 1j, 1j, 1]) @ swap)  # CNOT, iSWAP
+        reps = [np.eye(4), swap] + [g @ np.kron(a, b) for g in entanglers
+                                    for a in cycles for b in cycles]
+    # |real| and |imag| of every gauged entry, spelled as clifford_to_matrix computes them.
+    levels = np.array([0.0, 0.5, 1 / np.sqrt(2), 1.0])
+    parts = []
+    for rep in reps:
+        flat = (local @ rep).reshape(len(local), -1)
+        first = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-9, axis=1)]
+        part = (flat * (first.conj() / np.abs(first))[:, None]).view(float)
+        snapped = levels[np.searchsorted((levels[1:] + levels[:-1]) / 2, np.abs(part))]
+        if np.max(np.abs(np.abs(part) - snapped)) > 1e-9:
+            raise ArithmeticError("Clifford entry is not 0, 1/2, 1/sqrt(2) or 1 in magnitude")
+        # + 0.0 turns -0.0 into 0.0, so that equal matrices have equal bytes.
+        parts.append(np.copysign(snapped, part) + 0.0)
+    out = np.concatenate(parts).view(complex).reshape(-1, 1 << m, 1 << m)
     out.flags.writeable = False
     return out
+
+
+def _tableaux(us: np.ndarray) -> tuple[CliffordElement, ...]:
+    """Tableaux of a stack of Clifford unitaries, read off a chunk at a time.
+
+    Each image U G U^dag of G = X_j, Z_j must be a signed Pauli, or
+    ValueError.  The 2 * 4^m signed strings are shared between tableaux.
+    """
+    m = us.shape[1].bit_length() - 1
+    paulis = list(all_paulis(m))
+    signed = np.array([paulis, [PauliString(m, p.x, p.z, p.k + 2) for p in paulis]], dtype=object)
+    pmats = np.array([p.to_matrix() for p in paulis])
+    gens = pmats[[1 << (m + j) for j in range(m)] + [1 << j for j in range(m)]]  # X_j, Z_j
+    out = []
+    for start in range(0, len(us), _STACK_CHUNK):
+        u = us[start:start + _STACK_CHUNK]
+        images = u[:, None] @ gens @ u.conj().swapaxes(1, 2)[:, None]
+        # Tr(P V) / 2^m is the coefficient of the Hermitian Pauli P in V.
+        coeffs = np.einsum("ugad,pda->ugp", images, pmats).real / (1 << m)
+        best = np.abs(coeffs).argmax(axis=2)
+        sign = np.sign(np.take_along_axis(coeffs, best[..., None], axis=2))
+        if np.max(np.abs(images - sign[..., None] * pmats[best])) > 1e-9:
+            raise ValueError("not a Clifford unitary: a generator image is not a signed Pauli")
+        out += [CliffordElement(m, tuple(row[:m]), tuple(row[m:]))
+                for row in signed[(sign[..., 0] < 0).astype(int), best]]
+    return tuple(out)
+
+
+@lru_cache(maxsize=4)
+def enumerate_clifford(m: int) -> tuple[CliffordElement, ...]:
+    """All Clifford tableaux on m qubits (global phase quotiented), m <= 2.
+
+    Read off ``clifford_unitaries(m)`` in its order: 24 at m = 1 and 11,520
+    at m = 2, the group order 2^{m^2+2m} prod_j (4^j - 1).
+    """
+    return _tableaux(clifford_unitaries(m))
 
 
 # X^x Z^z on one qubit, phase-free, keyed by (x, z).
@@ -482,10 +501,6 @@ _FACTORS_1Q = {(0, 0): ID2, (1, 0): PAULI_1Q["X"], (0, 1): PAULI_1Q["Z"],
 
 def _factor(p: PauliString, j: int) -> np.ndarray:
     return _FACTORS_1Q[((p.x >> j) & 1, (p.z >> j) & 1)]
-
-
-# Most unitaries a stack sum multiplies at once (128 KiB per two-qubit temporary).
-_STACK_CHUNK = 512
 
 
 def _conjugation_sum(group: np.ndarray, a: np.ndarray, b: np.ndarray,

@@ -376,6 +376,17 @@ def test_ecc_overdamped_oracle_matches_without_warnings(tmp_path):
     np.testing.assert_allclose(float(cols["qfi"]), float(cols["qfi_oracle"]), rtol=1e-6)
 
 
+def test_ecc_deep_overdamped_exits_zero_without_warnings(tmp_path):
+    out_path = tmp_path / "x.csv"
+    proc = _run_subprocess(["ecc", "--code", "none", "--n", "5", "--omega", "1",
+                            "--gamma", "800", "--tau", "0.1", "--t", "1",
+                            "--out", str(out_path)], {"PYTHONWARNINGS": "error"})
+    assert proc.returncode == 0, proc.stderr
+    header, row = out_path.read_text().splitlines()
+    qfi = float(dict(zip(header.split(","), row.split(",")))["qfi"])
+    assert 0.0 < qfi < 0.00712
+
+
 def test_unknown_subcommand():
     with pytest.raises(SystemExit) as err:
         cli.main(["frobnicate"])

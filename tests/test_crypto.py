@@ -1,6 +1,7 @@
 """Authenticated-channel tests: soundness, privacy, replay, integrity."""
 
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -68,6 +69,26 @@ def test_clifford_full_depolarizing():
     np.testing.assert_allclose(r.lhs, 0.1875, rtol=1e-12)
     np.testing.assert_allclose(r.accept_rate, 0.25, rtol=1e-12)
     np.testing.assert_allclose(r.trace_distance_budget(), np.sqrt(0.1875 / 0.25))
+
+
+def test_depolarizing_identity_weight_in_closed_form():
+    attack = crypto.parse_attack("depol:0.3")
+    for m in range(1, 11):
+        rest = sum(w for support, w in attack.support_weights(m).items() if support)
+        np.testing.assert_allclose(attack.identity_weight(m), 1.0 - rest, rtol=1e-12)
+    # The support enumeration would take 2^30 steps here.
+    start = time.perf_counter()
+    r = crypto.soundness_clifford_single(20, 10, attack)
+    assert time.perf_counter() - start < 1.0
+    np.testing.assert_allclose(r.accept_rate, 0.7 + 0.3 * (2 ** 50 - 1) / (4 ** 30 - 1),
+                               rtol=1e-12)
+
+
+def test_local_unitary_lookup_is_clifford_to_matrix():
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        c = pauli.random_clifford(1, rng)
+        assert np.array_equal(crypto._local_unitaries()[c.key()], pauli.clifford_to_matrix(c))
 
 
 def test_delegated_pads_against_bound():

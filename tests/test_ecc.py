@@ -130,6 +130,16 @@ def test_no_ecc_finite_without_warnings_up_to_gamma_t_200(n, log_gt, omega):
     assert np.isfinite(q) and 0.0 <= q <= n * n * (1.0 + 1e-9)
 
 
+def test_no_ecc_deep_overdamped_stays_finite_and_falls():
+    # cosh(|delta| t) overflows past |delta| t = 710; the damped entries do not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = [ecc.qfi_no_ecc(5, 1.0, gamma, 1.0) for gamma in (700.0, 800.0, 1000.0)]
+    assert 0.0 < q[2] < q[1] < q[0]
+    p = ecc.EccParams(5, 1.0, 800.0, 0.1, 1.0)
+    np.testing.assert_allclose(q[1], ecc.amplitude_oracle(p, "none")[1], rtol=1e-9)
+
+
 def test_optimal_time():
     t_star, q_star = ecc.optimal_time(ecc.EccParams(25, 1.0, 0.05, 0.01, 1.0))
     np.testing.assert_allclose(t_star, 12000.0, rtol=1e-9)

@@ -78,6 +78,44 @@ def test_clifford_to_matrix_whole_group(m):
         assert first.imag == 0.0 and first.real > 0
 
 
+def _gauge_key(u):
+    """Bytes of u with its first nonzero entry made real and positive, rounded to 9 digits."""
+    flat = u.reshape(-1)
+    first = flat[np.flatnonzero(np.abs(flat) > 1e-9)[0]]
+    return (np.round(u * (abs(first) / first), 9) + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_clifford_stack_is_the_whole_group(m):
+    # Shares nothing with the coset construction: a set of unitaries modulo
+    # phase that holds I and is closed under left multiplication by H_j, S_j
+    # and CZ holds all of C_m; with exactly |C_m| distinct elements it is C_m.
+    us = pauli.clifford_unitaries(m)
+    order = 2 ** (m * m + 2 * m) * np.prod([4 ** j - 1 for j in range(1, m + 1)])
+    keys = {_gauge_key(u) for u in us}
+    assert len(us) == len(keys) == order
+    assert _gauge_key(np.eye(1 << m, dtype=complex)) in keys
+    assert np.abs(us @ us.conj().transpose(0, 2, 1) - np.eye(1 << m)).max() < 1e-12
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    gens = [dense.kron_all([g if k == j else dense.ID2 for k in range(m)])
+            for g in (hadamard, np.diag([1, 1j])) for j in range(m)]
+    gens += [np.diag([1, 1, 1, -1])] * (m == 2)
+    for g in gens:
+        assert all(_gauge_key(g @ u) in keys for u in us)
+
+
+def test_clifford_enumeration_capped_at_two_qubits():
+    for build in (pauli.clifford_unitaries, pauli.enumerate_clifford):
+        with pytest.raises(ValueError, match="m=3"):
+            build(3)
+
+
+def test_tableau_readoff_rejects_non_clifford():
+    t_gate = np.diag([1, np.exp(0.25j * np.pi)])
+    with pytest.raises(ValueError, match="not a Clifford"):
+        pauli._tableaux(np.array([dense.ID2, t_gate]))
+
+
 def test_clifford_to_matrix_cap():
     rng = np.random.default_rng(8)
     u = pauli.clifford_to_matrix(pauli.random_clifford(7, rng))
