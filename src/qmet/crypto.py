@@ -28,15 +28,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dense import kron_all, local_product_sum
+from .dense import PAULI_1Q, kron_all, local_product_sum
 from .pauli import (
     _STACK_CHUNK,
-    CliffordElement,
     PauliString,
     _conjugation_sum,
     all_paulis,
     channel_pauli_coeffs,
-    clifford_apply,
     clifford_to_matrix,
     clifford_unitaries,
     enumerate_clifford,
@@ -236,39 +234,45 @@ def parse_attack(text: str) -> AttackSpec:
 # keys and register plumbing
 
 
-@dataclass(frozen=True)
-class TrapKey:
-    """Flag placement plus one single-qubit Clifford per register slot."""
+# A single-qubit Pauli axis is coded x + 2 z: 0 = I, 1 = X, 2 = Z, 3 = Y, so that
+# the axis of a product is the XOR of the codes.
 
-    flag_positions: tuple[int, ...]
-    local_cliffords: tuple[CliffordElement, ...]
 
-    def __post_init__(self) -> None:
-        m = len(self.local_cliffords)
-        flags = self.flag_positions
-        if len(set(flags)) != len(flags):
-            raise ValueError("flag positions repeat")
-        if any(not 0 <= f < m for f in flags):
-            raise ValueError("flag position outside the register")
-        if any(c.n != 1 for c in self.local_cliffords):
-            raise ValueError("trap key needs single-qubit Cliffords")
-
-    @property
-    def m(self) -> int:
-        return len(self.local_cliffords)
+def _axis_codes(p: PauliString) -> np.ndarray:
+    """Axis code of p on each qubit."""
+    return np.array([((p.x >> q) & 1) + 2 * ((p.z >> q) & 1) for q in range(p.n)])
 
 
 @lru_cache(maxsize=1)
-def _local_unitaries() -> dict[tuple, np.ndarray]:
-    """clifford_to_matrix(c) by c.key() for single-qubit c: rows of clifford_unitaries(1)."""
-    return {c.key(): u for c, u in zip(enumerate_clifford(1), clifford_unitaries(1))}
+def _local_key_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(decrypt, image_axis, image_sign) for each C_i = enumerate_clifford(1)[i].
+
+    decrypt[i, a] is the axis code of C_i^dag P C_i for P of axis code a;
+    C_i P C_i^dag = image_sign[i, b] * (Pauli of axis code image_axis[i, b])
+    for P = X (b = 0) and P = Z (b = 1).  A trap key is a flag placement
+    plus one index i per register slot; the unitary of C_i is
+    clifford_unitaries(1)[i].
+    """
+    images = [(c.x_images[0], c.z_images[0]) for c in enumerate_clifford(1)]
+    image_axis = np.array([[g.x + 2 * g.z for g in pair] for pair in images])
+    image_sign = np.array([[g.sign() for g in pair] for pair in images])
+    forward = np.column_stack([np.zeros(len(images), dtype=int), image_axis[:, 0],
+                               image_axis[:, 1], image_axis[:, 0] ^ image_axis[:, 1]])
+    decrypt = np.argsort(forward, axis=1)
+    for table in (decrypt, image_axis, image_sign):
+        table.flags.writeable = False
+    return decrypt, image_axis, image_sign
 
 
-def random_trap_key(n: int, t: int, rng: np.random.Generator) -> TrapKey:
-    m = n + t
+def _random_trap_key(m: int, t: int, rng: np.random.Generator,
+                     uses: int = 1) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """A trap key: t sorted flag slots out of m, then m local-Clifford indices per use.
+
+    The indices, one ``rng.integers(24, size=m)`` per use, are uniform over
+    the 24 single-qubit Cliffords of ``enumerate_clifford(1)``.
+    """
     flags = tuple(sorted(int(v) for v in rng.choice(m, size=t, replace=False)))
-    singles = tuple(random_clifford(1, rng) for _ in range(m))
-    return TrapKey(flags, singles)
+    return flags, [rng.integers(24, size=m) for _ in range(uses)]
 
 
 def _physical_axes(flag_positions, m: int) -> list[int]:
@@ -573,65 +577,6 @@ def soundness_trap_single(n: int, t: int, attack: AttackSpec, mode: str = "exact
     raise ValueError("unknown mode %r" % mode)
 
 
-_AXES_1Q = {
-    "X": PauliString.from_label("X"),
-    "Y": PauliString.from_label("Y"),
-    "Z": PauliString.from_label("Z"),
-}
-
-
-def _decrypted_axis(c: CliffordElement, axes: tuple[int, int]) -> tuple[int, int]:
-    """Axes of C^dag Q C found by inverting the 1-qubit tableau action."""
-    for cand in _AXES_1Q.values():
-        if clifford_apply(c, cand).axes_key() == axes:
-            return cand.axes_key()
-    raise ArithmeticError("tableau does not permute the Pauli axes")
-
-
-def _trap_key_value(psi: np.ndarray, n: int, key: TrapKey,
-                    terms: list[tuple[float, PauliString]]) -> tuple[float, float]:
-    """Exact per-key (p_accept, lhs) for a Pauli-mixture attack.
-
-    Works on the tableau: a flag survives a component exactly when the
-    decrypted operator there is I or Z, and the signs of the decrypted data
-    operator drop out of |<psi|V|psi>|^2, so only axes matter.
-    """
-    m = key.m
-    flag_set = set(key.flag_positions)
-    data_rank = {}
-    for q in range(m):
-        if q not in flag_set:
-            data_rank[q] = len(data_rank)
-    p_acc = overlap = 0.0
-    for prob, q_pauli in terms:
-        if prob <= 0.0:
-            continue
-        x = z = 0
-        alive = True
-        for q in range(m):
-            xb = (q_pauli.x >> q) & 1
-            zb = (q_pauli.z >> q) & 1
-            if not (xb or zb):
-                continue
-            dx, dz = _decrypted_axis(key.local_cliffords[q], (xb, zb))
-            if q in flag_set:
-                if dx:
-                    alive = False
-                    break
-            else:
-                x |= dx << data_rank[q]
-                z |= dz << data_rank[q]
-        if not alive:
-            continue
-        p_acc += prob
-        if x == 0 and z == 0:
-            overlap += prob
-        else:
-            v = PauliString(n, x, z, (x & z).bit_count())
-            overlap += prob * abs(np.vdot(psi, v.to_matrix() @ psi)) ** 2
-    return p_acc, p_acc - overlap
-
-
 def _sample(trials, seed, one_trial):
     """(mean lhs, mean accept, stderr of lhs) over seeded independent trials.
 
@@ -651,27 +596,52 @@ def _sample(trials, seed, one_trial):
 
 
 def _sample_trap_single(n, t, attack, psi, trials, seed):
-    """Trap keys: the tableau per key for a listed Pauli mixture, else ``_sample_keys``.
+    """Trap keys read off the key tables for a listed Pauli mixture, else ``_sample_keys``.
 
-    A depolarizing attack takes ``_sample_keys``, whose closed-form channel
-    never lists the 4^m Pauli terms.
+    A flag survives a term exactly when the decrypted operator there is I or
+    Z, and the signs of the decrypted data operator drop out of
+    |<psi|V|psi>|^2, so only axes matter; that overlap is cached per data
+    Pauli.  A depolarizing attack takes ``_sample_keys``, whose closed-form
+    channel never lists the 4^m Pauli terms.
     """
     if attack.variant not in ("identity", "fixed_pauli", "pauli_mixture"):
         return _sample_keys("trap", n, t, [attack], psi, None, trials, seed)
-    terms = attack.pauli_terms(n + t)
-    return _sample(trials, seed,
-                   lambda rng: _trap_key_value(psi, n, random_trap_key(n, t, rng), terms))
+    m = n + t
+    terms = attack.pauli_terms(m)
+    probs = np.array([p for p, _ in terms])
+    codes = np.array([_axis_codes(q) for _, q in terms])
+    decrypt = _local_key_tables()[0]
+    overlaps: dict[bytes, float] = {}
+
+    def overlap(data: np.ndarray) -> float:
+        key = data.tobytes()
+        if key not in overlaps:
+            x = sum(int(c & 1) << j for j, c in enumerate(data))
+            z = sum(int(c >> 1) << j for j, c in enumerate(data))
+            v = PauliString(n, x, z, (x & z).bit_count()).to_matrix()
+            overlaps[key] = 1.0 if x == z == 0 else abs(np.vdot(psi, v @ psi)) ** 2
+        return overlaps[key]
+
+    def one_trial(rng):
+        flags, (local,) = _random_trap_key(m, t, rng)
+        is_flag = np.zeros(m, dtype=bool)
+        is_flag[list(flags)] = True
+        decrypted = decrypt[local, codes]
+        alive = np.flatnonzero(~np.any(decrypted[:, is_flag] & 1, axis=1))
+        p_acc = float(probs[alive].sum())
+        return p_acc, p_acc - sum(probs[k] * overlap(decrypted[k, ~is_flag]) for k in alive)
+
+    return _sample(trials, seed, one_trial)
 
 
-def _keyed_use(u: np.ndarray, channel):
-    """The use U^dag Gamma(U rho U^dag) U of one key U; a vector input is the pure start."""
+def _keyed_use(conjugate, channel):
+    """The use U^dag Gamma(U rho U^dag) U of one key U; a vector input is the pure start.
+
+    ``conjugate(rho, False)`` is U rho U^dag and ``conjugate(rho, True)`` is U^dag rho U.
+    """
     def use(state):
-        if state.ndim == 1:
-            enc = u @ state
-            rho = np.outer(enc, enc.conj())
-        else:
-            rho = u @ state @ u.conj().T
-        return u.conj().T @ channel(rho) @ u
+        rho = np.outer(state, state.conj()) if state.ndim == 1 else state
+        return conjugate(channel(conjugate(rho, False)), True)
 
     return use
 
@@ -680,7 +650,8 @@ def _sample_keys(protocol, n, t, attacks, psi, encode, trials, seed):
     """(mean lhs, mean accept, stderr) of ``_round`` with a fresh random key per use.
 
     A trial draws the flag placement, then one key per attack: m single-qubit
-    Cliffords for the trap code, one m-qubit Clifford for the Clifford code,
+    Clifford indices for the trap code, applied one qubit at a time by
+    ``local_product_sum``, and one m-qubit Clifford for the Clifford code,
     whose flags stay last.
     """
     m = n + t
@@ -688,17 +659,25 @@ def _sample_keys(protocol, n, t, attacks, psi, encode, trials, seed):
         raise ValueError("sampled %s code capped at m = %d qubits, got m = %d"
                          % ("trap" if protocol == "trap" else "Clifford", _DENSE_QUBIT_CAP, m))
     channels = [_channel(attack, m) for attack in attacks]
-    local = _local_unitaries()
+    units = clifford_unitaries(1)
+
+    def trap_key(local):
+        pairs = [[(u, u.conj().T)] for u in units[local]]
+        pairs_dag = [[(b, a)] for ((a, b),) in pairs]
+        return lambda rho, dag: local_product_sum(rho, pairs_dag if dag else pairs)
+
+    def clifford_key(u):
+        ud = u.conj().T
+        return lambda rho, dag: ud @ rho @ u if dag else u @ rho @ ud
 
     def one_trial(rng):
         if protocol == "trap":
-            flags = tuple(sorted(int(v) for v in rng.choice(m, size=t, replace=False)))
-            keys = [kron_all([local[random_clifford(1, rng).key()] for _ in range(m)])
-                    for _ in channels]
+            flags, locals_ = _random_trap_key(m, t, rng, len(channels))
+            keys = [trap_key(local) for local in locals_]
         else:
             flags = tuple(range(n, m))
-            keys = [clifford_to_matrix(random_clifford(m, rng)) for _ in channels]
-        uses = [_keyed_use(u, channel) for u, channel in zip(keys, channels)]
+            keys = [clifford_key(clifford_to_matrix(random_clifford(m, rng))) for _ in channels]
+        uses = [_keyed_use(key, channel) for key, channel in zip(keys, channels)]
         return _round(psi, flags, uses, encode)
 
     return _sample(trials, seed, one_trial)
@@ -1071,17 +1050,9 @@ class DemoResult:
     rounds_accepted: int
 
 
-# Eigenbasis (+1 eigenvector first) of the single-qubit Pauli with these axes.
-_EIGENBASES = {
-    (1, 0): np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0),
-    (1, 1): np.array([[1, 1], [1j, -1j]], dtype=complex) / math.sqrt(2.0),
-    (0, 1): np.eye(2, dtype=complex),
-}
-
-
-def _apply_single(vec: np.ndarray, mat: np.ndarray, q: int, m: int) -> np.ndarray:
-    shaped = vec.reshape(1 << q, 2, -1)
-    return np.einsum("ij,ajb->aib", mat, shaped).reshape(-1)
+# Eigenbasis (+1 eigenvector first) of the single-qubit Pauli of each axis code.
+_EIGENBASES = np.array([np.eye(2), np.array([[1, 1], [1, -1]]) / math.sqrt(2.0), np.eye(2),
+                        np.array([[1, 1], [1j, -1j]]) / math.sqrt(2.0)], dtype=complex)
 
 
 def end_to_end_demo(n: int, t: int, nu: int, attack: AttackSpec,
@@ -1113,49 +1084,48 @@ def end_to_end_demo(n: int, t: int, nu: int, attack: AttackSpec,
                          alpha=report.accept_rate, nu=nu)
 
     terms = attack.pauli_terms(m)
-    term_probs = np.array([max(p, 0.0) for p, _ in terms])
-    term_probs = term_probs / term_probs.sum()
-    z1 = PauliString.from_label("Z")
-    x1 = PauliString.from_label("X")
+    cum = np.cumsum([max(p, 0.0) for p, _ in terms])
+    codes = np.array([_axis_codes(q) for _, q in terms])
+    _, image_axis, image_sign = _local_key_tables()
+    # meas[i, b, a]: the key C_i, then the attack axis a, then the eigenbasis
+    # of C_i P C_i^dag for P = X (b = 0, data slots) or Z (b = 1, flags).
+    meas = (_EIGENBASES[image_axis].conj().swapaxes(-1, -2)[:, :, None]
+            @ np.array([PAULI_1Q[a] for a in "IXZY"]) @ clifford_unitaries(1)[:, None, None])
+    placements = list(itertools.combinations(range(m), t))
+    slot = {flags: i for i, flags in enumerate(placements)}
+    starts = np.array([_embed_with_flags(psi_theta, flags, m) for flags in placements])
+    flag_rows = np.array([[q in flags for q in range(m)] for flags in placements])
 
-    local = _local_unitaries()
-    outcomes = []
-    for child in master.spawn(nu):
+    def draw(child):
+        """(placement, key indices, uniform for the attack term, uniform for the outcome)."""
         rng = np.random.default_rng(child)
-        key = random_trap_key(n, t, rng)
-        flag_set = set(key.flag_positions)
-        vec = _embed_with_flags(psi_theta, key.flag_positions, m)
-        for q in range(m):
-            vec = _apply_single(vec, local[key.local_cliffords[q].key()], q, m)
-        chosen = terms[int(rng.choice(len(terms), p=term_probs))][1]
-        signs = []
-        for q in range(m):
-            xb = (chosen.x >> q) & 1
-            zb = (chosen.z >> q) & 1
-            if xb or zb:
-                single = PauliString(1, xb, zb)
-                vec = _apply_single(vec, single.to_matrix(), q, m)
-            want = z1 if q in flag_set else x1
-            img = clifford_apply(key.local_cliffords[q], want)
-            signs.append(img.sign())
-            vec = _apply_single(vec, _EIGENBASES[img.axes_key()].conj().T, q, m)
-        probs = np.abs(vec) ** 2
-        probs = probs / probs.sum()
-        idx = int(rng.choice(probs.size, p=probs))
-        vals = [signs[q] * (1 if not (idx >> (m - 1 - q)) & 1 else -1)
-                for q in range(m)]
-        if any(vals[q] != 1 for q in flag_set):
-            continue
-        parity = 1
-        for q in range(m):
-            if q not in flag_set:
-                parity *= vals[q]
-        outcomes.append(parity)
+        flags, (local,) = _random_trap_key(m, t, rng)
+        return slot[flags], local, *rng.random(2)
 
-    n_acc = len(outcomes)
+    # Rounds are drawn one seeded generator each and measured a stack at a time.
+    children = master.spawn(nu)
+    outcomes = []
+    for start in range(0, nu, _STACK_CHUNK):
+        place, local, u_term, u_out = (np.array(col) for col in zip(
+            *map(draw, children[start:start + _STACK_CHUNK])))
+        term = np.minimum(np.searchsorted(cum, u_term * cum[-1], side="right"), len(terms) - 1)
+        is_flag = flag_rows[place]
+        basis = is_flag.astype(int)
+        state = starts[place]
+        for q in range(m):
+            mat = meas[local[:, q], basis[:, q], codes[term, q]]
+            state = np.einsum("kij,kajb->kaib", mat, state.reshape(len(place), 1 << q, 2, -1))
+        cdf = np.cumsum(np.abs(state.reshape(len(place), -1)) ** 2, axis=1)
+        idx = np.minimum(np.sum(cdf <= u_out[:, None] * cdf[:, -1:], axis=1), (1 << m) - 1)
+        bits = (idx[:, None] >> np.arange(m - 1, -1, -1)) & 1      # qubit 0 leftmost
+        vals = image_sign[local, basis] * (1 - 2 * bits)
+        kept = np.all(vals[is_flag].reshape(-1, t) == 1, axis=1)
+        outcomes.append(np.prod(vals[~is_flag].reshape(-1, n), axis=1)[kept])
+
+    arr = np.concatenate(outcomes).astype(float)
+    n_acc = arr.size
     if n_acc < 2:
         raise ArithmeticError("attack rejected essentially every round")
-    arr = np.asarray(outcomes, dtype=float)
     f_hat = float(arr.mean())
     theta_hat = theta0 + (f_hat - mean_o) / slope
     var_hat = float(arr.var(ddof=1))

@@ -70,10 +70,11 @@ class EccParams:
 class EvolutionFactors:
     """Single-qubit transfer-matrix entries for one free-evolution stretch.
 
-    The diagonal-amplitude sector evolves with ``exp(-gamma d) [[c, s], [s,
-    c]]`` (c = cosh, s = sinh of gamma*d); the anti-diagonal sector with
-    ``exp(-gamma d) [[x_minus, y], [y, x_plus]]``.  ``r`` and ``phi`` give
-    the per-qubit coherence multiplier r*e^{i phi} = e^{-gamma d}(x_+ + y).
+    The diagonal-amplitude sector evolves with ``[[c, s], [s, c]]`` (c, s =
+    e^{-gamma d} cosh, e^{-gamma d} sinh of gamma*d); the anti-diagonal
+    sector with ``[[x_minus, y], [y, x_plus]]``.  Every entry carries its
+    factor e^{-gamma d}, so none overflows at large gamma*d.  ``r`` and
+    ``phi`` give the per-qubit coherence multiplier r*e^{i phi} = x_+ + y.
     """
 
     c_gamma: float
@@ -147,6 +148,11 @@ def _xy_dot(omega: float, gamma: float, duration: float,
     return out
 
 
+def _damped_cosh_sinh(x: float) -> tuple[float, float]:
+    """(e^{-x} cosh x, e^{-x} sinh x) = ((1 + e^{-2x}) / 2, -expm1(-2x) / 2), finite for x >= 0."""
+    return 0.5 * (1.0 + math.exp(-2.0 * x)), -0.5 * math.expm1(-2.0 * x)
+
+
 def factors(omega: float, gamma: float, duration: float) -> EvolutionFactors:
     """Evaluate the single-qubit evolution factors for one stretch.
 
@@ -159,15 +165,14 @@ def factors(omega: float, gamma: float, duration: float) -> EvolutionFactors:
         raise ValueError("duration must be non-negative")
     x_plus, x_minus, y = _xy_dot(omega, gamma, duration)[:3]
     w = x_plus + y
-    gd = gamma * duration
-    undamp = math.exp(gd)
+    c_gamma, s_gamma = _damped_cosh_sinh(gamma * duration)
     return EvolutionFactors(
-        c_gamma=math.cosh(gd),
-        s_gamma=math.sinh(gd),
+        c_gamma=c_gamma,
+        s_gamma=s_gamma,
         delta=complex(np.sqrt(complex(omega * omega - gamma * gamma))),
-        x_plus=complex(undamp * x_plus),
-        x_minus=complex(undamp * x_minus),
-        y=complex(undamp * y),
+        x_plus=complex(x_plus),
+        x_minus=complex(x_minus),
+        y=complex(y),
         r=float(abs(w)),
         phi=float(np.angle(w)),
     )
@@ -534,18 +539,16 @@ def propagate_amplitudes(params: EccParams, code: str, omega: float) -> Amplitud
         raise ValueError("majority vote needs odd n")
     ga, xi, p, tau = params.gamma, params.xi, params.p, params.tau
     xp, xm, y, dxp, dxm, dy = _xy_dot(omega, ga, tau)
-    eg = math.exp(-ga * tau)
-    cg, sg = math.cosh(ga * tau), math.sinh(ga * tau)
-    mat_a = _kron_power(eg * np.array([[cg, sg], [sg, cg]]), n)
+    cg, sg = _damped_cosh_sinh(ga * tau)
+    mat_a = _kron_power(np.array([[cg, sg], [sg, cg]]), n)
     one_b = np.array([[xm, y], [y, xp]])
     one_db = np.array([[dxm, dy], [dy, dxp]])
     mat_b, dmat_b = np.ones((1, 1), dtype=complex), np.zeros((1, 1), dtype=complex)
     for _ in range(n):
         mat_b, dmat_b = np.kron(mat_b, one_b), np.kron(dmat_b, one_b) + np.kron(mat_b, one_db)
     if code == "parity":
-        exi = math.exp(-xi * tau)
-        anc = exi * np.array([[math.cosh(xi * tau), math.sinh(xi * tau)],
-                              [math.sinh(xi * tau), math.cosh(xi * tau)]])
+        cx, sx = _damped_cosh_sinh(xi * tau)
+        anc = np.array([[cx, sx], [sx, cx]])
         mat_a = np.kron(mat_a, anc)
         mat_b = np.kron(mat_b, anc)
         dmat_b = np.kron(dmat_b, anc)

@@ -452,24 +452,25 @@ def heisenberg_count_bound(n: int, eps: float) -> int:
     return total
 
 
-def _qubit_bits(n: int, q: int) -> np.ndarray:
-    """Bit of qubit q (qubit 0 leftmost) in every n-qubit basis index, as uint8."""
-    bits = np.zeros((1 << q, 2, 1 << (n - 1 - q)), dtype=np.uint8)
-    bits[:, 1] = 1
-    return bits.reshape(-1)
-
-
 def graph_state(g: Graph) -> np.ndarray:
     """Dense state vector: CZ on every edge applied to |+>^n (qubit 0 leftmost).
 
     The amplitude of basis state b is 2^(-n/2) (-1)^(number of edges with
-    both ends set in b); that parity is accumulated over the edges in one
-    uint8 array and the signs are flipped once.
+    both ends set in b).  That parity is built one qubit at a time: qubit q
+    becomes the next (least significant) index bit, which keeps the parity
+    where the bit is 0 and adds the parity of q's earlier neighbours where it
+    is 1; that neighbour parity is built the same way.  The signs are
+    flipped once.
     """
-    bits = [_qubit_bits(g.n, q) for q in range(g.n)]
-    parity = np.zeros(1 << g.n, dtype=np.uint8)
-    for u, v in g.edges:
-        parity ^= bits[u] & bits[v]
+    def extend(vec: np.ndarray, added) -> np.ndarray:
+        return np.stack([vec, vec ^ added], axis=1).reshape(-1)
+
+    parity = np.zeros(1, dtype=np.uint8)
+    for q in range(g.n):
+        earlier = np.zeros(1, dtype=np.uint8)
+        for u in range(q):
+            earlier = extend(earlier, np.uint8(u in g.neighbors(q)))
+        parity = extend(parity, earlier)
     amp = 2 ** (-g.n / 2)
     psi = np.full(1 << g.n, amp, dtype=complex)
     psi[parity.astype(bool)] = -amp

@@ -387,6 +387,20 @@ def test_ecc_deep_overdamped_exits_zero_without_warnings(tmp_path):
     assert 0.0 < qfi < 0.00712
 
 
+def test_ecc_oracle_past_cosh_overflow_exits_zero(tmp_path):
+    # gamma * tau = 1e4: cosh(gamma * tau) overflows a double, but the oracle
+    # works with the damped pair e^{-gamma tau} (cosh, sinh), as the closed form does.
+    out_path = tmp_path / "x.csv"
+    proc = _run_subprocess(["ecc", "--code", "none", "--n", "5", "--omega", "1",
+                            "--gamma", "1e5", "--tau", "0.1", "--t", "1", "--oracle",
+                            "--out", str(out_path)], {"PYTHONWARNINGS": "error"})
+    assert proc.returncode == 0, proc.stderr
+    header, row = out_path.read_text().splitlines()
+    cols = dict(zip(header.split(","), row.split(",")))
+    np.testing.assert_allclose(float(cols["qfi"]), 4.9999e-05, rtol=1e-6)
+    np.testing.assert_allclose(float(cols["qfi_oracle"]), float(cols["qfi"]), rtol=1e-9)
+
+
 def test_unknown_subcommand():
     with pytest.raises(SystemExit) as err:
         cli.main(["frobnicate"])

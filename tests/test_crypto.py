@@ -1,13 +1,14 @@
 """Authenticated-channel tests: soundness, privacy, replay, integrity."""
 
 import itertools
+import json
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qmet import crypto, pauli
+from qmet import cli, crypto, pauli
 from qmet.dense import kron_all
 
 
@@ -84,11 +85,20 @@ def test_depolarizing_identity_weight_in_closed_form():
                                rtol=1e-12)
 
 
-def test_local_unitary_lookup_is_clifford_to_matrix():
-    rng = np.random.default_rng(21)
-    for _ in range(50):
-        c = pauli.random_clifford(1, rng)
-        assert np.array_equal(crypto._local_unitaries()[c.key()], pauli.clifford_to_matrix(c))
+def test_local_key_tables_match_the_tableaux():
+    decrypt, image_axis, image_sign = crypto._local_key_tables()
+    axes = {"I": 0, "X": 1, "Z": 2, "Y": 3}
+    for i, c in enumerate(pauli.enumerate_clifford(1)):
+        for label, code in axes.items():
+            # C^dag P C has axis decrypt[i, code]: C maps that axis back onto P's.
+            back = [lab for lab, a in axes.items() if a == decrypt[i, code]][0]
+            image = pauli.clifford_apply(c, pauli.PauliString.from_label(back))
+            assert image.axes_key() == pauli.PauliString.from_label(label).axes_key()
+        for b, label in enumerate("XZ"):
+            image = pauli.clifford_apply(c, pauli.PauliString.from_label(label))
+            assert image_axis[i, b] == axes[image.label().lstrip("-")]
+            assert image_sign[i, b] == image.sign()
+        assert np.array_equal(pauli.clifford_unitaries(1)[i], pauli.clifford_to_matrix(c))
 
 
 def test_delegated_pads_against_bound():
@@ -311,19 +321,26 @@ def _apply_kraus(rho, kraus):
     return out
 
 
-def _reference_trap_round_single(psi, t, key, attack):
+def _reference_trap_keys(m, t, rng, uses=1):
+    """Flag slots, then per use the matrix of m tableaux picked by rng.integers(24, size=m)."""
+    flags = tuple(sorted(int(v) for v in rng.choice(m, size=t, replace=False)))
+    group = pauli.enumerate_clifford(1)
+    return flags, [kron_all([pauli.clifford_to_matrix(group[i]) for i in rng.integers(24, size=m)])
+                   for _ in range(uses)]
+
+
+def _reference_trap_round_single(psi, t, flags, u_enc, attack):
     """One trap-code key as the rounds were written before ``crypto._round``.
 
     Returns (p_accept, normalized post-accept data state).
     """
     n = psi.size.bit_length() - 1
     m = n + t
-    vec = crypto._embed_with_flags(psi, key.flag_positions, m)
-    u_enc = kron_all([pauli.clifford_to_matrix(c) for c in key.local_cliffords])
+    vec = crypto._embed_with_flags(psi, flags, m)
     enc = u_enc @ vec
     rho = _apply_kraus(np.outer(enc, enc.conj()), attack.kraus_ops(m))
     rho = u_enc.conj().T @ rho @ u_enc
-    rho_l = crypto._to_logical(rho, key.flag_positions, m)
+    rho_l = crypto._to_logical(rho, flags, m)
     block = rho_l.reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
     p_acc = float(np.real(np.trace(block)))
     if p_acc < 1e-14:
@@ -349,9 +366,7 @@ def _reference_double_trial(protocol, n, t, kraus1, kraus2, psi, u_data, rng):
     u_full_l = np.kron(u_data, np.eye(1 << t, dtype=complex))
     ideal = u_data @ psi
     if protocol == "trap":
-        flags = tuple(sorted(int(v) for v in rng.choice(m, size=t, replace=False)))
-        u1 = kron_all([pauli.clifford_to_matrix(pauli.random_clifford(1, rng)) for _ in range(m)])
-        u2 = kron_all([pauli.clifford_to_matrix(pauli.random_clifford(1, rng)) for _ in range(m)])
+        flags, (u1, u2) = _reference_trap_keys(m, t, rng, uses=2)
     else:
         flags = tuple(range(n, m))
         u1 = pauli.clifford_to_matrix(pauli.random_clifford(m, rng))
@@ -374,8 +389,8 @@ def _reference_trial(protocol, n, t, attacks, psi, encode, rng):
         return _reference_double_trial(protocol, n, t, attacks[0].kraus_ops(m),
                                        attacks[1].kraus_ops(m), psi, u_data, rng)
     if protocol == "trap":
-        p_acc, cond = _reference_trap_round_single(psi, t, crypto.random_trap_key(n, t, rng),
-                                                   attacks[0])
+        flags, (u_enc,) = _reference_trap_keys(m, t, rng)
+        p_acc, cond = _reference_trap_round_single(psi, t, flags, u_enc, attacks[0])
         rho_id = np.outer(psi, psi.conj())
         return p_acc, p_acc * (1.0 - float(np.real(np.trace(rho_id @ cond))))
     u_enc = pauli.clifford_to_matrix(pauli.random_clifford(m, rng))
@@ -404,6 +419,39 @@ def test_sampled_round_matches_reference_rounds(n, t, protocol):
             want = _reference_trial(protocol, n, t, attacks, psi, encode, trial_rng)
             assert abs(accept - want[0]) <= 1e-12
             assert abs(lhs - want[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("n,t", [(2, 1), (3, 2)])
+def test_sampled_pauli_mixture_trial_matches_reference_round(n, t):
+    # One seeded trial of the Pauli-mixture sampler reads its key off the
+    # tables; the reference conjugates by the same key as a dense matrix.
+    m = n + t
+    mix = crypto.AttackSpec.pauli_mixture([(0.4, "I" * m), (0.3, "ZXYZX"[:m]),
+                                           (0.2, "XIZYI"[:m]), (0.1, "YYXXZ"[:m])])
+    rng = np.random.default_rng(8)
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    psi /= np.linalg.norm(psi)
+    for seed in range(20):
+        lhs, accept, _ = crypto._sample_trap_single(n, t, mix, psi, 1, seed)
+        trial_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        want = _reference_trial("trap", n, t, [mix], psi, None, trial_rng)
+        assert abs(accept - want[0]) <= 1e-12
+        assert abs(lhs - want[1]) <= 1e-12
+
+
+def test_sampled_trap_paths_build_no_tableau(monkeypatch):
+    # Trap keys are indices into the single-qubit tables: no sampled trap
+    # report at m = 7 and no demo round draws or applies a tableau.
+    def refuse(*args, **kwargs):
+        raise AssertionError("tableau function called on a sampled trap path")
+
+    for name in ("random_clifford", "clifford_apply"):
+        monkeypatch.setattr(pauli, name, refuse)
+        monkeypatch.setattr(crypto, name, refuse, raising=False)
+    for text in ("mix:0.9*IIIIIII,0.1*XZYXZYX", "depol:0.3"):
+        report = json.loads(cli.crypto_json("trap1", 5, 2, text, trials=3, seed=7))
+        assert report["mode"] == "sampled"
+    crypto.end_to_end_demo(2, 1, 50, crypto.parse_attack("mix:0.6*III,0.4*XZY"), seed=13)
 
 
 @pytest.mark.parametrize("n,t", [(1, 1), (2, 1)])

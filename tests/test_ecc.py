@@ -164,6 +164,16 @@ def test_factors_magnitudes():
     assert 0.0 < f.r <= 1.0
 
 
+@pytest.mark.parametrize("gamma,xi", [(1e4, 0.0), (0.5, 1e4), (1e4, 1e4)])
+def test_parity_oracle_past_cosh_overflow(gamma, xi):
+    # gamma * tau or xi * tau = 1e3 > 710, where cosh and sinh overflow.
+    p = ecc.EccParams(3, 1.0, gamma, 0.1, 1.0, xi=xi)
+    np.testing.assert_allclose(ecc.amplitude_oracle(p, "parity")[1], ecc.qfi_parity(p),
+                               rtol=1e-9)
+    f = ecc.factors(1.0, gamma, 0.1)
+    assert all(np.isfinite([f.c_gamma, f.s_gamma, f.x_plus, f.x_minus, f.y]))
+
+
 def test_propagate_amplitudes_shapes_and_norm():
     p = ecc.EccParams(2, 1.0, 0.2, 0.1, 0.2)
     st = ecc.propagate_amplitudes(p, "parity", 1.0)
