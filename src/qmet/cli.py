@@ -238,7 +238,7 @@ def ecc_csv(code: str, *, n: int, omega: float, gamma: float, xi: float = 0.0,
         if oracle:
             try:
                 _, ref = ecc.amplitude_oracle(params, code)
-            except (ValueError, OverflowError) as exc:
+            except (ValueError, ArithmeticError) as exc:
                 raise CliError(EXIT_DOMAIN, str(exc))
             row.append(ref)
         lines.append(",".join(_fmt17(v) for v in row))

@@ -12,7 +12,9 @@ Loan 1978).  Every closed form is cross-checked against
 :func:`amplitude_oracle`, which propagates the exact diagonal/anti-diagonal
 amplitude recursion together with the omega-derivative of the anti-diagonal
 amplitudes and feeds the reconstructed density matrix and its derivative to
-:func:`qmet.dense.sld_qfi`.
+:func:`qmet.dense.sld_qfi`.  The oracle applies its round map to the full
+register by repeated squaring, so once t/tau >= 2^n its cost grows with
+log(t/tau), not with t/tau.
 """
 
 from __future__ import annotations
@@ -64,27 +66,6 @@ class EccParams:
     @property
     def rounds(self) -> int:
         return int(round(self.t / self.tau))
-
-
-@dataclass(frozen=True)
-class EvolutionFactors:
-    """Single-qubit transfer-matrix entries for one free-evolution stretch.
-
-    The diagonal-amplitude sector evolves with ``[[c, s], [s, c]]`` (c, s =
-    e^{-gamma d} cosh, e^{-gamma d} sinh of gamma*d); the anti-diagonal
-    sector with ``[[x_minus, y], [y, x_plus]]``.  Every entry carries its
-    factor e^{-gamma d}, so none overflows at large gamma*d.  ``r`` and
-    ``phi`` give the per-qubit coherence multiplier r*e^{i phi} = x_+ + y.
-    """
-
-    c_gamma: float
-    s_gamma: float
-    delta: complex
-    x_plus: complex
-    x_minus: complex
-    y: complex
-    r: float
-    phi: float
 
 
 @dataclass(frozen=True)
@@ -151,31 +132,6 @@ def _xy_dot(omega: float, gamma: float, duration: float,
 def _damped_cosh_sinh(x: float) -> tuple[float, float]:
     """(e^{-x} cosh x, e^{-x} sinh x) = ((1 + e^{-2x}) / 2, -expm1(-2x) / 2), finite for x >= 0."""
     return 0.5 * (1.0 + math.exp(-2.0 * x)), -0.5 * math.expm1(-2.0 * x)
-
-
-def factors(omega: float, gamma: float, duration: float) -> EvolutionFactors:
-    """Evaluate the single-qubit evolution factors for one stretch.
-
-    Works in complex arithmetic throughout, so the oscillatory
-    (omega > gamma) and overdamped (gamma > omega) branches come out of the
-    same expressions; near delta*duration = 0 the sin(z)/z factor switches
-    to a four-term series.
-    """
-    if duration < 0:
-        raise ValueError("duration must be non-negative")
-    x_plus, x_minus, y = _xy_dot(omega, gamma, duration)[:3]
-    w = x_plus + y
-    c_gamma, s_gamma = _damped_cosh_sinh(gamma * duration)
-    return EvolutionFactors(
-        c_gamma=c_gamma,
-        s_gamma=s_gamma,
-        delta=complex(np.sqrt(complex(omega * omega - gamma * gamma))),
-        x_plus=complex(x_plus),
-        x_minus=complex(x_minus),
-        y=complex(y),
-        r=float(abs(w)),
-        phi=float(np.angle(w)),
-    )
 
 
 def qfi_no_ecc(n: int, omega: float, gamma: float, t: float) -> float:
@@ -396,11 +352,9 @@ def qfi_parity_noisy_ancilla(params: EccParams) -> tuple[float, float]:
     if params.xi == 0.0:
         return q2, 0.0
     q1 = qfi_parity_ideal(replace(params, xi=0.0))
-    r = factors(params.omega, params.gamma, params.tau).r
-    if r <= 0.0:
-        return q2, math.nan
+    lnr = _ideal_logs(params)[0]
     n, t = params.n, params.t
-    ln_scale = math.log(params.xi * n * n * t * t) + 2 * n * params.rounds * math.log(r)
+    ln_scale = math.log(params.xi * n * n * t * t) + 2 * n * params.rounds * lnr
     if ln_scale < -600.0:
         return q2, math.nan
     return q2, (q1 - q2) / math.exp(ln_scale)
@@ -519,24 +473,18 @@ def _kron_power(mat: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def propagate_amplitudes(params: EccParams, code: str, omega: float) -> AmplitudeOracleState:
-    """Exact amplitude-space propagation over t/tau correction rounds.
+def _round_maps(params: EccParams, code: str, omega: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One correction round on the full register: (S_a, S_b, dS_b/domega).
 
     The diagonal amplitudes a_J and anti-diagonal amplitudes b_J close
     under both the free evolution (Kronecker powers of the single-qubit
     factors) and the correction map C, so the full density matrix never
-    has to be formed until the end.  Each round applies S = C M once; the
-    derivative db/domega rides along through dS = C dM, where dM is the
-    product rule over the Kronecker factors.  For the parity code the
-    ancilla is the last tensor factor.
+    has to be formed.  S = C M for each sector, and dS_b = C dM_b, where
+    dM_b is the product rule over the Kronecker factors.  For the parity
+    code the ancilla is the last tensor factor.
     """
-    if code not in ("none", "parity", "bitflip"):
-        raise ValueError("code must be one of: none, parity, bitflip")
     n = params.n
-    if n > 8:
-        raise ValueError("oracle limited to n <= 8")
-    if code == "bitflip" and n % 2 == 0:
-        raise ValueError("majority vote needs odd n")
     ga, xi, p, tau = params.gamma, params.xi, params.p, params.tau
     xp, xm, y, dxp, dxm, dy = _xy_dot(omega, ga, tau)
     cg, sg = _damped_cosh_sinh(ga * tau)
@@ -564,15 +512,42 @@ def propagate_amplitudes(params: EccParams, code: str, omega: float) -> Amplitud
         corr[dim - 1, ~low] = 1.0
     else:
         corr = np.eye(2 ** n)
-    step_a, step_b, dstep_b = corr @ mat_a, corr @ mat_b, corr @ dmat_b
+    return corr @ mat_a, corr @ mat_b, corr @ dmat_b
 
-    dim = mat_a.shape[0]
+
+def propagate_amplitudes(params: EccParams, code: str, omega: float) -> AmplitudeOracleState:
+    """Exact amplitude-space propagation over t/tau correction rounds.
+
+    Starts from the GHZ amplitudes and applies the round maps of
+    :func:`_round_maps`, with db/domega carried alongside b.  The rounds are
+    applied by binary powering of (S, dS), with d(S^2) = dS S + S dS, for as
+    long as at least dim rounds remain: a squaring costs about dim mat-vecs,
+    so it pays only then.  The last k < dim rounds apply the current power
+    one at a time, so a run with fewer than dim rounds is the literal
+    per-round loop.
+    """
+    if code not in ("none", "parity", "bitflip"):
+        raise ValueError("code must be one of: none, parity, bitflip")
+    if params.n > 8:
+        raise ValueError("oracle limited to n <= 8")
+    if code == "bitflip" and params.n % 2 == 0:
+        raise ValueError("majority vote needs odd n")
+    step_a, step_b, dstep_b = _round_maps(params, code, omega)
+    dim = step_a.shape[0]
     a = np.zeros(dim)
     b = np.zeros(dim, dtype=complex)
     a[0] = a[dim - 1] = 0.5
     b[0] = b[dim - 1] = 0.5
     db = np.zeros(dim, dtype=complex)
-    for _ in range(params.rounds):
+    k = params.rounds
+    while k >= dim:
+        if k & 1:
+            a = step_a @ a
+            b, db = step_b @ b, step_b @ db + dstep_b @ b
+        k >>= 1
+        step_a, step_b, dstep_b = (step_a @ step_a, step_b @ step_b,
+                                   dstep_b @ step_b + step_b @ dstep_b)
+    for _ in range(k):
         a = step_a @ a
         b, db = step_b @ b, step_b @ db + dstep_b @ b
     if abs(a.sum() - 1.0) > 1e-10:

@@ -7,8 +7,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qmet import cli
+from qmet import cli, ecc
 
 STAR5 = "5\n0 1\n0 2\n0 3\n0 4\n"
 CYCLE6 = "6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
@@ -399,6 +400,51 @@ def test_ecc_oracle_past_cosh_overflow_exits_zero(tmp_path):
     cols = dict(zip(header.split(","), row.split(",")))
     np.testing.assert_allclose(float(cols["qfi"]), 4.9999e-05, rtol=1e-6)
     np.testing.assert_allclose(float(cols["qfi_oracle"]), float(cols["qfi"]), rtol=1e-9)
+
+
+def test_ecc_oracle_normalisation_guard_exits_3(tmp_path, monkeypatch, capsys):
+    def lost_normalisation(*args):
+        raise ArithmeticError("amplitude propagation lost normalisation")
+
+    monkeypatch.setattr(ecc, "propagate_amplitudes", lost_normalisation)
+    rc = run_cli(["ecc", "--code", "parity", "--n", "3", "--omega", "1",
+                  "--gamma", "0.2", "--tau", "0.1", "--t", "0.3", "--oracle",
+                  "--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    assert "lost normalisation" in capsys.readouterr().err
+
+
+def test_ecc_oracle_at_a_million_rounds_exits_cleanly(tmp_path):
+    out_path = tmp_path / "x.csv"
+    proc = _run_subprocess(["ecc", "--code", "bitflip", "--n", "5", "--omega", "1",
+                            "--gamma", "0.05", "--tau", "1e-8", "--t", "0.01", "--oracle",
+                            "--out", str(out_path)], timeout=60)
+    assert proc.returncode in (0, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["none", "parity", "bitflip"]), st.integers(1, 7),
+       st.floats(0.0, 7.0), st.floats(-8.0, 1.0), st.floats(-6.0, 0.0),
+       st.floats(-8.0, 1.0), st.floats(0.0, 0.5))
+def test_ecc_oracle_at_large_round_counts_exits_0_or_3(tmp_path_factory, code, n, log_rounds,
+                                                       log_gamma_tau, log_tau, log_xi_tau, p):
+    if code == "bitflip" and n % 2 == 0:
+        n -= 1
+    tau = 10.0 ** log_tau
+    rounds = round(10.0 ** log_rounds)
+    noise = ["--xi", repr(10.0 ** log_xi_tau / tau), "--p", repr(p)] if code == "parity" else []
+    out_path = tmp_path_factory.getbasetemp() / "large_rounds.csv"
+    out_path.unlink(missing_ok=True)
+    # In process: any exception other than the CLI's own errors fails the test.
+    rc = run_cli(["ecc", "--code", code, "--n", str(n), "--omega", "1",
+                  "--gamma", repr(10.0 ** log_gamma_tau / tau), "--tau", repr(tau),
+                  "--t", repr(rounds * tau), *noise, "--oracle", "--out", str(out_path)])
+    assert rc in (0, 3)
+    if rc == 0:
+        header, row = out_path.read_text().splitlines()
+        cols = dict(zip(header.split(","), map(float, row.split(","))))
+        assert np.isfinite(cols["qfi"]) and np.isfinite(cols["qfi_oracle"])
 
 
 def test_unknown_subcommand():

@@ -158,10 +158,10 @@ def test_fisher_alpha_peak_reaches_qfi():
 
 
 def test_factors_magnitudes():
-    f = ecc.factors(1.0, 0.2, 0.1)
-    np.testing.assert_allclose(f.r, 0.999870842, rtol=1e-8)
-    np.testing.assert_allclose(f.phi, 0.098032699, rtol=1e-8)
-    assert 0.0 < f.r <= 1.0
+    w, _ = ecc._coherence_dot(1.0, 0.2, 0.1)
+    np.testing.assert_allclose(abs(w), 0.999870842, rtol=1e-8)
+    np.testing.assert_allclose(np.angle(w), 0.098032699, rtol=1e-8)
+    assert 0.0 < abs(w) <= 1.0
 
 
 @pytest.mark.parametrize("gamma,xi", [(1e4, 0.0), (0.5, 1e4), (1e4, 1e4)])
@@ -170,8 +170,8 @@ def test_parity_oracle_past_cosh_overflow(gamma, xi):
     p = ecc.EccParams(3, 1.0, gamma, 0.1, 1.0, xi=xi)
     np.testing.assert_allclose(ecc.amplitude_oracle(p, "parity")[1], ecc.qfi_parity(p),
                                rtol=1e-9)
-    f = ecc.factors(1.0, gamma, 0.1)
-    assert all(np.isfinite([f.c_gamma, f.s_gamma, f.x_plus, f.x_minus, f.y]))
+    assert np.all(np.isfinite(ecc._xy_dot(1.0, gamma, 0.1)))
+    assert np.all(np.isfinite(ecc._damped_cosh_sinh(gamma * 0.1)))
 
 
 def test_propagate_amplitudes_shapes_and_norm():
@@ -184,6 +184,48 @@ def test_propagate_amplitudes_shapes_and_norm():
     norm = np.sum(np.abs(st.a_vec) ** 2) + np.sum(np.abs(st.b_vec) ** 2)
     assert norm <= 1.0 + 1e-12
     assert 1.0 - norm < 10 * p.rounds * (p.gamma * p.tau) ** 2
+
+
+def _per_round(params, code):
+    """(a, b, db) by the literal loop: one application of the round maps per round."""
+    step_a, step_b, dstep_b = ecc._round_maps(params, code, params.omega)
+    dim = step_a.shape[0]
+    a = np.zeros(dim)
+    a[0] = a[dim - 1] = 0.5
+    b, db = a.astype(complex), np.zeros(dim, dtype=complex)
+    for _ in range(params.rounds):
+        a = step_a @ a
+        b, db = step_b @ b, step_b @ db + dstep_b @ b
+    return a, b, db
+
+
+@pytest.mark.parametrize("code", ["none", "parity", "bitflip"])
+def test_powered_propagation_matches_per_round_loop(code):
+    rng = np.random.default_rng(1401)
+    parity = code == "parity"
+    for n in (1, 3, 5):
+        dim = 2 ** (n + 1 if parity else n)
+        for rounds in (1, dim - 1, dim, dim + 1, 2 * dim + 3, 3 * dim):
+            tau = float(rng.uniform(0.01, 0.1))
+            params = ecc.EccParams(n=n, omega=float(rng.uniform(0.5, 2.0)),
+                                   gamma=float(rng.uniform(0.0, 0.2)), tau=tau, t=rounds * tau,
+                                   xi=float(rng.uniform(0.0, 0.3)) * parity,
+                                   p=float(rng.uniform(0.0, 0.05)) * parity)
+            got = ecc.propagate_amplitudes(params, code, params.omega)
+            for vec, ref in zip((got.a_vec, got.b_vec, got.db_vec), _per_round(params, code)):
+                scale = np.max(np.abs(ref))
+                assert scale > 1e-250
+                if rounds < dim:
+                    assert np.array_equal(vec, ref)
+                else:
+                    assert np.max(np.abs(vec - ref)) <= 1e-10 * scale
+
+
+def test_oracle_at_many_rounds_matches_bitflip_closed_form():
+    # 1e5 rounds at n = 7: the per-round loop needs seconds for this point.
+    params = ecc.EccParams(n=7, omega=1.0, gamma=0.05, tau=1e-8, t=1e-3)
+    np.testing.assert_allclose(ecc.amplitude_oracle(params, "bitflip")[1],
+                               ecc.qfi_bitflip(params), rtol=1e-9)
 
 
 @given(st.sampled_from([3, 5, 7, 25]),
