@@ -115,19 +115,6 @@ def _bundled_star(n: int, k: int) -> graphs.Graph:
     return graphs.bundle(graphs.star(k), [n // k] * k)
 
 
-def _statevector_qfi_x(g: graphs.Graph) -> float:
-    """Pure-state QFI 4 Var(sum_i X_i / 2) on the dense graph state.
-
-    Independent of the neighborhood partition behind graphs.qfi_x: X_i acts
-    by flipping axis i of the [2]*n amplitude tensor, so this costs
-    O(n 2^n) and reaches the paper's 20-vertex sizes.
-    """
-    psi = graphs.graph_state(g).reshape([2] * g.n)
-    sx = sum(np.flip(psi, axis=q) for q in range(g.n))
-    mean = np.vdot(psi, sx).real
-    return float(np.vdot(sx, sx).real - mean ** 2)
-
-
 @_register("graph-closed-forms", quick=True)
 def _check_graph_closed_forms() -> tuple[bool, str]:
     bias = 1 if os.environ.get("QMET_VERIFY_PERTURB") else 0
@@ -145,7 +132,7 @@ def _check_graph_closed_forms() -> tuple[bool, str]:
     paper = [(12, 3), (12, 4), (20, 5)]
     small = [(n, k) for n in range(2, 9) for k in range(2, n + 1) if n % k == 0]
     vals = []
-    sv_delta = delta = 0.0
+    delta = 0.0
     for n, k in paper + small:
         g = _bundled_star(n, k)
         got = graphs.qfi_x(g)
@@ -154,15 +141,11 @@ def _check_graph_closed_forms() -> tuple[bool, str]:
             return False, "bundled star (%d,%d): qfi %d != %d" % (n, k, got, want)
         if (n, k) in paper:
             vals.append(got)
-            sv_delta = max(sv_delta, abs(got - _statevector_qfi_x(g)))
-        else:
-            delta = max(delta, abs(got - graphs.oracle_graph_qfi(g)))
-        if max(sv_delta, delta) > 1e-6:
-            return False, ("bundled star (%d,%d): statevector delta %.3e, "
-                           "oracle delta %.3e" % (n, k, sv_delta, delta))
-    return True, ("stars n=3..8 exact; bundled stars %d/%d/%d, statevector "
-                  "delta %.1e; oracle delta %.1e at %d sizes n<=8"
-                  % (*vals, sv_delta, delta, len(small)))
+        delta = max(delta, abs(got - graphs.oracle_graph_qfi(g)))
+        if delta > 1e-6:
+            return False, "bundled star (%d,%d): oracle delta %.3e" % (n, k, delta)
+    return True, ("stars n=3..8 exact; bundled stars %d/%d/%d; oracle delta "
+                  "%.1e at %d sizes n<=20" % (*vals, delta, len(paper + small)))
 
 
 @_register("graph-oracle-quick", quick=True)
@@ -208,6 +191,10 @@ def _check_graph_oracle_exhaustive() -> tuple[bool, str]:
         pool.extend(connected_graphs_upto_iso(n))
     pool.extend(seeded_connected_graphs(6, 20, seed=601))
     worst_x = worst_d = worst_e = 0.0
+    for n in range(9, 15):  # noiseless only: statevector sizes past the dense cap
+        for g in seeded_connected_graphs(n, 5, seed=900 + n):
+            for enc, want in (("x", graphs.qfi_x(g)), ("y", graphs.qfi_y(g)), ("z", n)):
+                worst_x = max(worst_x, abs(want - graphs.oracle_graph_qfi(g, enc)) / want)
     for g in pool:
         got = graphs.qfi_x(g)
         ref = graphs.oracle_graph_qfi(g)
@@ -223,8 +210,8 @@ def _check_graph_oracle_exhaustive() -> tuple[bool, str]:
             ref = graphs.oracle_graph_qfi(g, noise=("erasure", pat))
             worst_e = max(worst_e, abs(got - ref) / max(1.0, abs(ref)))
     ok = worst_x <= 1e-6 and worst_d <= 1e-8 and worst_e <= 1e-8
-    return ok, ("%d graphs; worst rel noiseless %.1e, dephasing %.1e, "
-                "erasure %.1e" % (len(pool), worst_x, worst_d, worst_e))
+    return ok, ("%d graphs n<=6, 30 at n=9..14 (x/y/z); worst rel noiseless %.1e, "
+                "dephasing %.1e, erasure %.1e" % (len(pool), worst_x, worst_d, worst_e))
 
 
 @_register("graph-z-encoding", quick=True)

@@ -86,6 +86,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
         noise = ("erasure", _parse_vertex_list(args.erase, g.n))
     if (noise is not None or args.mean_erase is not None) and enc != "x":
         raise CliError(EXIT_USAGE, "noise models are defined for the x encoding")
+    if args.mean_erase is not None and not 0 <= args.mean_erase <= g.n:
+        raise CliError(EXIT_DOMAIN, "erasure count %d out of range" % args.mean_erase)
     closed = None
     closed_err = None
     try:
@@ -407,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "computed as sum_l u_l^2 over classes of vertices sharing "
                     "a neighborhood, with closed-form dephasing (sum_l f_l g_l) "
                     "and erasure (light-cone) reductions, against an optional "
-                    "dense density-matrix oracle.")
+                    "exact-derivative oracle (statevector, or dense rho under noise).")
     pg.add_argument("--edges", required=True, help="edge-list file: first line n, then 'u v' lines")
     pg.add_argument("--encoding", choices=("x", "y"), default="x")
     noise = pg.add_mutually_exclusive_group()
@@ -418,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     noise.add_argument("--mean-erase", type=int, metavar="E",
                        help="average QFI over all erasure patterns of size E")
     pg.add_argument("--oracle", action="store_true",
-                    help="also run the dense oracle and report the delta")
+                    help="also run the exact-derivative oracle and report the delta")
     pg.add_argument("--yz-stabilizer", action="store_true",
                     help="report a stabilizer with no X factor, if one exists")
     pg.set_defaults(fn=cmd_graph)

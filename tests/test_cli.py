@@ -1,5 +1,7 @@
 """CLI tests: exit codes, printed values, file outputs, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -83,6 +85,57 @@ def test_graph_isolated_vertex(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "qfi=2"
     assert "note=" in out
+
+
+@pytest.mark.parametrize("e", [5, -1])
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+def test_graph_mean_erase_out_of_range(tmp_path, capsys, e, oracle):
+    path = tmp_path / "p3.edges"
+    path.write_text("3\n0 1\n1 2\n")
+    assert run_cli(["graph", "--edges", str(path), "--mean-erase", str(e), *oracle]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: erasure count %d out of range\n" % e
+
+
+def test_graph_oracle_reaches_twenty_vertices_without_noise(tmp_path, capsys):
+    # bundled star (20, 5): hub bundle of 4 plus 16 merged leaf clones
+    path = tmp_path / "b20.edges"
+    path.write_text("20\n" + "".join("%d %d\n" % (h, l) for h in range(4)
+                                     for l in range(4, 20)))
+    assert run_cli(["graph", "--edges", str(path), "--oracle"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "qfi=272" and "oracle=272" in out
+    assert run_cli(["graph", "--edges", str(path), "--oracle", "--dephasing", "0.1"]) == 3
+    assert "capped at 8" in capsys.readouterr().err
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_graph_random_inputs_exit_cleanly(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    path = tmp_path_factory.getbasetemp() / "random.edges"
+    path.write_text("%d\n" % n + "".join("%d %d\n" % e for e in edges))
+    args = ["graph", "--edges", str(path)]
+    if data.draw(st.booleans()):
+        args += ["--encoding", "y"]
+    noise = data.draw(st.sampled_from(["none", "dephasing", "erase", "mean-erase"]))
+    if noise == "dephasing":
+        args.append("--dephasing=%r" % data.draw(st.floats(-0.5, 1.5)))
+    elif noise == "erase":
+        verts = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        args += ["--erase", ",".join(map(str, verts))]
+    elif noise == "mean-erase":
+        args.append("--mean-erase=%d" % data.draw(st.integers(-1, n + 2)))
+    args += [flag for flag in ("--oracle", "--yz-stabilizer") if data.draw(st.booleans())]
+    out = io.StringIO()
+    # In process: any exception other than the CLI's own errors fails the test.
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = run_cli(args)
+    assert rc in (0, 2, 3)
+    assert "nan" not in out.getvalue()
 
 
 def test_graph_missing_file(tmp_path, capsys):
@@ -445,6 +498,21 @@ def test_ecc_oracle_at_large_round_counts_exits_0_or_3(tmp_path_factory, code, n
         header, row = out_path.read_text().splitlines()
         cols = dict(zip(header.split(","), map(float, row.split(","))))
         assert np.isfinite(cols["qfi"]) and np.isfinite(cols["qfi_oracle"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["none", "parity", "bitflip"]), st.floats(3.0, 300.0), st.booleans())
+def test_ecc_large_finite_omega_exits_0_or_3(tmp_path_factory, code, log_omega, oracle):
+    out_path = tmp_path_factory.getbasetemp() / "large_omega.csv"
+    out_path.unlink(missing_ok=True)
+    noise = ["--xi", "0.05", "--p", "0.02"] if code == "parity" else []
+    rc = run_cli(["ecc", "--code", code, "--n", "3", "--omega", repr(10.0 ** log_omega),
+                  "--gamma", "0.2", "--tau", "0.1", "--t", "0.5", *noise,
+                  *(["--oracle"] if oracle else []), "--out", str(out_path)])
+    assert rc in (0, 3)
+    if rc == 0:
+        header, row = out_path.read_text().splitlines()
+        assert all(np.isfinite(float(v)) for v in row.split(","))
 
 
 def test_unknown_subcommand():

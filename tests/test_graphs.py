@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qmet import graphs, pauli
+from qmet import checks, dense, graphs, pauli
 
 
 def test_parse_and_format_roundtrip():
@@ -180,3 +180,85 @@ def test_graph_state_matches_per_edge_sign_product(n):
         both = ((idx >> (n - 1 - u)) & 1) & ((idx >> (n - 1 - v)) & 1)
         want = want * np.where(both, -1.0, 1.0)
     assert np.array_equal(graphs.graph_state(g), want)
+
+
+@pytest.mark.parametrize("g, theta", [(graphs.star(5), 0.3), (graphs.star(3), -0.7)])
+def test_measurement_variance_has_no_step_bias(g, theta):
+    # reference: Kronecker-built rotation, central difference with a tiny step
+    s_mat = graphs.find_yz_stabilizer(g).to_matrix()
+    psi0 = graphs.graph_state(g)
+
+    def expval(th):
+        u1 = np.cos(th / 2) * dense.ID2 - 1j * np.sin(th / 2) * dense.SX
+        psi = dense.kron_all([u1] * g.n) @ psi0
+        return np.vdot(psi, s_mat @ psi).real
+
+    h = 1e-6
+    slope = (expval(theta + h) - expval(theta - h)) / (2 * h)
+    want = (1.0 - expval(theta) ** 2) / slope ** 2
+    np.testing.assert_allclose(graphs.measurement_variance(g, theta), want, rtol=1e-7)
+
+
+def _fd_oracle(g, enc, noise):
+    """The finite-difference oracle: Kronecker-built U(theta) fed to qfi_spectral."""
+    rho = dense.pure(graphs.graph_state(g))
+    if noise is not None:
+        p, qubits = ((noise[1], range(g.n)) if noise[0] == "dephasing"
+                     else (0.5, graphs.light_cone(g, noise[1]).light_cone))
+        for q in qubits:
+            z_q = dense.kron_all([dense.SZ if k == q else dense.ID2 for k in range(g.n)])
+            rho = (1 - p) * rho + p * z_q @ rho @ z_q
+    pauli_1q = {"x": dense.SX, "y": dense.SY, "z": dense.SZ}[enc]
+
+    def fam(theta):
+        u = dense.kron_all([np.cos(theta / 2) * dense.ID2
+                            - 1j * np.sin(theta / 2) * pauli_1q] * g.n)
+        return u @ rho @ u.conj().T
+
+    return dense.qfi_spectral(fam, 0.0)
+
+
+_FD_GRAPHS = [graphs.star(4), graphs.cycle(5), graphs.path(3), graphs.complete(4),
+              graphs.Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4), (2, 4)])]
+
+
+@pytest.mark.parametrize("enc", ["x", "y", "z"])
+@pytest.mark.parametrize("noise", [None, ("dephasing", 0.1), ("erasure", (0,))])
+def test_oracle_matches_finite_difference_reference(enc, noise):
+    for g in _FD_GRAPHS:
+        np.testing.assert_allclose(graphs.oracle_graph_qfi(g, enc, noise),
+                                   _fd_oracle(g, enc, noise), rtol=1e-7, atol=1e-9)
+
+
+@pytest.mark.parametrize("enc", ["x", "y", "z"])
+def test_oracle_dense_branch_agrees_with_statevector(enc):
+    for n in range(2, 7):
+        for g in checks.seeded_connected_graphs(n, 3, seed=70 + n):
+            np.testing.assert_allclose(graphs.oracle_graph_qfi(g, enc, ("dephasing", 0.0)),
+                                       graphs.oracle_graph_qfi(g, enc), rtol=0, atol=1e-12)
+
+
+def test_graph_oracles_build_no_kronecker_family(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("graph oracle reached a Kronecker or finite-difference path")
+
+    for name in ("kron_all", "qfi_spectral", "qfi_pure", "_central_diff"):
+        monkeypatch.setattr(dense, name, forbidden)
+    g = graphs.star(4)
+    assert graphs.oracle_graph_qfi(g) == pytest.approx(10.0, rel=1e-12)
+    assert graphs.oracle_graph_qfi(g, "y", ("dephasing", 0.1)) > 0
+    assert graphs.oracle_graph_qfi(g, noise=("erasure", (1,))) == pytest.approx(
+        graphs.qfi_erasure(g, (1,)), abs=1e-12)
+    assert graphs.measurement_variance(g, 1e-3) == pytest.approx(0.1, rel=1e-5)
+
+
+@pytest.mark.parametrize("g, noise", [(graphs.path(21), None),
+                                      (graphs.path(9), ("dephasing", 0.1)),
+                                      (graphs.path(9), ("erasure", (0,)))])
+def test_oracle_caps_checked_before_building(monkeypatch, g, noise):
+    def forbidden(_):
+        raise AssertionError("graph_state built past the oracle cap")
+
+    monkeypatch.setattr(graphs, "graph_state", forbidden)
+    with pytest.raises(ValueError, match="capped"):
+        graphs.oracle_graph_qfi(g, noise=noise)
