@@ -495,9 +495,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_negative_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return text.startswith("-")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a value like -1e-3 as an option of its own (it knows only
+    # -1 and -.5 as negative numbers), so "--flag -1e-3" is passed as "--flag=-1e-3".
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1].startswith("--") and "=" not in argv[i - 1] \
+                and _is_negative_number(argv[i]):
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except CliError as exc:

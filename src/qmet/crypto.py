@@ -35,8 +35,6 @@ from .pauli import (
     _conjugation_sum,
     all_paulis,
     channel_pauli_coeffs,
-    clifford_to_matrix,
-    clifford_unitaries,
     enumerate_clifford,
     paulis_on_support,
     random_clifford,
@@ -236,6 +234,7 @@ def parse_attack(text: str) -> AttackSpec:
 
 # A single-qubit Pauli axis is coded x + 2 z: 0 = I, 1 = X, 2 = Z, 3 = Y, so that
 # the axis of a product is the XOR of the codes.
+_PAULI_BY_CODE = np.array([PAULI_1Q[a] for a in "IXZY"])
 
 
 def _axis_codes(p: PauliString) -> np.ndarray:
@@ -249,13 +248,16 @@ def _local_key_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     decrypt[i, a] is the axis code of C_i^dag P C_i for P of axis code a;
     C_i P C_i^dag = image_sign[i, b] * (Pauli of axis code image_axis[i, b])
-    for P = X (b = 0) and P = Z (b = 1).  A trap key is a flag placement
-    plus one index i per register slot; the unitary of C_i is
-    clifford_unitaries(1)[i].
+    for P = X (b = 0) and P = Z (b = 1), read off the coefficients
+    Tr(Q C_i P C_i^dag) / 2 over the Paulis Q.  A trap key is a flag
+    placement plus one index i per register slot.
     """
-    images = [(c.x_images[0], c.z_images[0]) for c in enumerate_clifford(1)]
-    image_axis = np.array([[g.x + 2 * g.z for g in pair] for pair in images])
-    image_sign = np.array([[g.sign() for g in pair] for pair in images])
+    us = enumerate_clifford(1)
+    images = us[:, None] @ _PAULI_BY_CODE[[1, 2]] @ us.conj().swapaxes(1, 2)[:, None]
+    coeffs = np.einsum("ibcd,adc->iba", images, _PAULI_BY_CODE).real / 2
+    # Each image is a signed Pauli: one coefficient is +-1, the others 0.
+    image_axis = np.abs(coeffs).argmax(axis=2)
+    image_sign = np.rint(coeffs.sum(axis=2)).astype(int)
     forward = np.column_stack([np.zeros(len(images), dtype=int), image_axis[:, 0],
                                image_axis[:, 1], image_axis[:, 0] ^ image_axis[:, 1]])
     decrypt = np.argsort(forward, axis=1)
@@ -659,7 +661,7 @@ def _sample_keys(protocol, n, t, attacks, psi, encode, trials, seed):
         raise ValueError("sampled %s code capped at m = %d qubits, got m = %d"
                          % ("trap" if protocol == "trap" else "Clifford", _DENSE_QUBIT_CAP, m))
     channels = [_channel(attack, m) for attack in attacks]
-    units = clifford_unitaries(1)
+    units = enumerate_clifford(1)
 
     def trap_key(local):
         pairs = [[(u, u.conj().T)] for u in units[local]]
@@ -676,7 +678,7 @@ def _sample_keys(protocol, n, t, attacks, psi, encode, trials, seed):
             keys = [trap_key(local) for local in locals_]
         else:
             flags = tuple(range(n, m))
-            keys = [clifford_key(clifford_to_matrix(random_clifford(m, rng))) for _ in channels]
+            keys = [clifford_key(random_clifford(m, rng)) for _ in channels]
         uses = [_keyed_use(key, channel) for key, channel in zip(keys, channels)]
         return _round(psi, flags, uses, encode)
 
@@ -789,7 +791,7 @@ def worst_fixed_pauli(protocol: str, n: int, t: int) -> tuple[float, PauliString
 @lru_cache(maxsize=1)
 def _local_twirl_map() -> np.ndarray:
     """[a, b, c, d, a', b', c', d'] = mean_u conj(u)[a', a] u[b', b] u[c', c] conj(u)[d', d]."""
-    u = clifford_unitaries(1)
+    u = enumerate_clifford(1)
     out = np.einsum("upa,uqb,urc,usd->abcdpqrs", u.conj(), u, u, u.conj()) / len(u)
     out.flags.writeable = False
     return out
@@ -803,7 +805,7 @@ def _twirl(rho: np.ndarray, kraus: list[np.ndarray], protocol: str) -> np.ndarra
     """
     m = rho.shape[0].bit_length() - 1
     if protocol == "clifford":
-        group = clifford_unitaries(m)
+        group = enumerate_clifford(m)
         return sum(_conjugation_sum(group, k, k.conj().T, rho) for k in kraus) / len(group)
     s = sum(kron_all([k, k.conj()]) for k in kraus).reshape([2] * (4 * m))
     for q in range(m):
@@ -815,7 +817,7 @@ def _twirl(rho: np.ndarray, kraus: list[np.ndarray], protocol: str) -> np.ndarra
 
 def _local_key_chunks(m: int):
     """Every trap key layer U_1 x ... x U_m (24^m), in stacks of at most _STACK_CHUNK."""
-    units = clifford_unitaries(1)
+    units = enumerate_clifford(1)
     choices = np.array(list(itertools.product(range(len(units)), repeat=m)))
     for rows in np.array_split(choices, -(-len(choices) // _STACK_CHUNK)):
         keys = units[rows[:, 0]]
@@ -947,7 +949,7 @@ def privacy_deviation(protocol: str, n: int, t: int, *,
         if m > 3:
             raise ValueError("trap privacy enumeration capped at m = 3")
         # Every local-Clifford key U = U_1 x ... x U_m, summed one qubit at a time.
-        pairs = [[(u, u.conj().T) for u in clifford_unitaries(1)]] * m
+        pairs = [[(u, u.conj().T) for u in enumerate_clifford(1)]] * m
         total = np.zeros((1 << m, 1 << m), dtype=complex)
         count = 0
         for flags in itertools.combinations(range(m), t):
@@ -960,7 +962,7 @@ def privacy_deviation(protocol: str, n: int, t: int, *,
             raise ValueError("Clifford privacy enumeration capped at m = 2")
         vec = _with_flags(psi, t)
         rho = np.outer(vec, vec.conj())
-        group = clifford_unitaries(m)
+        group = enumerate_clifford(m)
         avg = np.einsum("uab,bc,udc->ad", group, rho, group.conj()) / len(group)
     else:
         raise ValueError("unknown protocol %r" % protocol)
@@ -1090,7 +1092,7 @@ def end_to_end_demo(n: int, t: int, nu: int, attack: AttackSpec,
     # meas[i, b, a]: the key C_i, then the attack axis a, then the eigenbasis
     # of C_i P C_i^dag for P = X (b = 0, data slots) or Z (b = 1, flags).
     meas = (_EIGENBASES[image_axis].conj().swapaxes(-1, -2)[:, :, None]
-            @ np.array([PAULI_1Q[a] for a in "IXZY"]) @ clifford_unitaries(1)[:, None, None])
+            @ _PAULI_BY_CODE @ enumerate_clifford(1)[:, None, None])
     placements = list(itertools.combinations(range(m), t))
     slot = {flags: i for i, flags in enumerate(placements)}
     starts = np.array([_embed_with_flags(psi_theta, flags, m) for flags in placements])

@@ -1,10 +1,10 @@
-"""Bit-packed Pauli strings, Clifford tableaux, and twirl verification.
+"""Bit-packed Pauli strings, Clifford unitaries, and twirl verification.
 
 Pauli strings are stored as a pair of bit masks (x, z) plus a power of i,
 with the operator convention phase * prod_j X_j^{x_j} Z_j^{z_j} and qubit 0
 on the leftmost character of a literal like ``-XIZ``.  Clifford elements are
-tableaux: signed Pauli images of each X_j and Z_j, with global phase
-quotiented away.
+dense 2^m x 2^m unitaries, with global phase fixed by a gauge: the first
+nonzero entry is real and positive.
 """
 
 from __future__ import annotations
@@ -21,17 +21,15 @@ import numpy as np
 from .dense import ID2, PAULI_1Q, kron_all, local_product_sum  # noqa: F401
 
 __all__ = [
-    "PauliString", "CliffordElement", "PauliChannel",
+    "PauliString", "PauliChannel",
     "pauli_mul", "commutes",
-    "clifford_apply", "clifford_compose", "clifford_tensor", "clifford_identity",
-    "enumerate_clifford", "random_clifford", "clifford_to_matrix",
-    "clifford_unitaries",
+    "enumerate_clifford", "random_clifford",
     "verify_twirl", "channel_pauli_coeffs",
     "all_paulis", "paulis_on_support",
 ]
 
 _PHASES = {0: 1.0 + 0j, 1: 1j, 2: -1.0 + 0j, 3: -1j}
-# Widest register clifford_to_matrix builds a dense 2^m x 2^m unitary for.
+# Widest register random_clifford builds a dense 2^m x 2^m unitary for.
 _CLIFFORD_MATRIX_CAP = 7
 
 
@@ -218,68 +216,6 @@ def paulis_on_support(n: int, support: int) -> Iterator[PauliString]:
         yield PauliString(n, x, z, n_y)
 
 
-@dataclass(frozen=True)
-class CliffordElement:
-    """Tableau: signed Pauli images of the generators X_j and Z_j."""
-
-    n: int
-    x_images: tuple[PauliString, ...]
-    z_images: tuple[PauliString, ...]
-
-    def __post_init__(self):
-        if len(self.x_images) != self.n or len(self.z_images) != self.n:
-            raise ValueError("tableau needs one image per generator")
-        for img in (*self.x_images, *self.z_images):
-            if img.n != self.n:
-                raise ValueError("image qubit count mismatch")
-            if not img.is_hermitian():
-                raise ValueError("tableau image signs must be +1 or -1")
-
-    def key(self) -> tuple:
-        return tuple((g.x, g.z, g.k) for g in (*self.x_images, *self.z_images))
-
-
-def clifford_identity(n: int) -> CliffordElement:
-    xs = tuple(PauliString(n, 1 << j, 0, 0) for j in range(n))
-    zs = tuple(PauliString(n, 0, 1 << j, 0) for j in range(n))
-    return CliffordElement(n, xs, zs)
-
-
-def clifford_apply(c: CliffordElement, p: PauliString) -> PauliString:
-    """Conjugation C P C^dag via the tableau."""
-    if c.n != p.n:
-        raise ValueError("dimension mismatch: %d vs %d qubits" % (c.n, p.n))
-    acc = PauliString(p.n, 0, 0, p.k)
-    for j in range(p.n):
-        if (p.x >> j) & 1:
-            acc = pauli_mul(acc, c.x_images[j])
-        if (p.z >> j) & 1:
-            acc = pauli_mul(acc, c.z_images[j])
-    return acc
-
-
-def clifford_compose(first: CliffordElement, second: CliffordElement) -> CliffordElement:
-    """Tableau of (second . first): apply ``first``, then ``second``."""
-    xs = tuple(clifford_apply(second, g) for g in first.x_images)
-    zs = tuple(clifford_apply(second, g) for g in first.z_images)
-    return CliffordElement(first.n, xs, zs)
-
-
-def clifford_tensor(a: CliffordElement, b: CliffordElement) -> CliffordElement:
-    """Tensor product tableau, a on the low qubits, b appended after."""
-    n = a.n + b.n
-
-    def lift_a(p: PauliString) -> PauliString:
-        return PauliString(n, p.x, p.z, p.k)
-
-    def lift_b(p: PauliString) -> PauliString:
-        return PauliString(n, p.x << a.n, p.z << a.n, p.k)
-
-    xs = tuple(lift_a(g) for g in a.x_images) + tuple(lift_b(g) for g in b.x_images)
-    zs = tuple(lift_a(g) for g in a.z_images) + tuple(lift_b(g) for g in b.z_images)
-    return CliffordElement(n, xs, zs)
-
-
 def _symp_product(a: int, b: int, m: int) -> int:
     """Symplectic inner product of (x|z) packed vectors of length 2m."""
     mask = (1 << m) - 1
@@ -309,14 +245,8 @@ def _complement_basis(pairs: list[tuple[int, int]], m: int) -> list[int]:
     return basis
 
 
-def _vec_to_pauli(vec: int, m: int, sign_bit: int) -> PauliString:
-    mask = (1 << m) - 1
-    x, z = vec & mask, vec >> m
-    return PauliString(m, x, z, ((x & z).bit_count() + 2 * sign_bit) % 4)
-
-
-def random_clifford(m: int, rng: np.random.Generator) -> CliffordElement:
-    """Uniformly random Clifford tableau on m qubits.
+def random_clifford(m: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniformly random m-qubit Clifford unitary (m <= 7), in the fixed phase gauge.
 
     Row-by-row anticommuting-pair construction: the image of X_j is drawn
     uniformly from the nonzero vectors of the symplectic complement of the
@@ -324,9 +254,16 @@ def random_clifford(m: int, rng: np.random.Generator) -> CliffordElement:
     with unit symplectic product against it.  Every partial choice extends
     to the same number of group elements, so the draw is uniform without
     rejection.  Signs are independent fair bits.
+
+    The unitary is rebuilt from the signed images: its first column is the
+    joint +1 eigenvector of the images of all Z_j, and column b is
+    prod_j (image of X_j)^{b_j} applied to it.  The global phase is fixed by
+    making the first nonzero entry real and positive.  Both steps use the
+    Pauli action on basis states, O(4^m) in all.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
+    if not 1 <= m <= _CLIFFORD_MATRIX_CAP:
+        raise ValueError("random Clifford unitaries need 1 <= m <= %d qubits, got m = %d"
+                         % (_CLIFFORD_MATRIX_CAP, m))
     pairs: list[tuple[int, int]] = []
     for _ in range(m):
         comp = _complement_basis(pairs, m)
@@ -348,9 +285,34 @@ def random_clifford(m: int, rng: np.random.Generator) -> CliffordElement:
                     w ^= bvec
         pairs.append((v, w))
     sign_bits = rng.integers(0, 2, size=2 * m)
-    xs = tuple(_vec_to_pauli(v, m, int(sign_bits[j])) for j, (v, w) in enumerate(pairs))
-    zs = tuple(_vec_to_pauli(w, m, int(sign_bits[m + j])) for j, (v, w) in enumerate(pairs))
-    return CliffordElement(m, xs, zs)
+    dim = 1 << m
+    rev = _basis_tables(m)[2]
+    # Images of X_0..X_{m-1}, then of Z_0..Z_{m-1}, as (x, z, k) index masks (see
+    # _basis_tables): Hermitian strings on the drawn axes, negated by their sign bits.
+    images = []
+    for vec, bit in zip([v for v, _ in pairs] + [w for _, w in pairs], sign_bits):
+        x, z = vec & (dim - 1), vec >> m
+        images.append((rev[x], rev[z], ((x & z).bit_count() + 2 * int(bit)) % 4))
+    # The stabilizer projector is 2^-m times the sum over the group the Z
+    # images generate.  Its first nonzero column is the first basis state t
+    # that every diagonal group element fixes with eigenvalue +1; the column
+    # is normalized below, so the factor 2^-m is left out.
+    group = _subset_products(images[m:])
+    diagonal = [(z, k) for x, z, k in group if x == 0]
+    t = next(t for t in range(dim)
+             if all((k + 2 * (t & z).bit_count()) % 4 == 0 for z, k in diagonal))
+    col = np.zeros(dim, dtype=complex)
+    for x, z, k in group:
+        col[t ^ x] += _PHASES[(k + 2 * (t & z).bit_count()) % 4]
+    col /= np.linalg.norm(col)
+    # Qubit j is index bit m-1-j, so column b takes the X images in reverse order.
+    xs, zs, ks = np.array(_subset_products(reversed(images[:m]))).T
+    perm, factor = _pauli_action(m, xs, zs, ks)
+    u = factor * col[perm]
+    flat = u.reshape(-1)
+    first = flat[np.argmax(np.abs(flat) > 1e-9)]
+    u *= first.conjugate() / abs(first)
+    return u
 
 
 def _subset_products(gens) -> list[tuple[int, int, int]]:
@@ -365,54 +327,12 @@ def _subset_products(gens) -> list[tuple[int, int, int]]:
     return out
 
 
-def clifford_to_matrix(c: CliffordElement) -> np.ndarray:
-    """Dense unitary realizing the tableau, unique up to the fixed phase gauge.
-
-    The first column is the joint +1 eigenvector of the images of all Z_j;
-    column b is then prod_j (image of X_j)^{b_j} applied to it.  The global
-    phase is fixed by making the first nonzero entry real and positive.
-    Both steps use the Pauli action on basis states, O(4^m) in all.
-    """
-    if c.n > _CLIFFORD_MATRIX_CAP:
-        raise ValueError("dense Clifford reconstruction capped at m = %d qubits, got m = %d"
-                         % (_CLIFFORD_MATRIX_CAP, c.n))
-    m = c.n
-    dim = 1 << m
-    rev = _basis_tables(m)[2]
-
-    def index_masks(images):
-        return [(rev[g.x], rev[g.z], g.k) for g in images]
-
-    # The stabilizer projector is 2^-m times the sum over the group the Z
-    # images generate.  Its first nonzero column is the first basis state t
-    # that every diagonal group element fixes with eigenvalue +1; the column
-    # is normalized below, so the factor 2^-m is left out.
-    group = _subset_products(index_masks(c.z_images))
-    diagonal = [(z, k) for x, z, k in group if x == 0]
-    t = next((t for t in range(dim)
-              if all((k + 2 * (t & z).bit_count()) % 4 == 0 for z, k in diagonal)), None)
-    if t is None:
-        raise ArithmeticError("stabilizer projector vanished; tableau inconsistent")
-    col = np.zeros(dim, dtype=complex)
-    for x, z, k in group:
-        col[t ^ x] += _PHASES[(k + 2 * (t & z).bit_count()) % 4]
-    col /= np.linalg.norm(col)
-    # Qubit j is index bit m-1-j, so column b takes the images in reverse order.
-    xs, zs, ks = np.array(_subset_products(index_masks(reversed(c.x_images)))).T
-    perm, factor = _pauli_action(m, xs, zs, ks)
-    u = factor * col[perm]
-    flat = u.reshape(-1)
-    first = flat[np.argmax(np.abs(flat) > 1e-9)]
-    u *= first.conjugate() / abs(first)
-    return u
-
-
 # Most unitaries a stack sum multiplies at once (128 KiB per two-qubit temporary).
 _STACK_CHUNK = 512
 
 
 @lru_cache(maxsize=2)
-def clifford_unitaries(m: int) -> np.ndarray:
+def enumerate_clifford(m: int) -> np.ndarray:
     """Every m-qubit Clifford unitary modulo phase (m <= 2), as one read-only stack.
 
     C_1 is the 4 Paulis times the 6 permutations of the axes X, Y, Z (I, SH
@@ -420,11 +340,11 @@ def clifford_unitaries(m: int) -> np.ndarray:
     CNOT (A x B), iSWAP (A x B)}, with A and B the three axis cycles
     (Corcoles et al., PRA 87, 030301, 2013): 576 * 20 = 11,520 matrices.
     Built one coset representative at a time; each matrix is put in the
-    phase gauge of ``clifford_to_matrix`` (first nonzero entry real and
+    phase gauge of ``random_clifford`` (first nonzero entry real and
     positive), and each real and imaginary part snapped to 0, +-1/2,
     +-1/sqrt(2) or +-1 (ArithmeticError if more than 1e-9 off), so entries
-    are exact and equal ``clifford_to_matrix``'s bit for bit.  Kept for the
-    process (2.9 MB at m = 2), in ``enumerate_clifford(m)`` order.
+    are exact and equal ``random_clifford``'s bit for bit.  Kept for the
+    process (2.9 MB at m = 2).
     """
     if not 1 <= m <= 2:
         raise ValueError("Clifford enumeration supports m = 1 or 2, got m=%d" % m)
@@ -435,13 +355,13 @@ def clifford_unitaries(m: int) -> np.ndarray:
         local = np.array(list(PAULI_1Q.values()))
         reps = [c @ h for h in (ID2, hadamard) for c in cycles]
     else:
-        one = clifford_unitaries(1)
+        one = enumerate_clifford(1)
         local = np.einsum("iab,jcd->ijacbd", one, one).reshape(-1, 4, 4)
         swap = np.eye(4)[[0, 2, 1, 3]]
         entanglers = (np.eye(4)[[0, 1, 3, 2]], np.diag([1, 1j, 1j, 1]) @ swap)  # CNOT, iSWAP
         reps = [np.eye(4), swap] + [g @ np.kron(a, b) for g in entanglers
                                     for a in cycles for b in cycles]
-    # |real| and |imag| of every gauged entry, spelled as clifford_to_matrix computes them.
+    # |real| and |imag| of every gauged entry, spelled as random_clifford computes them.
     levels = np.array([0.0, 0.5, 1 / np.sqrt(2), 1.0])
     parts = []
     for rep in reps:
@@ -456,42 +376,6 @@ def clifford_unitaries(m: int) -> np.ndarray:
     out = np.concatenate(parts).view(complex).reshape(-1, 1 << m, 1 << m)
     out.flags.writeable = False
     return out
-
-
-def _tableaux(us: np.ndarray) -> tuple[CliffordElement, ...]:
-    """Tableaux of a stack of Clifford unitaries, read off a chunk at a time.
-
-    Each image U G U^dag of G = X_j, Z_j must be a signed Pauli, or
-    ValueError.  The 2 * 4^m signed strings are shared between tableaux.
-    """
-    m = us.shape[1].bit_length() - 1
-    paulis = list(all_paulis(m))
-    signed = np.array([paulis, [PauliString(m, p.x, p.z, p.k + 2) for p in paulis]], dtype=object)
-    pmats = np.array([p.to_matrix() for p in paulis])
-    gens = pmats[[1 << (m + j) for j in range(m)] + [1 << j for j in range(m)]]  # X_j, Z_j
-    out = []
-    for start in range(0, len(us), _STACK_CHUNK):
-        u = us[start:start + _STACK_CHUNK]
-        images = u[:, None] @ gens @ u.conj().swapaxes(1, 2)[:, None]
-        # Tr(P V) / 2^m is the coefficient of the Hermitian Pauli P in V.
-        coeffs = np.einsum("ugad,pda->ugp", images, pmats).real / (1 << m)
-        best = np.abs(coeffs).argmax(axis=2)
-        sign = np.sign(np.take_along_axis(coeffs, best[..., None], axis=2))
-        if np.max(np.abs(images - sign[..., None] * pmats[best])) > 1e-9:
-            raise ValueError("not a Clifford unitary: a generator image is not a signed Pauli")
-        out += [CliffordElement(m, tuple(row[:m]), tuple(row[m:]))
-                for row in signed[(sign[..., 0] < 0).astype(int), best]]
-    return tuple(out)
-
-
-@lru_cache(maxsize=4)
-def enumerate_clifford(m: int) -> tuple[CliffordElement, ...]:
-    """All Clifford tableaux on m qubits (global phase quotiented), m <= 2.
-
-    Read off ``clifford_unitaries(m)`` in its order: 24 at m = 1 and 11,520
-    at m = 2, the group order 2^{m^2+2m} prod_j (4^j - 1).
-    """
-    return _tableaux(clifford_unitaries(m))
 
 
 # X^x Z^z on one qubit, phase-free, keyed by (x, z).
@@ -530,8 +414,8 @@ def _twirl_sum(kind: str, q: PauliString, qp: PauliString,
     if kind == "clifford":
         if m > 2:
             raise ValueError("full Clifford enumeration capped at m = 2")
-        return _conjugation_sum(clifford_unitaries(m), q.to_matrix(), qp.to_matrix(), rho)
-    units = {"pauli": list(PAULI_1Q.values()), "local_clifford": clifford_unitaries(1)}
+        return _conjugation_sum(enumerate_clifford(m), q.to_matrix(), qp.to_matrix(), rho)
+    units = {"pauli": list(PAULI_1Q.values()), "local_clifford": enumerate_clifford(1)}
     if kind not in units:
         raise ValueError("unknown twirl kind %r" % kind)
     if m > 3:

@@ -6,9 +6,11 @@ refers to it other than by its own definition, an ``__all__`` entry or a
 docstring: as a name, an attribute, an import, or a word inside a string
 (perfbench looks functions up by name).  A function registered through a
 decorator defined in its own module (``checks._register``) counts as used.
+Every ``__all__`` entry must name an attribute of its module.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -75,3 +77,13 @@ def test_every_public_name_has_a_user():
 
 def test_every_private_name_has_a_user():
     assert _unused(private=True) == []
+
+
+def test_every_all_entry_resolves():
+    # A stale __all__ entry breaks ``from qmet.<module> import *``.
+    stale = []
+    for path in sorted((ROOT / "src" / "qmet").glob("*.py")):
+        mod = importlib.import_module("qmet" if path.stem == "__init__" else "qmet." + path.stem)
+        stale += ["%s.%s" % (path.stem, name) for name in getattr(mod, "__all__", ())
+                  if not hasattr(mod, name)]
+    assert stale == []

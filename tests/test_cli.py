@@ -138,6 +138,28 @@ def test_graph_random_inputs_exit_cleanly(tmp_path_factory, data):
     assert "nan" not in out.getvalue()
 
 
+@pytest.mark.parametrize("args,flag,value,code", [
+    (["graph", "--edges", "STAR5"], "--dephasing", "-1e-05", 3),
+    (["ecc", "--code", "none", "--n", "3", "--gamma", "0.1", "--tau", "0.1", "--t", "1",
+      "--out", "OUT"], "--omega", "-1e-3", 0),
+], ids=["graph", "ecc"])
+def test_negative_exponent_value_after_a_space(star5, tmp_path, capsys, args, flag, value, code):
+    # argparse alone reads "-1e-3" as an option; both spellings must mean the same.
+    out_path = tmp_path / "o.csv"
+    args = [{"STAR5": star5, "OUT": str(out_path)}.get(a, a) for a in args]
+    results = []
+    for form in ([flag, value], [flag + "=" + value]):
+        try:
+            rc = run_cli(args + form)
+        except SystemExit as exc:
+            rc = exc.code
+        written = out_path.read_text() if out_path.exists() else None
+        out_path.unlink(missing_ok=True)
+        results.append((rc, capsys.readouterr(), written))
+    assert results[0] == results[1]
+    assert results[0][0] == code
+
+
 def test_graph_missing_file(tmp_path, capsys):
     rc = run_cli(["graph", "--edges", str(tmp_path / "nope.edges")])
     assert rc == 2

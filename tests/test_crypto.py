@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qmet import cli, crypto, pauli
-from qmet.dense import kron_all
+from qmet.dense import PAULI_1Q, kron_all
 
 
 def test_parse_attack_variants():
@@ -85,20 +85,18 @@ def test_depolarizing_identity_weight_in_closed_form():
                                rtol=1e-12)
 
 
-def test_local_key_tables_match_the_tableaux():
+def test_local_key_tables_match_conjugation():
     decrypt, image_axis, image_sign = crypto._local_key_tables()
-    axes = {"I": 0, "X": 1, "Z": 2, "Y": 3}
-    for i, c in enumerate(pauli.enumerate_clifford(1)):
-        for label, code in axes.items():
-            # C^dag P C has axis decrypt[i, code]: C maps that axis back onto P's.
-            back = [lab for lab, a in axes.items() if a == decrypt[i, code]][0]
-            image = pauli.clifford_apply(c, pauli.PauliString.from_label(back))
-            assert image.axes_key() == pauli.PauliString.from_label(label).axes_key()
-        for b, label in enumerate("XZ"):
-            image = pauli.clifford_apply(c, pauli.PauliString.from_label(label))
-            assert image_axis[i, b] == axes[image.label().lstrip("-")]
-            assert image_sign[i, b] == image.sign()
-        assert np.array_equal(pauli.clifford_unitaries(1)[i], pauli.clifford_to_matrix(c))
+    paulis = [PAULI_1Q[a] for a in "IXZY"]  # by axis code
+    for i, u in enumerate(pauli.enumerate_clifford(1)):
+        ud = u.conj().T
+        for code, p in enumerate(paulis):
+            # C^dag P C is the Pauli of axis decrypt[i, code], up to sign.
+            back = ud @ p @ u
+            assert min(np.abs(back - s * paulis[decrypt[i, code]]).max() for s in (1, -1)) < 1e-12
+        for b, p in enumerate(paulis[1:3]):
+            image = image_sign[i, b] * paulis[image_axis[i, b]]
+            assert np.abs(u @ p @ ud - image).max() < 1e-12
 
 
 def test_delegated_pads_against_bound():
@@ -242,8 +240,8 @@ def test_twirl_matches_literal_key_loop(attack):
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
     kraus = attack.kraus_ops(2)
-    local = (kron_all(list(c)) for c in itertools.product(pauli.clifford_unitaries(1), repeat=2))
-    for protocol, keys in (("trap", local), ("clifford", iter(pauli.clifford_unitaries(2)))):
+    local = (kron_all(list(c)) for c in itertools.product(pauli.enumerate_clifford(1), repeat=2))
+    for protocol, keys in (("trap", local), ("clifford", iter(pauli.enumerate_clifford(2)))):
         want = _literal_twirl(rho, kraus, keys)
         assert np.abs(crypto._twirl(rho, kraus, protocol) - want).max() <= 1e-12, protocol
 
@@ -267,7 +265,7 @@ def test_dense_matches_casework_at_three_qubits(n, t, attack, dense):
 def test_clifford_stack_sums_run_in_bounded_memory():
     # The 11,520-element stack is summed in chunks: a whole-stack product
     # would allocate several 2.9 MB temporaries.
-    pauli.clifford_unitaries(2)
+    pauli.enumerate_clifford(2)
     q, qp = pauli.PauliString.from_label("XI"), pauli.PauliString.from_label("ZY")
     rho = np.eye(4, dtype=complex) / 4
     attack = crypto.parse_attack("double:mix:0.6*II,0.4*XZ;pauli:YX")
@@ -322,11 +320,10 @@ def _apply_kraus(rho, kraus):
 
 
 def _reference_trap_keys(m, t, rng, uses=1):
-    """Flag slots, then per use the matrix of m tableaux picked by rng.integers(24, size=m)."""
+    """Flag slots, then per use the Kronecker product of rng.integers(24, size=m) Cliffords."""
     flags = tuple(sorted(int(v) for v in rng.choice(m, size=t, replace=False)))
     group = pauli.enumerate_clifford(1)
-    return flags, [kron_all([pauli.clifford_to_matrix(group[i]) for i in rng.integers(24, size=m)])
-                   for _ in range(uses)]
+    return flags, [kron_all(list(group[rng.integers(24, size=m)])) for _ in range(uses)]
 
 
 def _reference_trap_round_single(psi, t, flags, u_enc, attack):
@@ -369,8 +366,8 @@ def _reference_double_trial(protocol, n, t, kraus1, kraus2, psi, u_data, rng):
         flags, (u1, u2) = _reference_trap_keys(m, t, rng, uses=2)
     else:
         flags = tuple(range(n, m))
-        u1 = pauli.clifford_to_matrix(pauli.random_clifford(m, rng))
-        u2 = pauli.clifford_to_matrix(pauli.random_clifford(m, rng))
+        u1 = pauli.random_clifford(m, rng)
+        u2 = pauli.random_clifford(m, rng)
     vec = crypto._embed_with_flags(psi, flags, m)
     rho = np.outer(vec, vec.conj())
     rho = u1.conj().T @ _apply_kraus(u1 @ rho @ u1.conj().T, kraus1) @ u1
@@ -393,7 +390,7 @@ def _reference_trial(protocol, n, t, attacks, psi, encode, rng):
         p_acc, cond = _reference_trap_round_single(psi, t, flags, u_enc, attacks[0])
         rho_id = np.outer(psi, psi.conj())
         return p_acc, p_acc * (1.0 - float(np.real(np.trace(rho_id @ cond))))
-    u_enc = pauli.clifford_to_matrix(pauli.random_clifford(m, rng))
+    u_enc = pauli.random_clifford(m, rng)
     vec = np.kron(psi, np.eye(1 << t)[0])
     return _reference_clifford_round(psi, vec, t, u_enc, attacks[0].kraus_ops(m))
 
@@ -441,13 +438,12 @@ def test_sampled_pauli_mixture_trial_matches_reference_round(n, t):
 
 def test_sampled_trap_paths_build_no_tableau(monkeypatch):
     # Trap keys are indices into the single-qubit tables: no sampled trap
-    # report at m = 7 and no demo round draws or applies a tableau.
+    # report at m = 7 and no demo round draws an m-qubit Clifford.
     def refuse(*args, **kwargs):
-        raise AssertionError("tableau function called on a sampled trap path")
+        raise AssertionError("random_clifford called on a sampled trap path")
 
-    for name in ("random_clifford", "clifford_apply"):
-        monkeypatch.setattr(pauli, name, refuse)
-        monkeypatch.setattr(crypto, name, refuse, raising=False)
+    monkeypatch.setattr(pauli, "random_clifford", refuse)
+    monkeypatch.setattr(crypto, "random_clifford", refuse)
     for text in ("mix:0.9*IIIIIII,0.1*XZYXZYX", "depol:0.3"):
         report = json.loads(cli.crypto_json("trap1", 5, 2, text, trials=3, seed=7))
         assert report["mode"] == "sampled"

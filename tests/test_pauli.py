@@ -1,4 +1,4 @@
-"""Pauli/Clifford tableau tests against explicit matrices."""
+"""Pauli string and Clifford unitary tests against explicit matrices."""
 
 import itertools
 
@@ -58,26 +58,6 @@ def test_to_matrix_returns_fresh_arrays():
     assert np.array_equal(p.to_matrix(), _kron_reference(p))
 
 
-@pytest.mark.parametrize("m", [1, 2])
-def test_clifford_to_matrix_whole_group(m):
-    group = pauli.enumerate_clifford(m)
-    assert len(group) == {1: 24, 2: 11520}[m]
-    eye = np.eye(1 << m)
-    gens = [pauli.PauliString(m, 1 << j, 0) for j in range(m)] + \
-        [pauli.PauliString(m, 0, 1 << j) for j in range(m)]
-    us = pauli.clifford_unitaries(m)
-    assert np.array_equal(us, [pauli.clifford_to_matrix(c) for c in group])
-    assert not us.flags.writeable and pauli.clifford_unitaries(m) is us
-    assert np.abs(us @ us.conj().transpose(0, 2, 1) - eye).max() < 1e-12
-    for i, g in enumerate(gens):
-        got = us @ _kron_reference(g) @ us.conj().transpose(0, 2, 1)
-        want = np.array([_kron_reference((c.x_images + c.z_images)[i]) for c in group])
-        assert np.abs(got - want).max() < 1e-12
-    for u in us.reshape(len(group), -1):
-        first = u[np.flatnonzero(np.abs(u) > 1e-9)[0]]
-        assert first.imag == 0.0 and first.real > 0
-
-
 def _gauge_key(u):
     """Bytes of u with its first nonzero entry made real and positive, rounded to 9 digits."""
     flat = u.reshape(-1)
@@ -90,10 +70,15 @@ def test_clifford_stack_is_the_whole_group(m):
     # Shares nothing with the coset construction: a set of unitaries modulo
     # phase that holds I and is closed under left multiplication by H_j, S_j
     # and CZ holds all of C_m; with exactly |C_m| distinct elements it is C_m.
-    us = pauli.clifford_unitaries(m)
+    us = pauli.enumerate_clifford(m)
+    assert not us.flags.writeable and pauli.enumerate_clifford(m) is us
     order = 2 ** (m * m + 2 * m) * np.prod([4 ** j - 1 for j in range(1, m + 1)])
+    assert order == {1: 24, 2: 11520}[m]
     keys = {_gauge_key(u) for u in us}
     assert len(us) == len(keys) == order
+    for u in us.reshape(len(us), -1):
+        first = u[np.flatnonzero(np.abs(u) > 1e-9)[0]]
+        assert first.imag == 0.0 and first.real > 0
     assert _gauge_key(np.eye(1 << m, dtype=complex)) in keys
     assert np.abs(us @ us.conj().transpose(0, 2, 1) - np.eye(1 << m)).max() < 1e-12
     hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -105,35 +90,25 @@ def test_clifford_stack_is_the_whole_group(m):
 
 
 def test_clifford_enumeration_capped_at_two_qubits():
-    for build in (pauli.clifford_unitaries, pauli.enumerate_clifford):
-        with pytest.raises(ValueError, match="m=3"):
-            build(3)
+    with pytest.raises(ValueError, match="m=3"):
+        pauli.enumerate_clifford(3)
 
 
-def test_tableau_readoff_rejects_non_clifford():
-    t_gate = np.diag([1, np.exp(0.25j * np.pi)])
-    with pytest.raises(ValueError, match="not a Clifford"):
-        pauli._tableaux(np.array([dense.ID2, t_gate]))
-
-
-def test_clifford_to_matrix_cap():
+def test_random_clifford_cap():
     rng = np.random.default_rng(8)
-    u = pauli.clifford_to_matrix(pauli.random_clifford(7, rng))
+    u = pauli.random_clifford(7, rng)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(128), atol=1e-12)
     with pytest.raises(ValueError, match="m = 8"):
-        pauli.clifford_to_matrix(pauli.random_clifford(8, rng))
+        pauli.random_clifford(8, rng)
 
 
 def _literal_local_sum(q, qp, rho):
-    """sum over all 24^m local Cliffords of (C q C^dag) rho (C q' C^dag), by tableau."""
-    total = np.zeros_like(rho)
-    for combo in itertools.product(pauli.enumerate_clifford(1), repeat=q.n):
-        c = combo[0]
-        for extra in combo[1:]:
-            c = pauli.clifford_tensor(c, extra)
-        total += pauli.clifford_apply(c, q).to_matrix() @ rho \
-            @ pauli.clifford_apply(c, qp).to_matrix()
-    return total
+    """sum over all 24^m local Cliffords of (C q C^dag) rho (C q' C^dag), C a Kronecker product."""
+    cs = np.ones((1, 1, 1))
+    for _ in range(q.n):
+        cs = np.array([np.kron(c, u) for c in cs for u in pauli.enumerate_clifford(1)])
+    cds = cs.conj().transpose(0, 2, 1)
+    return ((cs @ q.to_matrix() @ cds) @ rho @ (cs @ qp.to_matrix() @ cds)).sum(axis=0)
 
 
 @pytest.mark.parametrize("m,labels", [
@@ -162,9 +137,9 @@ def _literal_group(kind, m):
     if kind == "pauli":
         return [p.to_matrix() for p in pauli.all_paulis(m)]
     if kind == "clifford":
-        return list(pauli.clifford_unitaries(m))
+        return list(pauli.enumerate_clifford(m))
     return [dense.kron_all(list(c))
-            for c in itertools.product(pauli.clifford_unitaries(1), repeat=m)]
+            for c in itertools.product(pauli.enumerate_clifford(1), repeat=m)]
 
 
 @pytest.mark.parametrize("kind,m", [("pauli", 2), ("pauli", 3), ("clifford", 2),
@@ -211,41 +186,83 @@ def test_all_paulis_counts():
     assert all(p.support == 0b10 for p in on_first)
 
 
-def test_clifford_identity_and_apply():
-    ident = pauli.clifford_identity(2)
-    p = pauli.PauliString.from_label("XZ")
-    assert pauli.clifford_apply(ident, p) == p
+def _signed_pauli(v):
+    """The Pauli string equal to the matrix v, read off its action on basis states, or None."""
+    m = v.shape[0].bit_length() - 1
+    row = int(np.argmax(np.abs(v[:, 0])))  # P|0> = i^k |x> for P = i^k X^x Z^z
+    k = int(np.rint(np.angle(v[row, 0]) / (np.pi / 2))) % 4
+    x = z = 0
+    for j in range(m):
+        b = 1 << (m - 1 - j)  # qubit j's bit in the basis index
+        x |= bool(row & b) << j
+        # P|b> = i^k (-1)^{z_j} |b ^ x>
+        z |= bool(np.real(v[row ^ b, b] / v[row, 0]) < 0) << j
+    p = pauli.PauliString(m, x, z, k)
+    return p if np.abs(p.to_matrix() - v).max() < 1e-12 else None
 
 
 def test_random_clifford_conjugation_matches_matrix():
+    # Sampled mode draws m = 3..7: each draw must be unitary and map every
+    # X_j and Z_j to a Hermitian signed Pauli.
     rng = np.random.default_rng(4)
-    for _ in range(5):
-        c = pauli.random_clifford(2, rng)
-        u = pauli.clifford_to_matrix(c)
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
-        for label in ("XI", "IZ", "YX"):
-            p = pauli.PauliString.from_label(label)
-            q = pauli.clifford_apply(c, p)
-            np.testing.assert_allclose(
-                u @ p.to_matrix() @ u.conj().T, q.to_matrix(), atol=1e-12)
+    for m in range(1, 8):
+        for _ in range(3):
+            u = pauli.random_clifford(m, rng)
+            assert np.abs(u @ u.conj().T - np.eye(1 << m)).max() < 1e-12
+            for j in range(m):
+                for g in (pauli.PauliString(m, 1 << j, 0), pauli.PauliString(m, 0, 1 << j)):
+                    image = _signed_pauli(u @ g.to_matrix() @ u.conj().T)
+                    assert image is not None and image.is_hermitian(), (m, j, g.label())
 
 
-def test_compose_and_tensor_match_matrices():
-    rng = np.random.default_rng(5)
-    a = pauli.random_clifford(1, rng)
-    b = pauli.random_clifford(1, rng)
-    comp = pauli.clifford_compose(a, b)
-    ua, ub = pauli.clifford_to_matrix(a), pauli.clifford_to_matrix(b)
-    p = pauli.PauliString.from_label("Y")
-    want = (ub @ ua) @ p.to_matrix() @ (ub @ ua).conj().T
-    np.testing.assert_allclose(
-        pauli.clifford_apply(comp, p).to_matrix(), want, atol=1e-12)
-    tens = pauli.clifford_tensor(a, b)
-    ut = pauli.clifford_to_matrix(tens)
-    q = pauli.PauliString.from_label("XZ")
-    np.testing.assert_allclose(
-        ut @ q.to_matrix() @ ut.conj().T,
-        pauli.clifford_apply(tens, q).to_matrix(), atol=1e-12)
+class _Odometer:
+    """Stand-in for Generator.integers that goes through every answer sequence once.
+
+    A run replays the digits fixed so far and starts each new digit at the
+    low end of its range; ``advance`` steps the last digit that is not at
+    the high end of its range and drops the digits after it.
+    """
+
+    def __init__(self):
+        self.digits = []  # [value, low, high] per value handed out
+        self.pos = 0
+
+    def integers(self, low, high, size=None):
+        out = []
+        for _ in range(1 if size is None else size):
+            if self.pos == len(self.digits):
+                self.digits.append([low, low, high])
+            out.append(self.digits[self.pos][0])
+            self.pos += 1
+        return out[0] if size is None else np.array(out)
+
+    def weight(self):
+        """1 / probability of this run's answers under a uniform Generator."""
+        return np.prod([high - low for _, low, high in self.digits])
+
+    def advance(self):
+        self.pos = 0
+        while self.digits and self.digits[-1][0] + 1 == self.digits[-1][2]:
+            self.digits.pop()
+        if self.digits:
+            self.digits[-1][0] += 1
+        return bool(self.digits)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_random_clifford_covers_the_group_once(m):
+    # Over its whole choice space the sampler gives each group element
+    # exactly once, each with the same probability: it is uniform.
+    group = pauli.enumerate_clifford(m)
+    odometer = _Odometer()
+    drawn = []
+    while True:
+        drawn.append((pauli.random_clifford(m, odometer) + 0.0).tobytes())
+        assert odometer.weight() == len(group)
+        if not odometer.advance():
+            break
+    assert len(drawn) == len(group) == {1: 24, 2: 11520}[m]
+    assert sorted(drawn) == sorted((u + 0.0).tobytes() for u in group)
 
 
 def test_channel_pauli_coeffs_depolarizing():
