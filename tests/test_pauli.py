@@ -58,6 +58,28 @@ def test_to_matrix_returns_fresh_arrays():
     assert np.array_equal(p.to_matrix(), _kron_reference(p))
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_clifford_to_matrix_whole_group(m):
+    # Each unitary of the stack maps every X_j and Z_j to a Hermitian signed
+    # Pauli, and no two share these images: a Clifford is fixed up to phase
+    # by its action on the generators, so the stack has |C_m| distinct ones.
+    us = pauli.enumerate_clifford(m)
+    assert len(us) == {1: 24, 2: 11520}[m]
+    assert not us.flags.writeable and pauli.enumerate_clifford(m) is us
+    assert np.abs(us @ us.conj().transpose(0, 2, 1) - np.eye(1 << m)).max() < 1e-12
+    gens = [pauli.PauliString(m, 1 << j, 0) for j in range(m)] + \
+        [pauli.PauliString(m, 0, 1 << j) for j in range(m)]
+    images = set()
+    for u in us:
+        image = tuple(_signed_pauli(u @ _kron_reference(g) @ u.conj().T) for g in gens)
+        assert all(p is not None and p.is_hermitian() for p in image)
+        images.add(tuple(p.label() for p in image))
+    assert len(images) == len(us)
+    for u in us.reshape(len(us), -1):
+        first = u[np.flatnonzero(np.abs(u) > 1e-9)[0]]
+        assert first.imag == 0.0 and first.real > 0
+
+
 def _gauge_key(u):
     """Bytes of u with its first nonzero entry made real and positive, rounded to 9 digits."""
     flat = u.reshape(-1)
@@ -71,14 +93,9 @@ def test_clifford_stack_is_the_whole_group(m):
     # phase that holds I and is closed under left multiplication by H_j, S_j
     # and CZ holds all of C_m; with exactly |C_m| distinct elements it is C_m.
     us = pauli.enumerate_clifford(m)
-    assert not us.flags.writeable and pauli.enumerate_clifford(m) is us
     order = 2 ** (m * m + 2 * m) * np.prod([4 ** j - 1 for j in range(1, m + 1)])
-    assert order == {1: 24, 2: 11520}[m]
     keys = {_gauge_key(u) for u in us}
     assert len(us) == len(keys) == order
-    for u in us.reshape(len(us), -1):
-        first = u[np.flatnonzero(np.abs(u) > 1e-9)[0]]
-        assert first.imag == 0.0 and first.real > 0
     assert _gauge_key(np.eye(1 << m, dtype=complex)) in keys
     assert np.abs(us @ us.conj().transpose(0, 2, 1) - np.eye(1 << m)).max() < 1e-12
     hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
