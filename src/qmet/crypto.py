@@ -30,11 +30,10 @@ import numpy as np
 
 from .dense import PAULI_1Q, kron_all, local_product_sum
 from .pauli import (
-    _STACK_CHUNK,
     PauliString,
     _conjugation_sum,
     all_paulis,
-    channel_pauli_coeffs,
+    channel_pauli_weights,
     enumerate_clifford,
     paulis_on_support,
     random_clifford,
@@ -174,7 +173,7 @@ class AttackSpec:
         """
         self._check_width(m)
         if self.variant == "kraus":
-            weights = channel_pauli_coeffs(self.kraus_mats).pauli_weights()
+            weights = channel_pauli_weights(self.kraus_mats)
             out: dict[int, float] = {}
             for (x, z), w in weights.items():
                 out[x | z] = out.get(x | z, 0.0) + w
@@ -243,27 +242,20 @@ def _axis_codes(p: PauliString) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _local_key_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(decrypt, image_axis, image_sign) for each C_i = enumerate_clifford(1)[i].
+def _local_key_tables() -> np.ndarray:
+    """decrypt[i, a], the axis code of C_i^dag P C_i for P of axis code a.
 
-    decrypt[i, a] is the axis code of C_i^dag P C_i for P of axis code a;
-    C_i P C_i^dag = image_sign[i, b] * (Pauli of axis code image_axis[i, b])
-    for P = X (b = 0) and P = Z (b = 1), read off the coefficients
-    Tr(Q C_i P C_i^dag) / 2 over the Paulis Q.  A trap key is a flag
-    placement plus one index i per register slot.
+    C_i = enumerate_clifford(1)[i].  Each C_i^dag P C_i is a signed Pauli,
+    so exactly one of its coefficients Tr(Q C_i^dag P C_i) / 2 over the
+    Paulis Q is +-1.  A trap key is a flag placement plus one index i per
+    register slot.
     """
     us = enumerate_clifford(1)
-    images = us[:, None] @ _PAULI_BY_CODE[[1, 2]] @ us.conj().swapaxes(1, 2)[:, None]
-    coeffs = np.einsum("ibcd,adc->iba", images, _PAULI_BY_CODE).real / 2
-    # Each image is a signed Pauli: one coefficient is +-1, the others 0.
-    image_axis = np.abs(coeffs).argmax(axis=2)
-    image_sign = np.rint(coeffs.sum(axis=2)).astype(int)
-    forward = np.column_stack([np.zeros(len(images), dtype=int), image_axis[:, 0],
-                               image_axis[:, 1], image_axis[:, 0] ^ image_axis[:, 1]])
-    decrypt = np.argsort(forward, axis=1)
-    for table in (decrypt, image_axis, image_sign):
-        table.flags.writeable = False
-    return decrypt, image_axis, image_sign
+    backs = us.conj().swapaxes(1, 2)[:, None] @ _PAULI_BY_CODE @ us[:, None]
+    coeffs = np.einsum("iacd,bdc->iab", backs, _PAULI_BY_CODE).real / 2
+    decrypt = np.abs(coeffs).argmax(axis=2)
+    decrypt.flags.writeable = False
+    return decrypt
 
 
 def _random_trap_key(m: int, t: int, rng: np.random.Generator,
@@ -361,7 +353,17 @@ def _round(psi: np.ndarray, flags, uses, encode: np.ndarray | None = None) -> tu
                                  flags, m)
             ideal = encode @ ideal
         state = use(state)
-    block = _to_logical(state, flags, m).reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
+    return _accept(state, flags, ideal)
+
+
+def _accept(rho: np.ndarray, flags, ideal: np.ndarray) -> tuple[float, float]:
+    """(p_accept, p_accept - <ideal|block|ideal>), block the data block of rho with |0> flags.
+
+    ``rho`` is in the physical order with flags at the slots ``flags``;
+    ``ideal`` is the expected data state.
+    """
+    n, t = ideal.size.bit_length() - 1, len(flags)
+    block = _to_logical(rho, flags, n + t).reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
     p_acc = float(np.real(np.trace(block)))
     return p_acc, p_acc - float(np.real(np.vdot(ideal, block @ ideal)))
 
@@ -612,7 +614,7 @@ def _sample_trap_single(n, t, attack, psi, trials, seed):
     terms = attack.pauli_terms(m)
     probs = np.array([p for p, _ in terms])
     codes = np.array([_axis_codes(q) for _, q in terms])
-    decrypt = _local_key_tables()[0]
+    decrypt = _local_key_tables()
     overlaps: dict[bytes, float] = {}
 
     def overlap(data: np.ndarray) -> float:
@@ -815,18 +817,6 @@ def _twirl(rho: np.ndarray, kraus: list[np.ndarray], protocol: str) -> np.ndarra
     return (s.reshape(rho.size, rho.size) @ rho.reshape(-1)).reshape(rho.shape)
 
 
-def _local_key_chunks(m: int):
-    """Every trap key layer U_1 x ... x U_m (24^m), in stacks of at most _STACK_CHUNK."""
-    units = enumerate_clifford(1)
-    choices = np.array(list(itertools.product(range(len(units)), repeat=m)))
-    for rows in np.array_split(choices, -(-len(choices) // _STACK_CHUNK)):
-        keys = units[rows[:, 0]]
-        for q in range(1, m):
-            keys = np.einsum("kab,kcd->kacbd", keys, units[rows[:, q]])
-            keys = keys.reshape(len(rows), 2 << q, 2 << q)
-        yield keys
-
-
 def _dense_average(protocol: str, n: int, t: int, attacks,
                    encode: np.ndarray | None = None,
                    data_state: np.ndarray | None = None) -> tuple[float, float]:
@@ -920,19 +910,18 @@ def replay_attack_demo(n: int, t: int, theta: float, *,
         return broken, honest.lhs, honest.bound
     if m > 3:
         raise ValueError("replay enumeration capped at m = 3")
-    # Shared key U: A_U = (U^dag P^dag U) E (U^dag P U) |v>, E the physical-frame encoding.
-    pm = p_attack.to_matrix()
+    # Shared key U = u_1 x ... x u_m: A_U = (U^dag P U) E (U^dag P U) with P = X on
+    # every slot and E the encoding, e = exp(-i theta Z / 2) on data slots and I on
+    # flags, is one 2x2 factor (u^dag X u) e (u^dag X u) per slot.
+    flips = [u.conj().T @ PAULI_1Q["X"] @ u for u in enumerate_clifford(1)]
+    slot_pairs = [[(a, a.conj().T) for a in (f @ e @ f for f in flips)]
+                  for e in (np.eye(2), _phase_unitary(1, theta))]  # flag slot, data slot
     placements = list(itertools.combinations(range(m), t))
     lhs = 0.0
     for flags in placements:
         vec = _embed_with_flags(psi, flags, m)
-        enc = _to_physical(np.kron(u_data, np.eye(1 << t)), flags, m)
-        # Physical index of each data basis state with its flags at |0>.
-        accepted = [np.flatnonzero(_embed_with_flags(e, flags, m))[0] for e in np.eye(1 << n)]
-        for keys in _local_key_chunks(m):
-            keys_d = keys.conj().swapaxes(1, 2)
-            out = (keys_d @ pm.conj().T @ keys @ enc @ keys_d @ pm @ keys @ vec)[:, accepted]
-            lhs += float(np.sum(np.abs(out) ** 2) - np.sum(np.abs(out @ ideal.conj()) ** 2))
+        pairs = [slot_pairs[q not in flags] for q in range(m)]
+        lhs += _accept(local_product_sum(np.outer(vec, vec.conj()), pairs), flags, ideal)[1]
     return lhs / (len(placements) * 24 ** m), honest.lhs, honest.bound
 
 
@@ -1052,9 +1041,19 @@ class DemoResult:
     rounds_accepted: int
 
 
-# Eigenbasis (+1 eigenvector first) of the single-qubit Pauli of each axis code.
-_EIGENBASES = np.array([np.eye(2), np.array([[1, 1], [1, -1]]) / math.sqrt(2.0), np.eye(2),
-                        np.array([[1, 1], [1j, -1j]]) / math.sqrt(2.0)], dtype=complex)
+def _delegated_rule(decrypted: np.ndarray, is_flag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(accepted, s) of delegated rounds whose attack term decrypts to ``decrypted``.
+
+    ``decrypted[..., q]`` is the axis code of C_q^dag P_q C_q on slot q.  The
+    server's measurement of C X C^dag (data) or C Z C^dag (flags) on the attacked
+    register reads X or Z on D|start>, D the decrypted attack.  A flag starts
+    in |0>, so it reads +1 exactly when D has no x bit there; the data parity
+    X^n of GHZ_theta reads +-1 with mean s cos(n theta), s = (-1)^(number of
+    data slots where D has a z bit), since the signs of D cancel.
+    """
+    accepted = ~np.any((decrypted & 1).astype(bool) & is_flag, axis=-1)
+    flips = np.sum((decrypted >> 1) & ~is_flag, axis=-1)
+    return accepted, 1 - 2 * (flips & 1)
 
 
 def end_to_end_demo(n: int, t: int, nu: int, attack: AttackSpec,
@@ -1075,7 +1074,6 @@ def end_to_end_demo(n: int, t: int, nu: int, attack: AttackSpec,
     master = np.random.SeedSequence(seed)
     setup = np.random.default_rng(master.spawn(1)[0])
     theta0 = (0.5 * math.pi + float(setup.uniform(-0.5, 0.5))) / n
-    psi_theta = _ghz_theta(n, theta0)
 
     mean_o = math.cos(n * theta0)
     slope = -n * math.sin(n * theta0)
@@ -1088,43 +1086,21 @@ def end_to_end_demo(n: int, t: int, nu: int, attack: AttackSpec,
     terms = attack.pauli_terms(m)
     cum = np.cumsum([max(p, 0.0) for p, _ in terms])
     codes = np.array([_axis_codes(q) for _, q in terms])
-    _, image_axis, image_sign = _local_key_tables()
-    # meas[i, b, a]: the key C_i, then the attack axis a, then the eigenbasis
-    # of C_i P C_i^dag for P = X (b = 0, data slots) or Z (b = 1, flags).
-    meas = (_EIGENBASES[image_axis].conj().swapaxes(-1, -2)[:, :, None]
-            @ _PAULI_BY_CODE @ enumerate_clifford(1)[:, None, None])
-    placements = list(itertools.combinations(range(m), t))
-    slot = {flags: i for i, flags in enumerate(placements)}
-    starts = np.array([_embed_with_flags(psi_theta, flags, m) for flags in placements])
-    flag_rows = np.array([[q in flags for q in range(m)] for flags in placements])
 
     def draw(child):
-        """(placement, key indices, uniform for the attack term, uniform for the outcome)."""
+        """(flag slots, key indices, uniform for the attack term, uniform for the outcome)."""
         rng = np.random.default_rng(child)
         flags, (local,) = _random_trap_key(m, t, rng)
-        return slot[flags], local, *rng.random(2)
+        return flags, local, *rng.random(2)
 
-    # Rounds are drawn one seeded generator each and measured a stack at a time.
-    children = master.spawn(nu)
-    outcomes = []
-    for start in range(0, nu, _STACK_CHUNK):
-        place, local, u_term, u_out = (np.array(col) for col in zip(
-            *map(draw, children[start:start + _STACK_CHUNK])))
-        term = np.minimum(np.searchsorted(cum, u_term * cum[-1], side="right"), len(terms) - 1)
-        is_flag = flag_rows[place]
-        basis = is_flag.astype(int)
-        state = starts[place]
-        for q in range(m):
-            mat = meas[local[:, q], basis[:, q], codes[term, q]]
-            state = np.einsum("kij,kajb->kaib", mat, state.reshape(len(place), 1 << q, 2, -1))
-        cdf = np.cumsum(np.abs(state.reshape(len(place), -1)) ** 2, axis=1)
-        idx = np.minimum(np.sum(cdf <= u_out[:, None] * cdf[:, -1:], axis=1), (1 << m) - 1)
-        bits = (idx[:, None] >> np.arange(m - 1, -1, -1)) & 1      # qubit 0 leftmost
-        vals = image_sign[local, basis] * (1 - 2 * bits)
-        kept = np.all(vals[is_flag].reshape(-1, t) == 1, axis=1)
-        outcomes.append(np.prod(vals[~is_flag].reshape(-1, n), axis=1)[kept])
-
-    arr = np.concatenate(outcomes).astype(float)
+    # Each round draws from its own seeded generator; every round is then read
+    # off the decrypt table at once.
+    flags, local, u_term, u_out = (np.array(col) for col in zip(*map(draw, master.spawn(nu))))
+    term = np.minimum(np.searchsorted(cum, u_term * cum[-1], side="right"), len(terms) - 1)
+    is_flag = np.zeros((nu, m), dtype=bool)
+    np.put_along_axis(is_flag, flags, True, axis=1)
+    accepted, s = _delegated_rule(_local_key_tables()[local, codes[term]], is_flag)
+    arr = np.where(u_out < (1.0 + s * mean_o) / 2, 1.0, -1.0)[accepted]
     n_acc = arr.size
     if n_acc < 2:
         raise ArithmeticError("attack rejected essentially every round")

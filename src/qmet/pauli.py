@@ -21,10 +21,10 @@ import numpy as np
 from .dense import ID2, PAULI_1Q, kron_all, local_product_sum  # noqa: F401
 
 __all__ = [
-    "PauliString", "PauliChannel",
+    "PauliString",
     "pauli_mul", "commutes",
     "enumerate_clifford", "random_clifford",
-    "verify_twirl", "channel_pauli_coeffs",
+    "verify_twirl", "channel_pauli_weights",
     "all_paulis", "paulis_on_support",
 ]
 
@@ -67,13 +67,6 @@ class PauliString:
 
     def is_hermitian(self) -> bool:
         return (self.k - (self.x & self.z).bit_count()) % 2 == 0
-
-    def sign(self) -> int:
-        """+1 or -1 for a Hermitian string written over {I, X, Y, Z}."""
-        if not self.is_hermitian():
-            raise ValueError("sign is only defined for Hermitian strings")
-        val = _PHASES[(self.k - (self.x & self.z).bit_count()) % 4]
-        return int(round(val.real))
 
     def axes_key(self) -> tuple[int, int]:
         """Unsigned (x, z) masks: the string modulo its phase."""
@@ -441,28 +434,11 @@ def verify_twirl(kind: str, q: PauliString, qp: PauliString,
     return float(np.max(np.abs(_twirl_sum(kind, q, qp, rho))))
 
 
-@dataclass(frozen=True)
-class PauliChannel:
-    """Pauli decomposition a_{alpha,P} of each Kraus operator of a channel."""
+def channel_pauli_weights(kraus: Sequence[np.ndarray]) -> dict[tuple[int, int], float]:
+    """Twirled weight sum_alpha |a_{alpha,P}|^2 of a channel per unsigned Pauli (x, z).
 
-    n: int
-    terms: tuple[tuple[tuple[complex, PauliString], ...], ...]
-
-    def pauli_weights(self) -> dict[tuple[int, int], float]:
-        """Total twirled weight sum_alpha |a_{alpha,P}|^2 per unsigned Pauli."""
-        out: dict[tuple[int, int], float] = {}
-        for kraus in self.terms:
-            for a, p in kraus:
-                key = p.axes_key()
-                out[key] = out.get(key, 0.0) + abs(a) ** 2
-        return out
-
-    def identity_weight(self) -> float:
-        return self.pauli_weights().get((0, 0), 0.0)
-
-
-def channel_pauli_coeffs(kraus: Sequence[np.ndarray]) -> PauliChannel:
-    """Expand Kraus operators over the Pauli basis, a_{alpha,P} = Tr(P A)/2^m."""
+    a_{alpha,P} = Tr(P A_alpha) / 2^m over the Kraus operators A_alpha.
+    """
     mats = [np.asarray(a, dtype=complex) for a in kraus]
     dim = mats[0].shape[0]
     m = dim.bit_length() - 1
@@ -473,12 +449,11 @@ def channel_pauli_coeffs(kraus: Sequence[np.ndarray]) -> PauliChannel:
         raise ValueError("channel is not trace preserving")
     paulis = list(all_paulis(m))
     pmats = [p.to_matrix() for p in paulis]
-    terms = []
+    out: dict[tuple[int, int], float] = {}
     for a in mats:
-        row = []
         for p, pm in zip(paulis, pmats):
             coeff = complex(np.trace(pm @ a)) / dim
             if abs(coeff) > 1e-14:
-                row.append((coeff, p))
-        terms.append(tuple(row))
-    return PauliChannel(m, tuple(terms))
+                key = p.axes_key()
+                out[key] = out.get(key, 0.0) + abs(coeff) ** 2
+    return out

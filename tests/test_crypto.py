@@ -86,17 +86,46 @@ def test_depolarizing_identity_weight_in_closed_form():
 
 
 def test_local_key_tables_match_conjugation():
-    decrypt, image_axis, image_sign = crypto._local_key_tables()
+    decrypt = crypto._local_key_tables()
+    assert decrypt.shape == (24, 4) and not decrypt.flags.writeable
     paulis = [PAULI_1Q[a] for a in "IXZY"]  # by axis code
     for i, u in enumerate(pauli.enumerate_clifford(1)):
-        ud = u.conj().T
         for code, p in enumerate(paulis):
             # C^dag P C is the Pauli of axis decrypt[i, code], up to sign.
-            back = ud @ p @ u
+            back = u.conj().T @ p @ u
             assert min(np.abs(back - s * paulis[decrypt[i, code]]).max() for s in (1, -1)) < 1e-12
-        for b, p in enumerate(paulis[1:3]):
-            image = image_sign[i, b] * paulis[image_axis[i, b]]
-            assert np.abs(u @ p @ ud - image).max() < 1e-12
+
+
+@pytest.mark.parametrize("n,t", [(2, 1), (1, 2)])
+def test_demo_round_rule_matches_measured_statevector(n, t):
+    # The demo reads each round off the decrypt table.  Here the same rounds
+    # are measured on D|start>, D = C^dag P C built from literal 2x2 matrices:
+    # the flags in Z read all +1 exactly on accepted rounds, and the data parity
+    # X^n has mean s cos(n theta).
+    m, theta = n + t, 0.4
+    units = pauli.enumerate_clifford(1)
+    paulis = [PAULI_1Q[a] for a in "IXZY"]  # by axis code
+    rng = np.random.default_rng(23)
+    seen = set()
+    for flags in itertools.combinations(range(m), t):
+        is_flag = np.array([q in flags for q in range(m)])
+        start = crypto._embed_with_flags(crypto._ghz_theta(n, theta), flags, m)
+        parity = kron_all([PAULI_1Q["I"] if f else PAULI_1Q["X"] for f in is_flag])
+        local = rng.integers(24, size=(200, m))
+        codes = rng.integers(4, size=(200, m))  # attack term axes, all four on every slot
+        decrypted = crypto._local_key_tables()[local, codes]
+        accepted, s = crypto._delegated_rule(decrypted, is_flag)
+        for k in range(200):
+            out = kron_all([u.conj().T @ paulis[c] @ u
+                            for u, c in zip(units[local[k]], codes[k])]) @ start
+            flags_zero = np.abs(out.reshape([2] * m)[tuple(
+                0 if f else slice(None) for f in is_flag)]) ** 2
+            assert abs(flags_zero.sum() - accepted[k]) < 1e-12
+            mean_parity = np.vdot(out, parity @ out).real
+            assert abs(mean_parity - s[k] * np.cos(n * theta)) < 1e-12
+            seen.add((bool(accepted[k]), int(s[k]), bool(np.any(decrypted[k, ~is_flag] & 1))))
+    # Both flag outcomes and both signs came up, with and without an x bit on the data.
+    assert seen == {(a, sign, x) for a in (False, True) for sign in (1, -1) for x in (False, True)}
 
 
 def test_delegated_pads_against_bound():
@@ -130,7 +159,7 @@ def _amplitude_damping_on(slot, gamma=0.4, m=2):
 @pytest.mark.parametrize("slot", [0, 1])
 def test_kraus_attack_dual_path(slot):
     # A non-Pauli CPTP attack: the exact casework reads its twirled weights
-    # from channel_pauli_coeffs, the dense paths apply the Kraus operators to
+    # from channel_pauli_weights, the dense paths apply the Kraus operators to
     # every key, and sampled mode applies them to one random key per trial.
     # Qubit 0 is the Clifford code's data slot and qubit 1 its flag slot.
     att = _amplitude_damping_on(slot)

@@ -119,36 +119,6 @@ def test_random_clifford_cap():
         pauli.random_clifford(8, rng)
 
 
-def _literal_local_sum(q, qp, rho):
-    """sum over all 24^m local Cliffords of (C q C^dag) rho (C q' C^dag), C a Kronecker product."""
-    cs = np.ones((1, 1, 1))
-    for _ in range(q.n):
-        cs = np.array([np.kron(c, u) for c in cs for u in pauli.enumerate_clifford(1)])
-    cds = cs.conj().transpose(0, 2, 1)
-    return ((cs @ q.to_matrix() @ cds) @ rho @ (cs @ qp.to_matrix() @ cds)).sum(axis=0)
-
-
-@pytest.mark.parametrize("m,labels", [
-    (2, [("XY", "XY"), ("ZI", "ZI"), ("XI", "ZY"), ("YY", "IX")]),
-    (3, [("XIY", "XIY"), ("ZXI", "YZZ")]),
-])
-def test_local_clifford_sum_matches_literal_group_sum(m, labels):
-    rng = np.random.default_rng(30 + m)
-    a = rng.normal(size=(1 << m, 1 << m)) + 1j * rng.normal(size=(1 << m, 1 << m))
-    rho = a @ a.conj().T
-    rho /= np.trace(rho).real
-    for ql, qpl in labels:
-        q = pauli.PauliString.from_label(ql)
-        qp = pauli.PauliString.from_label(qpl)
-        got = pauli._twirl_sum("local_clifford", q, qp, rho)
-        want = _literal_local_sum(q, qp, rho)
-        # Equal operators leave a nonzero sum, so the comparison can fail;
-        # for distinct ones both vanish and the scale is that of the terms.
-        scale = np.abs(want).max() if ql == qpl else 24 ** m * np.abs(rho).max()
-        assert scale > 1.0
-        assert np.abs(got - want).max() / scale < 1e-12, (ql, qpl)
-
-
 def _literal_group(kind, m):
     """The twirl group as a list of matrices, one per element."""
     if kind == "pauli":
@@ -160,7 +130,7 @@ def _literal_group(kind, m):
 
 
 @pytest.mark.parametrize("kind,m", [("pauli", 2), ("pauli", 3), ("clifford", 2),
-                                    ("local_clifford", 2)])
+                                    ("local_clifford", 2), ("local_clifford", 3)])
 def test_twirl_sum_matches_literal_stack_loop(kind, m):
     rng = np.random.default_rng(50 + m)
     a = rng.normal(size=(1 << m, 1 << m)) + 1j * rng.normal(size=(1 << m, 1 << m))
@@ -171,13 +141,14 @@ def test_twirl_sum_matches_literal_stack_loop(kind, m):
     i, j = (int(v) for v in rng.choice(len(elems), size=2, replace=False))
     for i, j in ((i, i), (i, j), (j, i)):
         q, qp = elems[i], elems[j]
+        qm, qpm = q.to_matrix(), qp.to_matrix()
         want = np.zeros_like(rho)
         for g in group:
             gd = g.conj().T
-            want += (g @ q.to_matrix() @ gd) @ rho @ (g @ qp.to_matrix() @ gd)
+            want += (g @ qm @ gd) @ rho @ (g @ qpm @ gd)
         got = pauli._twirl_sum(kind, q, qp, rho)
-        # As in the local-Clifford test above: relative to the sum when it
-        # is nonzero, to the size of its terms when it vanishes.
+        # Equal operators leave a nonzero sum, so the comparison can fail;
+        # for distinct ones both vanish and the scale is that of the terms.
         scale = np.abs(want).max() if i == j else len(group) * np.abs(rho).max()
         assert np.abs(got - want).max() / scale < 1e-12, (kind, q.label(), qp.label())
 
@@ -288,15 +259,13 @@ def test_channel_pauli_coeffs_depolarizing():
              np.sqrt(s / 4) * dense.SX,
              np.sqrt(s / 4) * dense.SY,
              np.sqrt(s / 4) * dense.SZ]
-    ch = pauli.channel_pauli_coeffs(kraus)
-    weights = {}
-    for term in ch.terms:
-        for coeff, p in term:
-            weights[p.label().lstrip("-i")] = weights.get(p.label().lstrip("-i"), 0.0) \
-                + abs(coeff) ** 2
-    np.testing.assert_allclose(weights["I"], 1 - 3 * s / 4, atol=1e-12)
-    for ax in "XYZ":
-        np.testing.assert_allclose(weights[ax], s / 4, atol=1e-12)
+    weights = pauli.channel_pauli_weights(kraus)
+    assert sorted(weights) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    np.testing.assert_allclose(weights[(0, 0)], 1 - 3 * s / 4, atol=1e-12)
+    for key in ((1, 0), (1, 1), (0, 1)):  # X, Y, Z
+        np.testing.assert_allclose(weights[key], s / 4, atol=1e-12)
+    with pytest.raises(ValueError, match="trace preserving"):
+        pauli.channel_pauli_weights([0.5 * dense.ID2])
 
 
 def test_verify_twirl_residuals_small():
