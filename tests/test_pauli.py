@@ -129,6 +129,28 @@ def _literal_group(kind, m):
             for c in itertools.product(pauli.enumerate_clifford(1), repeat=m)]
 
 
+@pytest.mark.parametrize("m,labels", [
+    (2, [("XY", "XY"), ("ZI", "ZI"), ("XI", "ZY"), ("YY", "IX")]),
+])
+def test_local_clifford_sum_matches_literal_group_sum(m, labels):
+    rng = np.random.default_rng(30 + m)
+    a = rng.normal(size=(1 << m, 1 << m)) + 1j * rng.normal(size=(1 << m, 1 << m))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    group = _literal_group("local_clifford", m)
+    for ql, qpl in labels:
+        q = pauli.PauliString.from_label(ql)
+        qp = pauli.PauliString.from_label(qpl)
+        qm, qpm = q.to_matrix(), qp.to_matrix()
+        want = sum((g @ qm @ g.conj().T) @ rho @ (g @ qpm @ g.conj().T) for g in group)
+        got = pauli._twirl_sum("local_clifford", q, qp, rho)
+        # Equal operators leave a nonzero sum, so the comparison can fail;
+        # for distinct ones both vanish and the scale is that of the terms.
+        scale = np.abs(want).max() if ql == qpl else 24 ** m * np.abs(rho).max()
+        assert scale > 1.0
+        assert np.abs(got - want).max() / scale < 1e-12, (ql, qpl)
+
+
 @pytest.mark.parametrize("kind,m", [("pauli", 2), ("pauli", 3), ("clifford", 2),
                                     ("local_clifford", 2), ("local_clifford", 3)])
 def test_twirl_sum_matches_literal_stack_loop(kind, m):
