@@ -1,9 +1,18 @@
 """Closed-form-vs-oracle cross-check suite shared by the CLI and the tests.
 
 Every check recomputes a closed form and an independent reference (dense
-oracle, exact enumeration, or a printed constant) and reports the measured
-deviation.  Check output contains no timing or other run-local state, so two
-runs with the same build produce byte-identical reports.
+oracle, exact enumeration, or a printed constant) and returns its measures
+with a one-line summary.  A measure is ``(label, value, lo, hi)``: a
+deviation, a fitted constant or a count of mismatches, with the bounds it
+must meet.  ``run_checks`` reaches every verdict by one rule: a check passes
+when each of its measures satisfies ``lo <= value <= hi``.  A NaN satisfies
+no bound, so a closed form that returns NaN fails its check; worst-case
+deviations are taken with ``np.max``, which keeps a NaN where a running
+Python ``max`` would drop it.  A check that raises fails with the
+exception's message.  A passing check reports its summary; a failing one
+lists each failing measure with its value and bounds.  Check output
+contains no timing or other run-local state, so two runs with the same
+build produce byte-identical reports.
 
 Setting the environment variable QMET_VERIFY_PERTURB to a non-empty value
 biases one constant inside the star-graph check; the suite must then fail.
@@ -22,15 +31,19 @@ import numpy as np
 
 from . import crypto, dense, ecc, estimation, graphs, pauli
 
+# (label, value, lo, hi); the measure holds when lo <= value <= hi.
+Measure = tuple[str, float, float, float]
+
 
 @dataclass(frozen=True)
 class CheckResult:
     name: str
     ok: bool
     detail: str
+    measures: tuple[Measure, ...]
 
 
-_REGISTRY: list[tuple[str, bool, Callable[[], tuple[bool, str]]]] = []
+_REGISTRY: list[tuple[str, bool, Callable[[], tuple[list[Measure], str]]]] = []
 
 
 def _register(name: str, *, quick: bool):
@@ -38,6 +51,10 @@ def _register(name: str, *, quick: bool):
         _REGISTRY.append((name, quick, fn))
         return fn
     return deco
+
+
+def _at_most(label: str, value: float, hi: float) -> Measure:
+    return (label, value, -math.inf, hi)
 
 
 def check_names(*, quick: bool = False) -> list[str]:
@@ -54,10 +71,13 @@ def run_checks(*, quick: bool = False,
         if wanted is None and quick and not is_quick:
             continue
         try:
-            ok, detail = fn()
+            measures, summary = fn()
         except Exception as exc:  # a crash is a failed check, not a crashed suite
-            ok, detail = False, "%s: %s" % (type(exc).__name__, exc)
-        results.append(CheckResult(name, ok, detail))
+            results.append(CheckResult(name, False, "%s: %s" % (type(exc).__name__, exc), ()))
+            continue
+        failing = [m for m in measures if not m[2] <= m[1] <= m[3]]
+        detail = "; ".join("%s %.6g outside [%.6g, %.6g]" % m for m in failing)
+        results.append(CheckResult(name, not failing, detail or summary, tuple(measures)))
     return results
 
 
@@ -115,115 +135,103 @@ def _bundled_star(n: int, k: int) -> graphs.Graph:
     return graphs.bundle(graphs.star(k), [n // k] * k)
 
 
+def _rel(a: float, b: float) -> float:
+    return abs(a - b) / b
+
+
+def _dev(got: float, ref: float) -> float:
+    """Deviation relative to max(1, |ref|), for references that may be near 0."""
+    return abs(got - ref) / max(1.0, abs(ref))
+
+
 @_register("graph-closed-forms", quick=True)
-def _check_graph_closed_forms() -> tuple[bool, str]:
+def _check_graph_closed_forms() -> tuple[list[Measure], str]:
     bias = 1 if os.environ.get("QMET_VERIFY_PERTURB") else 0
-    for n in range(3, 9):
-        got = graphs.qfi_x(graphs.star(n))
-        want = (n - 1) ** 2 + 1 + bias
-        if got != want:
-            extra = " (perturbation hook active)" if bias else ""
-            return False, "star n=%d: qfi %d != %d%s" % (n, got, want, extra)
-    tri = graphs.qfi_x(graphs.bundle(graphs.complete(3), [3, 4, 3]))
-    if tri != 34:
-        return False, "triangle bundle (3,4,3): qfi %d != 34" % tri
+    mismatches = sum(graphs.qfi_x(graphs.star(n)) != (n - 1) ** 2 + 1 + bias
+                     for n in range(3, 9))
+    mismatches += graphs.qfi_x(graphs.bundle(graphs.complete(3), [3, 4, 3])) != 34
     # the hub bundle (b = n/k vertices) and the merged leaf clones are the
     # only two neighborhood classes
     paper = [(12, 3), (12, 4), (20, 5)]
     small = [(n, k) for n in range(2, 9) for k in range(2, n + 1) if n % k == 0]
     vals = []
-    delta = 0.0
+    deltas = []
     for n, k in paper + small:
         g = _bundled_star(n, k)
         got = graphs.qfi_x(g)
-        want = (n // k) ** 2 + (n - n // k) ** 2
-        if got != want:
-            return False, "bundled star (%d,%d): qfi %d != %d" % (n, k, got, want)
-        if (n, k) in paper:
-            vals.append(got)
-        delta = max(delta, abs(got - graphs.oracle_graph_qfi(g)))
-        if delta > 1e-6:
-            return False, "bundled star (%d,%d): oracle delta %.3e" % (n, k, delta)
-    return True, ("stars n=3..8 exact; bundled stars %d/%d/%d; oracle delta "
-                  "%.1e at %d sizes n<=20" % (*vals, delta, len(paper + small)))
+        mismatches += got != (n // k) ** 2 + (n - n // k) ** 2
+        vals.append(got)
+        deltas.append(abs(got - graphs.oracle_graph_qfi(g)))
+    delta = np.max(deltas)
+    hook = " (perturbation hook active)" if bias else ""
+    return ([("integer qfi mismatches" + hook, mismatches, 0, 0),
+             _at_most("bundled star oracle delta", delta, 1e-6)],
+            "stars n=3..8 exact; bundled stars %d/%d/%d; oracle delta "
+            "%.1e at %d sizes n<=20" % (*vals[:len(paper)], delta, len(vals)))
 
 
 @_register("graph-oracle-quick", quick=True)
-def _check_graph_oracle_quick() -> tuple[bool, str]:
+def _check_graph_oracle_quick() -> tuple[list[Measure], str]:
     cases = [graphs.star(5), graphs.cycle(5), graphs.cycle(6), graphs.path(4),
              graphs.complete(4), graphs.bundle(graphs.star(3), [2, 2, 2])]
-    worst = 0.0
-    for g in cases:
-        got = graphs.qfi_x(g)
-        ref = graphs.oracle_graph_qfi(g)
-        worst = max(worst, abs(got - ref) / ref)
-    if worst > 1e-6:
-        return False, "qfi_x vs oracle: worst rel %.3e" % worst
-    worst_y = 0.0
-    for g in (graphs.star(5), graphs.complete(3)):
-        got = graphs.qfi_y(g)
-        ref = graphs.oracle_graph_qfi(g, "y")
-        worst_y = max(worst_y, abs(got - ref) / ref)
-    if worst_y > 1e-6:
-        return False, "qfi_y vs oracle: worst rel %.3e" % worst_y
+    worst = np.max([_rel(graphs.qfi_x(g), graphs.oracle_graph_qfi(g)) for g in cases])
+    worst_y = np.max([_rel(graphs.qfi_y(g), graphs.oracle_graph_qfi(g, "y"))
+                      for g in (graphs.star(5), graphs.complete(3))])
     g = graphs.star(5)
-    got = graphs.qfi_dephasing(g, 0.1)
-    ref = graphs.oracle_graph_qfi(g, noise=("dephasing", 0.1))
-    d_deph = abs(got - ref) / max(1.0, abs(ref))
-    if d_deph > 1e-8:
-        return False, "dephasing p=0.1 star5: delta %.3e" % d_deph
+    d_deph = _dev(graphs.qfi_dephasing(g, 0.1),
+                  graphs.oracle_graph_qfi(g, noise=("dephasing", 0.1)))
     g = graphs.star(4)
-    worst_e = 0.0
-    for pat in ((0,), (1, 2)):
-        got = graphs.qfi_erasure(g, pat)
-        ref = graphs.oracle_graph_qfi(g, noise=("erasure", pat))
-        worst_e = max(worst_e, abs(got - ref) / max(1.0, abs(ref)))
-    if worst_e > 1e-8:
-        return False, "erasure star4: worst delta %.3e" % worst_e
-    return True, ("x/y rel %.1e/%.1e, dephasing %.1e, erasure %.1e"
-                  % (worst, worst_y, d_deph, worst_e))
+    worst_e = np.max([_dev(graphs.qfi_erasure(g, pat),
+                           graphs.oracle_graph_qfi(g, noise=("erasure", pat)))
+                      for pat in ((0,), (1, 2))])
+    return ([_at_most("qfi_x vs oracle worst rel", worst, 1e-6),
+             _at_most("qfi_y vs oracle worst rel", worst_y, 1e-6),
+             _at_most("dephasing p=0.1 star5 delta", d_deph, 1e-8),
+             _at_most("erasure star4 worst delta", worst_e, 1e-8)],
+            "x/y rel %.1e/%.1e, dephasing %.1e, erasure %.1e"
+            % (worst, worst_y, d_deph, worst_e))
 
 
 @_register("graph-oracle-exhaustive", quick=False)
-def _check_graph_oracle_exhaustive() -> tuple[bool, str]:
+def _check_graph_oracle_exhaustive() -> tuple[list[Measure], str]:
     pool = []
     for n in range(2, 6):
         pool.extend(connected_graphs_upto_iso(n))
     pool.extend(seeded_connected_graphs(6, 20, seed=601))
-    worst_x = worst_d = worst_e = 0.0
+    rel_x, dev_d, dev_e = [], [], []
     for n in range(9, 15):  # noiseless only: statevector sizes past the dense cap
         for g in seeded_connected_graphs(n, 5, seed=900 + n):
             for enc, want in (("x", graphs.qfi_x(g)), ("y", graphs.qfi_y(g)), ("z", n)):
-                worst_x = max(worst_x, abs(want - graphs.oracle_graph_qfi(g, enc)) / want)
+                rel_x.append(_rel(graphs.oracle_graph_qfi(g, enc), want))
     for g in pool:
-        got = graphs.qfi_x(g)
-        ref = graphs.oracle_graph_qfi(g)
-        worst_x = max(worst_x, abs(got - ref) / ref)
-        for p in (0.05, 0.1, 0.25):
-            got = graphs.qfi_dephasing(g, p)
-            ref = graphs.oracle_graph_qfi(g, noise=("dephasing", p))
-            worst_d = max(worst_d, abs(got - ref) / max(1.0, abs(ref)))
+        rel_x.append(_rel(graphs.qfi_x(g), graphs.oracle_graph_qfi(g)))
+        dev_d += [_dev(graphs.qfi_dephasing(g, p),
+                       graphs.oracle_graph_qfi(g, noise=("dephasing", p)))
+                  for p in (0.05, 0.1, 0.25)]
         patterns = [(v,) for v in range(g.n)]
         patterns += list(itertools.combinations(range(g.n), 2))
-        for pat in patterns:
-            got = graphs.qfi_erasure(g, pat)
-            ref = graphs.oracle_graph_qfi(g, noise=("erasure", pat))
-            worst_e = max(worst_e, abs(got - ref) / max(1.0, abs(ref)))
-    ok = worst_x <= 1e-6 and worst_d <= 1e-8 and worst_e <= 1e-8
-    return ok, ("%d graphs n<=6, 30 at n=9..14 (x/y/z); worst rel noiseless %.1e, "
-                "dephasing %.1e, erasure %.1e" % (len(pool), worst_x, worst_d, worst_e))
+        dev_e += [_dev(graphs.qfi_erasure(g, pat),
+                       graphs.oracle_graph_qfi(g, noise=("erasure", pat)))
+                  for pat in patterns]
+    worst_x, worst_d, worst_e = np.max(rel_x), np.max(dev_d), np.max(dev_e)
+    return ([_at_most("noiseless worst rel", worst_x, 1e-6),
+             _at_most("dephasing worst delta", worst_d, 1e-8),
+             _at_most("erasure worst delta", worst_e, 1e-8)],
+            "%d graphs n<=6, 30 at n=9..14 (x/y/z); worst rel noiseless %.1e, "
+            "dephasing %.1e, erasure %.1e" % (len(pool), worst_x, worst_d, worst_e))
 
 
 @_register("graph-z-encoding", quick=True)
-def _check_graph_z_encoding() -> tuple[bool, str]:
+def _check_graph_z_encoding() -> tuple[list[Measure], str]:
     rng = np.random.default_rng(401)
-    worst = 0.0
+    rels = []
     for _ in range(20):
         n = int(rng.integers(2, 7))
         g = seeded_connected_graphs(n, 1, seed=int(rng.integers(1 << 30)))[0]
-        q = graphs.oracle_graph_qfi(g, "z")
-        worst = max(worst, abs(q - n) / n)
-    return worst <= 1e-6, "20 graphs n<=6: worst rel deviation from n: %.1e" % worst
+        rels.append(_rel(graphs.oracle_graph_qfi(g, "z"), n))
+    worst = np.max(rels)
+    return ([_at_most("worst rel deviation from n", worst, 1e-6)],
+            "20 graphs n<=6: worst rel deviation from n: %.1e" % worst)
 
 
 # ecc helpers
@@ -253,15 +261,12 @@ _FREE_POINTS = [(1.0, 0.10, 0.15), (1.0, 0.25, 0.15), (0.7, 0.20, 0.2),
 
 
 @_register("ecc-free-decay", quick=False)
-def _check_ecc_free_decay() -> tuple[bool, str]:
-    worst = 0.0
+def _check_ecc_free_decay() -> tuple[list[Measure], str]:
     points = [(n,) + p for n in range(2, 7) for p in _FREE_POINTS]
-    for n, omega, gamma, t in points:
-        ref = lindblad_ghz_qfi(n, omega, gamma, t)
-        got = ecc.qfi_no_ecc(n, omega, gamma, t)
-        worst = max(worst, abs(got - ref) / ref)
-    if worst > 1e-6:
-        return False, "closed form vs Lindblad oracle: worst rel %.3e" % worst
+    worst = np.max([_rel(ecc.qfi_no_ecc(n, omega, gamma, t),
+                         lindblad_ghz_qfi(n, omega, gamma, t))
+                    for n, omega, gamma, t in points])
+    measures = [_at_most("closed form vs Lindblad oracle worst rel", worst, 1e-6)]
     coefs = []
     for n in (5, 10):
         gamma = 1.0
@@ -270,12 +275,12 @@ def _check_ecc_free_decay() -> tuple[bool, str]:
         coef = np.polyfit(ts, 1.0 - vals / (n * ts) ** 2, 2)[1]
         target = 2.0 - 4.0 / (3.0 * n)
         coefs.append((coef, target))
-        if abs(coef - target) / target > 0.01:
-            return False, ("short-time coefficient n=%d: fitted %.5f vs %.5f"
-                           % (n, coef, target))
-    return True, ("%d points worst rel %.1e; decay coefficients %.4f/%.4f "
-                  "vs 2-4/(3n) %.4f/%.4f"
-                  % (len(points), worst, coefs[0][0], coefs[1][0], coefs[0][1], coefs[1][1]))
+        measures.append(_at_most("short-time coefficient n=%d rel" % n,
+                                 _rel(coef, target), 0.01))
+    return measures, ("%d points worst rel %.1e; decay coefficients %.4f/%.4f "
+                      "vs 2-4/(3n) %.4f/%.4f"
+                      % (len(points), worst, coefs[0][0], coefs[1][0], coefs[0][1],
+                         coefs[1][1]))
 
 
 _PARITY_POINTS = [(1.0, 0.2, 0.1, 0.3, 0.05), (0.8, 0.35, 0.07, 0.1, 0.02),
@@ -283,8 +288,8 @@ _PARITY_POINTS = [(1.0, 0.2, 0.1, 0.3, 0.05), (0.8, 0.35, 0.07, 0.1, 0.02),
 
 
 @_register("ecc-parity-oracle", quick=False)
-def _check_ecc_parity_oracle() -> tuple[bool, str]:
-    worst = {"ideal": 0.0, "noisy_ancilla": 0.0, "imperfect": 0.0, "general": 0.0}
+def _check_ecc_parity_oracle() -> tuple[list[Measure], str]:
+    rels = {"ideal": [], "noisy_ancilla": [], "imperfect": [], "general": []}
     for n in (2, 3, 4):
         for rounds in (1, 2, 5):
             for omega, gamma, tau, xi, p in _PARITY_POINTS:
@@ -301,25 +306,22 @@ def _check_ecc_parity_oracle() -> tuple[bool, str]:
                 }
                 for label, (params, fn) in cases.items():
                     _, ref = ecc.amplitude_oracle(params, "parity")
-                    got = fn(params)
-                    worst[label] = max(worst[label], abs(got - ref) / ref)
-    bad = {k: v for k, v in worst.items() if v > 1e-6}
-    if bad:
-        return False, "closed form vs amplitude oracle: " + ", ".join(
-            "%s rel %.3e" % kv for kv in sorted(bad.items()))
+                    rels[label].append(_rel(fn(params), ref))
+    worst = sorted((label, np.max(v)) for label, v in rels.items())
     limit = ecc.qfi_parity_imperfect(
         ecc.EccParams(n=25, omega=1.0, gamma=1.0, tau=1e-5, t=1e-2, p=0.01))
     norm = limit / (25 * 1e-2) ** 2
     target = (1.0 - 2 * 0.01) ** 2
-    if abs(norm - target) > 1e-4:
-        return False, "tau->0 limit: %.6f vs %.6f" % (norm, target)
-    return True, ("108 cases worst rel " + ", ".join(
-        "%s %.1e" % kv for kv in sorted(worst.items()))
-        + "; tau->0 limit %.6f vs %.4f" % (norm, target))
+    measures = [_at_most("%s closed form vs amplitude oracle rel" % label, v, 1e-6)
+                for label, v in worst]
+    measures.append(_at_most("tau->0 limit deviation", abs(norm - target), 1e-4))
+    return measures, ("108 cases worst rel " + ", ".join("%s %.1e" % kv for kv in worst)
+                      + "; tau->0 limit %.6f vs %.4f" % (norm, target))
 
 
 @_register("ecc-bitflip", quick=False)
-def _check_ecc_bitflip() -> tuple[bool, str]:
+def _check_ecc_bitflip() -> tuple[list[Measure], str]:
+    measures = []
     ratios_all = []
     for n in (3, 5):
         gaps = []
@@ -330,22 +332,20 @@ def _check_ecc_bitflip() -> tuple[bool, str]:
         ratios = [gaps[0] / gaps[1], gaps[1] / gaps[2]]
         ratios_all.append(ratios)
         lo, hi = 2 ** ((n - 1) / 2 - 0.5), 2 ** ((n - 1) / 2 + 0.5)
-        if not all(lo <= r <= hi for r in ratios):
-            return False, ("halving ratios n=%d: %.3f/%.3f outside [%.3f, %.3f]"
-                           % (n, *ratios, lo, hi))
+        measures += [("halving ratio n=%d rounds %s" % (n, pair), r, lo, hi)
+                     for pair, r in zip(("10/20", "20/40"), ratios)]
     params = ecc.EccParams(n=3, omega=1.0, gamma=0.2, tau=0.1, t=0.3)
     _, ref = ecc.amplitude_oracle(params, "bitflip")
-    got = ecc.qfi_bitflip(params)
-    rel = abs(got - ref) / ref
-    if rel > 1e-6:
-        return False, "bitflip vs amplitude oracle n=3: rel %.3e" % rel
-    return True, ("halving ratios n=3: %.2f/%.2f, n=5: %.2f/%.2f; "
-                  "oracle rel %.1e" % (*ratios_all[0], *ratios_all[1], rel))
+    rel = _rel(ecc.qfi_bitflip(params), ref)
+    measures.append(_at_most("bitflip vs amplitude oracle n=3 rel", rel, 1e-6))
+    return measures, ("halving ratios n=3: %.2f/%.2f, n=5: %.2f/%.2f; "
+                      "oracle rel %.1e" % (*ratios_all[0], *ratios_all[1], rel))
 
 
 @_register("ecc-plateau-collapse", quick=True)
-def _check_ecc_plateau() -> tuple[bool, str]:
+def _check_ecc_plateau() -> tuple[list[Measure], str]:
     n = 25
+    measures = []
     onsets = []
     for ratio in (20.0, 1.0 / 20.0):
         omega = 1.0
@@ -359,15 +359,10 @@ def _check_ecc_plateau() -> tuple[bool, str]:
                 return ecc.qfi_parity_ideal(params) / (n * t) ** 2
 
             curve = np.array([norm_qfi(tau) for tau in taus])
-            if curve[0] < 0.9:
-                return False, ("ratio %.3g rounds 1e%d: plateau %.3f below 0.9"
-                               % (ratio, int(math.log10(rounds)), curve[0]))
-            if curve[-1] > 0.1:
-                return False, ("ratio %.3g rounds 1e%d: tail %.3f has not collapsed"
-                               % (ratio, int(math.log10(rounds)), curve[-1]))
-            if np.any(np.diff(curve) > 1e-6):
-                return False, ("ratio %.3g rounds 1e%d: curve not monotone"
-                               % (ratio, int(math.log10(rounds))))
+            case = "ratio %.3g rounds 1e%d" % (ratio, int(math.log10(rounds)))
+            measures += [(case + " plateau", curve[0], 0.9, math.inf),
+                         _at_most(case + " tail", curve[-1], 0.1),
+                         _at_most(case + " largest rise", np.max(np.diff(curve)), 1e-6)]
             if ratio > 1.0:
                 idx = int(np.searchsorted(-curve, -0.5))
                 lo, hi = taus[idx - 1], taus[idx]
@@ -381,11 +376,9 @@ def _check_ecc_plateau() -> tuple[bool, str]:
                 onset = (4.0 / 3.0) * n * omega ** 2 * tau_star ** 2 * gamma \
                     * (rounds * tau_star)
                 onsets.append(onset)
-                if not 0.3 <= onset <= 3.0:
-                    return False, ("collapse onset %.3f outside [0.3, 3] "
-                                   "at rounds 1e%d" % (onset, int(math.log10(rounds))))
-    return True, ("plateau/collapse shape holds; onsets %.3f/%.3f in [0.3, 3]"
-                  % tuple(onsets))
+                measures.append((case + " collapse onset", onset, 0.3, 3.0))
+    return measures, ("plateau/collapse shape holds; onsets %.3f/%.3f in [0.3, 3]"
+                      % tuple(onsets))
 
 
 def _random_density(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -396,28 +389,23 @@ def _random_density(m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 @_register("twirl-lemmas", quick=False)
-def _check_twirl_lemmas() -> tuple[bool, str]:
-    worst_p = 0.0
+def _check_twirl_lemmas() -> tuple[list[Measure], str]:
+    res_p = []
     for m in (1, 2, 3):
         rng = np.random.default_rng(70 + m)
         rho = _random_density(m, rng)
         elems = list(pauli.all_paulis(m))
-        for q, qp in itertools.permutations(elems, 2):
-            worst_p = max(worst_p, pauli.verify_twirl("pauli", q, qp, rho))
-            if worst_p > 1e-10:
-                return False, ("pauli twirl m=%d %s,%s residual %.3e"
-                               % (m, q.label(), qp.label(), worst_p))
-    worst_c = 0.0
+        res_p += [pauli.verify_twirl("pauli", q, qp, rho)
+                  for q, qp in itertools.permutations(elems, 2)]
+    res_c = []
     rng = np.random.default_rng(81)
     elems2 = list(pauli.all_paulis(2))
     for _ in range(40):
         q, qp = rng.choice(len(elems2), size=2, replace=False)
         q, qp = elems2[int(q)], elems2[int(qp)]
         rho = _random_density(2, rng)
-        worst_c = max(worst_c, pauli.verify_twirl("clifford", q, qp, rho))
-    if worst_c > 1e-10:
-        return False, "clifford twirl residual %.3e" % worst_c
-    worst_l = 0.0
+        res_c.append(pauli.verify_twirl("clifford", q, qp, rho))
+    res_l = []
     rng = np.random.default_rng(82)
     for _ in range(40):
         m = int(rng.integers(1, 4))
@@ -425,11 +413,13 @@ def _check_twirl_lemmas() -> tuple[bool, str]:
         q, qp = rng.choice(len(elems), size=2, replace=False)
         q, qp = elems[int(q)], elems[int(qp)]
         rho = _random_density(m, rng)
-        worst_l = max(worst_l, pauli.verify_twirl("local_clifford", q, qp, rho))
-    if worst_l > 1e-10:
-        return False, "local clifford twirl residual %.3e" % worst_l
-    return True, ("residuals: pauli %.1e, clifford %.1e, local %.1e"
-                  % (worst_p, worst_c, worst_l))
+        res_l.append(pauli.verify_twirl("local_clifford", q, qp, rho))
+    worst_p, worst_c, worst_l = np.max(res_p), np.max(res_c), np.max(res_l)
+    return ([_at_most("pauli twirl worst residual", worst_p, 1e-10),
+             _at_most("clifford twirl worst residual", worst_c, 1e-10),
+             _at_most("local clifford twirl worst residual", worst_l, 1e-10)],
+            "residuals: pauli %.1e, clifford %.1e, local %.1e"
+            % (worst_p, worst_c, worst_l))
 
 
 # soundness battery
@@ -458,7 +448,7 @@ _BATTERY_SIZES = [(1, 1), (2, 1), (2, 2), (3, 1)]
 
 
 @_register("soundness-exact-battery", quick=False)
-def _check_soundness_battery() -> tuple[bool, str]:
+def _check_soundness_battery() -> tuple[list[Measure], str]:
     count = 0
     rng = np.random.default_rng(91)
     for n, t in _BATTERY_SIZES:
@@ -480,22 +470,15 @@ def _check_soundness_battery() -> tuple[bool, str]:
             crypto.soundness_double("clifford", n, t, spec2)
             count += 2
     lhs, worst = crypto.worst_fixed_pauli("trap", 2, 2)
-    if lhs > 0.75:
-        return False, "worst fixed Pauli at (2,2): %.4f exceeds 0.75" % lhs
-    return True, ("%d exact reports within bounds at sizes %s; worst (2,2) "
-                  "Pauli %s lhs %.4f" % (count, _BATTERY_SIZES, worst.label(), lhs))
+    return ([_at_most("worst fixed Pauli lhs at (2,2)", lhs, 0.75)],
+            "%d exact reports within bounds at sizes %s; worst (2,2) "
+            "Pauli %s lhs %.4f" % (count, _BATTERY_SIZES, worst.label(), lhs))
 
 
 @_register("soundness-dual-path", quick=False)
-def _check_soundness_dual_path() -> tuple[bool, str]:
-    worst = 0.0
-
-    def agree(report, dense_pair):
-        nonlocal worst
-        d = max(abs(report.lhs - dense_pair[0]),
-                abs(report.accept_rate - dense_pair[1]))
-        worst = max(worst, d)
-        return d <= 1e-9
+def _check_soundness_dual_path() -> tuple[list[Measure], str]:
+    def delta(report, dense_pair):
+        return np.max(np.abs(np.subtract((report.lhs, report.accept_rate), dense_pair)))
 
     cases = []
     for label in ("XI", "-YZ", "ZZ"):
@@ -512,10 +495,8 @@ def _check_soundness_dual_path() -> tuple[bool, str]:
          (0.3, pauli.PauliString.from_label("ZXI")),
          (0.2, pauli.PauliString.from_label("XYZ"))])))
     cases.append((1, 2, crypto.AttackSpec.fixed_pauli("XZY")))
-    for n, t, spec in cases:
-        rep = crypto.soundness_trap_single(n, t, spec)
-        if not agree(rep, crypto.dense_trap_single(n, t, spec)):
-            return False, "trap single (%d,%d) %s: delta %.3e" % (n, t, spec.variant, worst)
+    trap = [delta(crypto.soundness_trap_single(n, t, spec),
+                  crypto.dense_trap_single(n, t, spec)) for n, t, spec in cases]
     cliff_cases = [crypto.AttackSpec.identity(),
                    crypto.AttackSpec.depolarizing(0.6),
                    crypto.AttackSpec.fixed_pauli("XZ"),
@@ -523,10 +504,8 @@ def _check_soundness_dual_path() -> tuple[bool, str]:
                    crypto.AttackSpec.pauli_mixture(
                        [(0.7, pauli.PauliString.from_label("II")),
                         (0.3, pauli.PauliString.from_label("XY"))])]
-    for spec in cliff_cases:
-        rep = crypto.soundness_clifford_single(1, 1, spec)
-        if not agree(rep, crypto.dense_clifford_single(1, 1, spec)):
-            return False, "clifford single (1,1) %s: delta %.3e" % (spec.variant, worst)
+    cliff = [delta(crypto.soundness_clifford_single(1, 1, spec),
+                   crypto.dense_clifford_single(1, 1, spec)) for spec in cliff_cases]
     dbl_cases = [
         (1, 1, crypto.AttackSpec.double(crypto.AttackSpec.fixed_pauli("XI"),
                                         crypto.AttackSpec.fixed_pauli("ZY"))),
@@ -537,90 +516,73 @@ def _check_soundness_dual_path() -> tuple[bool, str]:
         (2, 1, crypto.AttackSpec.double(crypto.AttackSpec.fixed_pauli("XIZ"),
                                         crypto.AttackSpec.fixed_pauli("IYI"))),
     ]
-    for n, t, spec in dbl_cases:
-        rep = crypto.soundness_double("trap", n, t, spec)
-        if not agree(rep, crypto.dense_trap_double(n, t, spec)):
-            return False, "trap double (%d,%d): delta %.3e" % (n, t, worst)
+    dbl = [delta(crypto.soundness_double("trap", n, t, spec),
+                 crypto.dense_trap_double(n, t, spec)) for n, t, spec in dbl_cases]
     spec = crypto.AttackSpec.double(crypto.AttackSpec.fixed_pauli("XY"),
                                     crypto.AttackSpec.fixed_pauli("XY"))
-    rep = crypto.soundness_double("clifford", 1, 1, spec)
-    if not agree(rep, crypto.dense_clifford_double(1, 1, spec)):
-        return False, "clifford double (1,1): delta %.3e" % worst
+    cliff_dbl = delta(crypto.soundness_double("clifford", 1, 1, spec),
+                      crypto.dense_clifford_double(1, 1, spec))
     broken, honest, bound = crypto.replay_attack_demo(2, 1, 0.7)
     broken_d, honest_d, _ = crypto.replay_attack_demo(2, 1, 0.7, dense=True)
-    d = max(abs(broken - broken_d), abs(honest - honest_d))
-    worst = max(worst, d)
-    if d > 1e-9:
-        return False, "replay demo two-path delta %.3e" % d
+    replay = np.max(np.abs(np.subtract((broken, honest), (broken_d, honest_d))))
+    worst = np.max(trap + cliff + dbl + [cliff_dbl, replay])
     broken, honest, bound = crypto.replay_attack_demo(1, 4, 0.5 * math.pi)
-    if not (broken > bound and honest <= bound + 1e-9):
-        return False, ("replay at (1,4): broken %.4f vs bound %.4f, honest %.4f"
-                       % (broken, bound, honest))
-    return True, ("casework vs dense enumeration: worst delta %.1e; replay "
-                  "broken %.4f > bound %.4f > honest %.4f"
-                  % (worst, broken, bound, honest))
+    return ([_at_most("trap single casework vs dense worst delta", np.max(trap), 1e-9),
+             _at_most("clifford single (1,1) casework vs dense worst delta",
+                      np.max(cliff), 1e-9),
+             _at_most("trap double casework vs dense worst delta", np.max(dbl), 1e-9),
+             _at_most("clifford double (1,1) casework vs dense delta", cliff_dbl, 1e-9),
+             _at_most("replay demo two-path delta", replay, 1e-9),
+             ("replay (1,4) broken", broken, math.nextafter(bound, math.inf), math.inf),
+             _at_most("replay (1,4) honest", honest, bound + 1e-9)],
+            "casework vs dense enumeration: worst delta %.1e; replay "
+            "broken %.4f > bound %.4f > honest %.4f" % (worst, broken, bound, honest))
 
 
 @_register("privacy", quick=True)
-def _check_privacy() -> tuple[bool, str]:
-    worst = 0.0
-    for protocol, n, t in (("trap", 1, 1), ("trap", 2, 1), ("trap", 1, 2),
-                           ("clifford", 1, 1), ("delegated", 2, 1)):
-        dev = crypto.privacy_deviation(protocol, n, t)
-        worst = max(worst, dev)
-        if dev > 1e-10:
-            return False, "%s (%d,%d): deviation %.3e" % (protocol, n, t, dev)
-    return True, "key-averaged deviation from I/2^m: worst %.1e" % worst
+def _check_privacy() -> tuple[list[Measure], str]:
+    measures = [_at_most("%s (%d,%d) deviation" % case, crypto.privacy_deviation(*case), 1e-10)
+                for case in (("trap", 1, 1), ("trap", 2, 1), ("trap", 1, 2),
+                             ("clifford", 1, 1), ("delegated", 2, 1))]
+    return measures, ("key-averaged deviation from I/2^m: worst %.1e"
+                      % np.max([m[1] for m in measures]))
 
 
 @_register("integrity-demo", quick=False)
-def _check_integrity_demo() -> tuple[bool, str]:
+def _check_integrity_demo() -> tuple[list[Measure], str]:
     attack = crypto.parse_attack("mix:0.99*III,0.01*ZII")
     r = crypto.end_to_end_demo(2, 1, 10 ** 4, attack, seed=13)
-    bias_ok = abs(r.empirical_bias) <= r.bound_bias + 4 * r.bias_stderr
+    bias_hi = r.bound_bias + 4 * r.bias_stderr
     excess = r.empirical_mse - r.ideal_mse
-    mse_ok = excess <= r.bound_mse + 4 * r.mse_stderr
-    if not (bias_ok and mse_ok):
-        return False, ("bias %.4e vs bound %.4e (4sig %.1e); mse excess %.4e "
-                       "vs bound %.4e (4sig %.1e)"
-                       % (r.empirical_bias, r.bound_bias, 4 * r.bias_stderr,
-                          excess, r.bound_mse, 4 * r.mse_stderr))
-    return True, ("bias %.4e <= %.4e, mse excess %.4e <= %.4e "
-                  "(accept rate %.3f, %d rounds kept)"
-                  % (abs(r.empirical_bias), r.bound_bias + 4 * r.bias_stderr,
-                     excess, r.bound_mse + 4 * r.mse_stderr,
-                     r.accept_rate, r.rounds_accepted))
+    mse_hi = r.bound_mse + 4 * r.mse_stderr
+    return ([_at_most("|bias|", abs(r.empirical_bias), bias_hi),
+             _at_most("mse excess", excess, mse_hi)],
+            "bias %.4e <= %.4e, mse excess %.4e <= %.4e (accept rate %.3f, "
+            "%d rounds kept)" % (abs(r.empirical_bias), bias_hi, excess, mse_hi,
+                                 r.accept_rate, r.rounds_accepted))
 
 
 @_register("estimation-primitives", quick=True)
-def _check_estimation() -> tuple[bool, str]:
+def _check_estimation() -> tuple[list[Measure], str]:
+    bias_devs, var_devs = [], []
     for p_true in (0.3, 0.42, 0.5, 0.8):
         for n_flips in range(1, 21):
             s = estimation.coin_mle_stats(p_true, n_flips)
-            if abs(s.bias) > 1e-12:
-                return False, "coin p=%.2f N=%d: bias %.2e" % (p_true, n_flips, s.bias)
-            want = p_true * (1 - p_true) / n_flips
-            if abs(s.variance - want) > 1e-12:
-                return False, ("coin p=%.2f N=%d: variance %.12f != %.12f"
-                               % (p_true, n_flips, s.variance, want))
-    for n in range(1, 7):
-        if estimation.phase_qfi(n, "ghz") != n * n:
-            return False, "ghz phase qfi n=%d" % n
-        if estimation.phase_qfi(n, "separable") != n:
-            return False, "separable phase qfi n=%d" % n
-    worst_mse = 0.0
+            bias_devs.append(abs(s.bias))
+            var_devs.append(abs(s.variance - p_true * (1 - p_true) / n_flips))
+    phase_mismatches = sum((estimation.phase_qfi(n, "ghz") != n * n)
+                           + (estimation.phase_qfi(n, "separable") != n)
+                           for n in range(1, 7))
+    mse_rels = []
     for n in range(2, 7):
         theta = 0.9 / n
         pmf = estimation.Pmf([
             ("+", lambda th, n=n: (1 + math.cos(n * th)) / 2),
             ("-", lambda th, n=n: (1 - math.cos(n * th)) / 2)])
         stats = estimation.local_estimator_stats(pmf, theta, 10)
-        want = 1.0 / (10 * n * n)
-        worst_mse = max(worst_mse, abs(stats.mse - want) / want)
-    if worst_mse > 1e-8:
-        return False, "parity estimator mse vs 1/(nu n^2): worst rel %.3e" % worst_mse
+        mse_rels.append(_rel(stats.mse, 1.0 / (10 * n * n)))
     rng = np.random.default_rng(55)
-    worst_t = 0.0
+    heat_rels, links = [], []
     for _ in range(5):
         levels = np.sort(rng.uniform(0.0, 3.0, size=4))
         temp = float(rng.uniform(0.4, 2.0))
@@ -632,38 +594,34 @@ def _check_estimation() -> tuple[bool, str]:
 
         fd = (mean_energy(temp + h) - mean_energy(temp - h)) / (2 * h)
         hc = estimation.heat_capacity(levels, temp)
-        worst_t = max(worst_t, abs(fd - hc) / max(abs(hc), 1e-12))
-        link = abs(estimation.thermometry_qfi(levels, temp)
-                   - hc / temp ** 2)
-        if link > 1e-12:
-            return False, "thermometry qfi vs C/T^2: delta %.3e" % link
-    if worst_t > 1e-6:
-        return False, "heat capacity identity: worst rel %.3e" % worst_t
-    return True, ("coin exact to 1e-12 (N<=20); phase qfi n/n^2; parity mse "
-                  "rel %.1e; heat capacity rel %.1e" % (worst_mse, worst_t))
+        heat_rels.append(abs(fd - hc) / max(abs(hc), 1e-12))
+        links.append(abs(estimation.thermometry_qfi(levels, temp) - hc / temp ** 2))
+    worst_mse, worst_t = np.max(mse_rels), np.max(heat_rels)
+    return ([_at_most("coin worst |bias|", np.max(bias_devs), 1e-12),
+             _at_most("coin worst variance delta", np.max(var_devs), 1e-12),
+             ("phase qfi mismatches", phase_mismatches, 0, 0),
+             _at_most("parity estimator mse vs 1/(nu n^2) worst rel", worst_mse, 1e-8),
+             _at_most("thermometry qfi vs C/T^2 worst delta", np.max(links), 1e-12),
+             _at_most("heat capacity identity worst rel", worst_t, 1e-6)],
+            "coin exact to 1e-12 (N<=20); phase qfi n/n^2; parity mse "
+            "rel %.1e; heat capacity rel %.1e" % (worst_mse, worst_t))
 
 
 @_register("output-determinism", quick=True)
-def _check_output_determinism() -> tuple[bool, str]:
+def _check_output_determinism() -> tuple[list[Measure], str]:
     from . import cli
 
-    csv_a = cli.ecc_csv("parity", n=3, omega=1.0, gamma=0.2, xi=0.05, p=0.02,
-                        tau=0.1, t=0.5, sweep=("tau", 0.05, 0.25, 5, "lin"))
-    csv_b = cli.ecc_csv("parity", n=3, omega=1.0, gamma=0.2, xi=0.05, p=0.02,
-                        tau=0.1, t=0.5, sweep=("tau", 0.05, 0.25, 5, "lin"))
-    if csv_a != csv_b:
-        return False, "ecc sweep CSV differs between identical runs"
-    json_a = cli.crypto_json("trap1", 2, 1, "mix:0.9*III,0.1*XZY",
-                             trials=400, seed=7)
-    json_b = cli.crypto_json("trap1", 2, 1, "mix:0.9*III,0.1*XZY",
-                             trials=400, seed=7)
-    if json_a != json_b:
-        return False, "exact-mode JSON differs between identical runs"
-    sm_a = cli.crypto_json("trap1", 5, 2, "mix:0.9*IIIIIII,0.1*XZYXZYX",
-                           trials=400, seed=7)
-    sm_b = cli.crypto_json("trap1", 5, 2, "mix:0.9*IIIIIII,0.1*XZYXZYX",
-                           trials=400, seed=7)
-    if sm_a != sm_b or '"mode": "sampled"' not in sm_a:
-        return False, "sampled-mode JSON differs between identical runs"
-    return True, ("%d CSV rows, exact and sampled JSON reports reproduced exactly"
-                  % (len(csv_a.splitlines()) - 1))
+    csv = [cli.ecc_csv("parity", n=3, omega=1.0, gamma=0.2, xi=0.05, p=0.02,
+                       tau=0.1, t=0.5, sweep=("tau", 0.05, 0.25, 5, "lin"))
+           for _ in range(2)]
+    exact = [cli.crypto_json("trap1", 2, 1, "mix:0.9*III,0.1*XZY", trials=400, seed=7)
+             for _ in range(2)]
+    sampled = [cli.crypto_json("trap1", 5, 2, "mix:0.9*IIIIIII,0.1*XZYXZYX",
+                               trials=400, seed=7)
+               for _ in range(2)]
+    differing = sum(a != b for a, b in (csv, exact, sampled))
+    return ([("CSV/JSON reruns that differ", differing, 0, 0),
+             ("sampled-mode reports in another mode",
+              int('"mode": "sampled"' not in sampled[0]), 0, 0)],
+            "%d CSV rows, exact and sampled JSON reports reproduced exactly"
+            % (len(csv[0].splitlines()) - 1))

@@ -45,6 +45,14 @@ def _fmt_value(value: float) -> str:
     return format(float(value), ".12g")
 
 
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(EXIT_USAGE, "cannot write %s: %s" % (path, exc))
+
+
 # graph subcommand
 
 
@@ -150,11 +158,7 @@ def cmd_bundle(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(EXIT_DOMAIN, str(exc))
     text = graphs.format_graph(bundled)
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise CliError(EXIT_USAGE, "cannot write %s: %s" % (args.out, exc))
+    _write_out(args.out, text)
     print("n=%d" % bundled.n)
     print("qfi=%s" % _fmt_value(float(graphs.qfi_x(bundled))))
     print("wrote %s" % args.out)
@@ -266,11 +270,7 @@ def cmd_ecc(args: argparse.Namespace) -> int:
     text = ecc_csv(args.code, n=args.n, omega=args.omega, gamma=args.gamma,
                    xi=args.xi or 0.0, p=args.p or 0.0, tau=args.tau, t=args.t,
                    sweep=sweep, oracle=args.oracle)
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise CliError(EXIT_USAGE, "cannot write %s: %s" % (args.out, exc))
+    _write_out(args.out, text)
     print("wrote %s (%d rows)" % (args.out, text.count("\n") - 1))
     return EXIT_OK
 
@@ -361,11 +361,7 @@ def crypto_json(protocol: str, n: int, t: int, attack_text: str,
 def cmd_crypto(args: argparse.Namespace) -> int:
     text = crypto_json(args.protocol, args.n, args.t, args.attack,
                        args.trials, args.seed)
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise CliError(EXIT_USAGE, "cannot write %s: %s" % (args.out, exc))
+    _write_out(args.out, text)
     report = json.loads(text)
     print("lhs=%s bound=%s accept_rate=%s mode=%s"
           % (report["lhs"], report["bound"], report["accept_rate"], report["mode"]))

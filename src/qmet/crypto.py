@@ -66,6 +66,8 @@ class AttackSpec:
 
     def __post_init__(self) -> None:
         if self.variant == "pauli_mixture":
+            if not all(math.isfinite(p) for p, _ in self.mixture):
+                raise ValueError("non-finite probability in Pauli mixture")
             total = sum(p for p, _ in self.mixture)
             if abs(total - 1.0) > 1e-12:
                 raise ValueError("mixture probabilities sum to %r, not 1" % total)
@@ -75,6 +77,8 @@ class AttackSpec:
             if not 0.0 <= self.strength <= 1.0:
                 raise ValueError("depolarizing strength %r outside [0, 1]" % self.strength)
         elif self.variant == "kraus":
+            if not all(np.isfinite(a).all() for a in self.kraus_mats):
+                raise ValueError("non-finite entry in a Kraus operator")
             dim = self.kraus_mats[0].shape[0]
             total = sum(a.conj().T @ a for a in self.kraus_mats)
             if np.max(np.abs(total - np.eye(dim))) > 1e-9:
@@ -603,7 +607,7 @@ def _sample_trap_single(n, t, attack, psi, trials, seed):
     """Trap keys read off the key tables for a listed Pauli mixture, else ``_sample_keys``.
 
     A flag survives a term exactly when the decrypted operator there is I or
-    Z, and the signs of the decrypted data operator drop out of
+    Z (the flag rule of ``_delegated_rule``), and the signs of the decrypted data operator drop out of
     |<psi|V|psi>|^2, so only axes matter; that overlap is cached per data
     Pauli.  A depolarizing attack takes ``_sample_keys``, whose closed-form
     channel never lists the 4^m Pauli terms.
@@ -631,7 +635,7 @@ def _sample_trap_single(n, t, attack, psi, trials, seed):
         is_flag = np.zeros(m, dtype=bool)
         is_flag[list(flags)] = True
         decrypted = decrypt[local, codes]
-        alive = np.flatnonzero(~np.any(decrypted[:, is_flag] & 1, axis=1))
+        alive = np.flatnonzero(_delegated_rule(decrypted, is_flag)[0])
         p_acc = float(probs[alive].sum())
         return p_acc, p_acc - sum(probs[k] * overlap(decrypted[k, ~is_flag]) for k in alive)
 
@@ -1049,11 +1053,12 @@ def _delegated_rule(decrypted: np.ndarray, is_flag: np.ndarray) -> tuple[np.ndar
     register reads X or Z on D|start>, D the decrypted attack.  A flag starts
     in |0>, so it reads +1 exactly when D has no x bit there; the data parity
     X^n of GHZ_theta reads +-1 with mean s cos(n theta), s = (-1)^(number of
-    data slots where D has a z bit), since the signs of D cancel.
+    data slots where D has a z bit), since the signs of D cancel.  ``is_flag``
+    is boolean, so ``decrypted & is_flag`` is the x bit on the flag slots.
     """
-    accepted = ~np.any((decrypted & 1).astype(bool) & is_flag, axis=-1)
-    flips = np.sum((decrypted >> 1) & ~is_flag, axis=-1)
-    return accepted, 1 - 2 * (flips & 1)
+    accepted = ~(decrypted & is_flag).any(axis=-1)
+    parity = np.bitwise_xor.reduce((decrypted >> 1) & ~is_flag, axis=-1)
+    return accepted, 1 - 2 * parity
 
 
 def end_to_end_demo(n: int, t: int, nu: int, attack: AttackSpec,

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmet import cli, ecc
+from qmet import checks, cli, ecc, graphs
 
 STAR5 = "5\n0 1\n0 2\n0 3\n0 4\n"
 CYCLE6 = "6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
@@ -186,6 +187,23 @@ def test_bundle_size_mismatch(tmp_path, capsys):
     rc = run_cli(["bundle", "--edges", str(src), "--sizes", "3,4",
                   "--out", str(tmp_path / "x.edges")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["bundle", "--sizes", "3,4,3"],
+    ["ecc", "--code", "parity", "--n", "3", "--omega", "1", "--gamma", "0.2",
+     "--tau", "0.1", "--t", "0.3"],
+    ["crypto", "--protocol", "trap1", "--n", "1", "--t", "1", "--attack", "id"],
+], ids=["bundle", "ecc", "crypto"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, args):
+    src = tmp_path / "tri.edges"
+    src.write_text(TRIANGLE)
+    out_path = tmp_path / "missing" / "x.out"
+    if args[0] == "bundle":
+        args = args + ["--edges", str(src)]
+    rc = run_cli(args + ["--out", str(out_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: cannot write %s: " % out_path)
 
 
 def test_ecc_single_point(tmp_path, capsys):
@@ -411,6 +429,16 @@ def test_crypto_usage_errors(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("attack", ["mix:nan*II", "mix:0.5*II,nan*XI", "mix:inf*II"])
+def test_crypto_rejects_non_finite_weights(tmp_path, capsys, attack):
+    out_path = tmp_path / "x.json"
+    rc = run_cli(["crypto", "--protocol", "trap1", "--n", "1", "--t", "1",
+                  "--attack", attack, "--out", str(out_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: bad attack spec: ")
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("protocol,n,t,trials,seed,attack,message", [
     ("trap1", 2, 0, 2000, 0, "id", "--t must be >= 1, got 0"),
     ("trap2", 2, 0, 2000, 0, "double:id;id", "--t must be >= 1, got 0"),
@@ -557,3 +585,17 @@ def test_verify_perturb_negative_control():
     assert r.returncode == 1
     assert "FAIL graph-closed-forms" in r.stdout
     assert "verification failed: graph-closed-forms" in r.stderr
+
+
+@pytest.mark.parametrize("name,module,fn,point,detail", [
+    ("ecc-free-decay", ecc, "qfi_no_ecc", (3, 0.7, 0.2, 0.2),
+     "closed form vs Lindblad oracle worst rel nan outside [-inf, 1e-06]"),
+    ("graph-oracle-quick", graphs, "qfi_dephasing", (graphs.star(5), 0.1),
+     "dephasing p=0.1 star5 delta nan outside [-inf, 1e-08]"),
+], ids=["ecc-free-decay", "graph-oracle-quick"])
+def test_verify_fails_on_nan_closed_form(monkeypatch, name, module, fn, point, detail):
+    real = getattr(module, fn)
+    monkeypatch.setattr(module, fn, lambda *args: math.nan if args == point else real(*args))
+    (r,) = checks.run_checks(names=[name])
+    assert not r.ok
+    assert r.detail == detail

@@ -33,6 +33,12 @@ def test_parse_attack_rejections():
             crypto.parse_attack(text)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kraus_attack_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="non-finite entry"):
+        crypto.AttackSpec.from_kraus([np.array([[1.0, 0.0], [0.0, bad]])])
+
+
 def test_bounds():
     np.testing.assert_allclose(crypto.trap_bound(2, 1), 3.0)
     np.testing.assert_allclose(crypto.trap_bound(2, 2), 1.5)
