@@ -31,7 +31,7 @@ import numpy as np
 from .dense import PAULI_1Q, kron_all, local_product_sum
 from .pauli import (
     PauliString,
-    _conjugation_sum,
+    _coset_representatives,
     all_paulis,
     channel_pauli_weights,
     enumerate_clifford,
@@ -275,32 +275,15 @@ def _random_trap_key(m: int, t: int, rng: np.random.Generator,
 
 def _physical_axes(flag_positions, m: int) -> list[int]:
     """axes[q] = logical axis carried by physical slot q (data first, flags last)."""
-    flags = set(flag_positions)
-    n = m - len(flags)
-    axes = []
-    data_seen = flag_seen = 0
-    for q in range(m):
-        if q in flags:
-            axes.append(n + flag_seen)
-            flag_seen += 1
-        else:
-            axes.append(data_seen)
-            data_seen += 1
-    return axes
-
-
-def _with_flags(psi: np.ndarray, t: int) -> np.ndarray:
-    """psi (x) |0...0> with t flag qubits last (logical, data-first order)."""
-    flag_part = np.zeros(1 << t, dtype=complex)
-    flag_part[0] = 1.0
-    return np.kron(psi, flag_part)
+    slots = [q for q in range(m) if q not in flag_positions] + sorted(flag_positions)
+    return np.argsort(slots).tolist()
 
 
 def _embed_with_flags(data_vec: np.ndarray, flag_positions, m: int) -> np.ndarray:
     """|psi> on the data slots, |0> flags at the given physical positions."""
-    logical = _with_flags(np.asarray(data_vec, dtype=complex), len(flag_positions))
-    axes = _physical_axes(flag_positions, m)
-    return logical.reshape([2] * m).transpose(axes).reshape(-1)
+    logical = np.zeros((len(data_vec), 1 << len(flag_positions)), dtype=complex)
+    logical[:, 0] = data_vec
+    return logical.reshape([2] * m).transpose(_physical_axes(flag_positions, m)).reshape(-1)
 
 
 def _to_logical(rho_phys: np.ndarray, flag_positions, m: int) -> np.ndarray:
@@ -791,7 +774,7 @@ def worst_fixed_pauli(protocol: str, n: int, t: int) -> tuple[float, PauliString
 
 # --------------------------------------------------------------------------
 # dense key enumeration: the cross-check of the casework above, over the literal
-# key set (trap keys one qubit at a time, Clifford and replay keys as stacks).
+# key set (local keys one qubit at a time, Clifford keys one coset at a time).
 
 
 @lru_cache(maxsize=1)
@@ -806,19 +789,22 @@ def _local_twirl_map() -> np.ndarray:
 def _twirl(rho: np.ndarray, kraus: list[np.ndarray], protocol: str) -> np.ndarray:
     """Average of U^dag Gamma(U rho U^dag) U over every key U of ``protocol``.
 
-    For trap keys U = U_1 x ... x U_m, the superoperator S = sum_K K x conj(K)
-    is averaged on each qubit's four axes of S as a [2] * 4m tensor.
+    Every key is U = l . r modulo phase, l = U_1 x ... x U_m a local Clifford
+    layer and r in R: R = {I} for trap keys, R_m (``_coset_representatives``,
+    m <= 2) for Clifford keys.  The average over l is one superoperator, S =
+    sum_K K x conj(K) averaged on each qubit's four axes as a [2] * 4m
+    tensor, applied to each r rho r^dag and conjugated back by r.
     """
     m = rho.shape[0].bit_length() - 1
-    if protocol == "clifford":
-        group = enumerate_clifford(m)
-        return sum(_conjugation_sum(group, k, k.conj().T, rho) for k in kraus) / len(group)
+    reps = _coset_representatives(m) if protocol == "clifford" else np.eye(1 << m)[None]
     s = sum(kron_all([k, k.conj()]) for k in kraus).reshape([2] * (4 * m))
     for q in range(m):
         axes = [q, q + m, q + 2 * m, q + 3 * m]
         s = np.moveaxis(np.tensordot(_local_twirl_map(), s, axes=([4, 5, 6, 7], axes)),
                         [0, 1, 2, 3], axes)
-    return (s.reshape(rho.size, rho.size) @ rho.reshape(-1)).reshape(rho.shape)
+    reps_dag = reps.conj().swapaxes(1, 2)
+    out = (reps @ rho @ reps_dag).reshape(len(reps), -1) @ s.reshape(rho.size, rho.size).T
+    return (reps_dag @ out.reshape(reps.shape) @ reps).mean(axis=0)
 
 
 def _dense_average(protocol: str, n: int, t: int, attacks,
@@ -831,8 +817,9 @@ def _dense_average(protocol: str, n: int, t: int, attacks,
     (m <= 2).  Each use draws its own key, so its key average is one
     ``_twirl`` inside ``_round``; the rounds are averaged over placements.
     This path uses no Pauli weight, no support and no twirl lemma; the
-    per-qubit map for trap keys uses only the fact that the key's per-qubit
-    draws are independent.
+    per-qubit map uses only the fact that a local layer's per-qubit draws
+    are independent, and the Clifford sum only that the group is the union
+    of the cosets (C_1 x ... x C_1) . r.
     """
     if attacks is None:  # the pair of a spec that is not a double one
         raise ValueError("double-use soundness needs a double attack spec")
@@ -863,7 +850,7 @@ def dense_trap_single(n: int, t: int, attack: AttackSpec,
 
 def dense_clifford_single(n: int, t: int, attack: AttackSpec,
                           data_state: np.ndarray | None = None) -> tuple[float, float]:
-    """(lhs, accept_rate) by enumerating the full Clifford group (m <= 2)."""
+    """(lhs, accept_rate) by summing the full Clifford group coset by coset (m <= 2)."""
     return _dense_average("clifford", n, t, [attack], data_state=data_state)
 
 
@@ -935,30 +922,30 @@ def replay_attack_demo(n: int, t: int, theta: float, *,
 
 def privacy_deviation(protocol: str, n: int, t: int, *,
                       data_state: np.ndarray | None = None) -> float:
-    """Max-norm distance of the key-averaged encrypted state from I/2^m."""
+    """Max-norm distance of the key-averaged encrypted state from I/2^m.
+
+    Every key is l . r modulo phase, l = U_1 x ... x U_m a local Clifford
+    layer and r in R: R = {I} for trap keys (m <= 3), whose flags take every
+    placement, and R_m for Clifford keys (m <= 2), whose flags stay last.
+    The exact key average is the local-Clifford sum of the mixture of the
+    r |v><v| r^dag.
+    """
     psi = _data_state(n, t, data_state)
     m = n + t
     if protocol in ("trap", "delegated"):
         if m > 3:
             raise ValueError("trap privacy enumeration capped at m = 3")
-        # Every local-Clifford key U = U_1 x ... x U_m, summed one qubit at a time.
-        pairs = [[(u, u.conj().T) for u in enumerate_clifford(1)]] * m
-        total = np.zeros((1 << m, 1 << m), dtype=complex)
-        count = 0
-        for flags in itertools.combinations(range(m), t):
-            vec = _embed_with_flags(psi, flags, m)
-            total += local_product_sum(np.outer(vec, vec.conj()), pairs)
-            count += len(pairs[0]) ** m
-        avg = total / count
+        placements, reps = itertools.combinations(range(m), t), np.eye(1 << m)[None]
     elif protocol == "clifford":
         if m > 2:
             raise ValueError("Clifford privacy enumeration capped at m = 2")
-        vec = _with_flags(psi, t)
-        rho = np.outer(vec, vec.conj())
-        group = enumerate_clifford(m)
-        avg = np.einsum("uab,bc,udc->ad", group, rho, group.conj()) / len(group)
+        placements, reps = [tuple(range(n, m))], _coset_representatives(m)
     else:
         raise ValueError("unknown protocol %r" % protocol)
+    vecs = [_embed_with_flags(psi, flags, m) for flags in placements]
+    states = np.einsum("rab,vb->rva", reps, vecs).reshape(-1, 1 << m)
+    pairs = [[(u, u.conj().T) for u in enumerate_clifford(1)]] * m
+    avg = local_product_sum(states.T @ states.conj(), pairs) / (24 ** m * len(states))
     return float(np.max(np.abs(avg - np.eye(1 << m) / (1 << m))))
 
 

@@ -55,15 +55,17 @@ def local_product_sum(rho: np.ndarray,
     tensor product of single-qubit maps.  Qubit j's map is summed once into
     one [2, 2, 2, 2] tensor sum_k A_k[a, a'] B_k[b', b], which one
     contraction applies on row axis j and column axis m + j of rho as a
-    [2] * 2m tensor: m contractions and no Kronecker product.
+    [2] * 2m tensor: m contractions and no Kronecker product.  A stack of
+    matrices, shape (..., 2^m, 2^m), is mapped one matrix at a time.
     """
-    m = len(pairs)
-    t = np.asarray(rho, dtype=complex).reshape([2] * (2 * m))
+    m, lead = len(pairs), np.ndim(rho) - 2
+    t = np.asarray(rho, dtype=complex).reshape(np.shape(rho)[:lead] + (2,) * (2 * m))
     for j, options in enumerate(pairs):
         a, b = (np.array(side) for side in zip(*options))
         kernel = np.einsum("kac,kdb->acdb", a, b)
-        t = np.moveaxis(np.tensordot(kernel, t, axes=([1, 2], [j, m + j])), [0, 1], [j, m + j])
-    return t.reshape(1 << m, 1 << m)
+        axes = [lead + j, lead + m + j]
+        t = np.moveaxis(np.tensordot(kernel, t, axes=([1, 2], axes)), [0, 1], axes)
+    return t.reshape(np.shape(rho))
 
 
 def ket(bits: Sequence[int]) -> np.ndarray:

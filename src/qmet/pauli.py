@@ -320,8 +320,31 @@ def _subset_products(gens) -> list[tuple[int, int, int]]:
     return out
 
 
-# Most unitaries a stack sum multiplies at once (128 KiB per two-qubit temporary).
-_STACK_CHUNK = 512
+_HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+_SH = np.diag([1, 1j]) @ _HADAMARD
+_AXIS_CYCLES = (ID2, _SH, _SH @ _SH)  # I, then SH: X -> Z -> Y -> X, then its square
+
+
+@lru_cache(maxsize=2)
+def _coset_representatives(m: int) -> np.ndarray:
+    """Right-coset representatives R_m of C_1^{x m} in C_m (m <= 2), read-only, phase arbitrary.
+
+    Every m-qubit Clifford is l . r modulo phase for one local l and one r.
+    R_1 = {I}; R_2 = {I, SWAP, CNOT (A x B), iSWAP (A x B)}, A and B the axis
+    cycles (Corcoles et al., PRA 87, 030301, 2013): 20 matrices.
+    """
+    if not 1 <= m <= 2:
+        raise ValueError("Clifford enumeration supports m = 1 or 2, got m=%d" % m)
+    if m == 1:
+        reps = [ID2]
+    else:
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        entanglers = (np.eye(4)[[0, 1, 3, 2]], np.diag([1, 1j, 1j, 1]) @ swap)  # CNOT, iSWAP
+        reps = [np.eye(4), swap] + [g @ np.kron(a, b) for g in entanglers
+                                    for a in _AXIS_CYCLES for b in _AXIS_CYCLES]
+    out = np.array(reps, dtype=complex)
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=2)
@@ -329,31 +352,23 @@ def enumerate_clifford(m: int) -> np.ndarray:
     """Every m-qubit Clifford unitary modulo phase (m <= 2), as one read-only stack.
 
     C_1 is the 4 Paulis times the 6 permutations of the axes X, Y, Z (I, SH
-    and (SH)^2, each with or without H).  C_2 is (C_1 x C_1) . {I, SWAP,
-    CNOT (A x B), iSWAP (A x B)}, with A and B the three axis cycles
-    (Corcoles et al., PRA 87, 030301, 2013): 576 * 20 = 11,520 matrices.
-    Built one coset representative at a time; each matrix is put in the
-    phase gauge of ``random_clifford`` (first nonzero entry real and
-    positive), and each real and imaginary part snapped to 0, +-1/2,
-    +-1/sqrt(2) or +-1 (ArithmeticError if more than 1e-9 off), so entries
-    are exact and equal ``random_clifford``'s bit for bit.  Kept for the
-    process (2.9 MB at m = 2).
+    and (SH)^2, each with or without H).  C_2 is (C_1 x C_1) . R_2 (see
+    ``_coset_representatives``): row 576 r + 24 i + j is C_1[i] x C_1[j] .
+    R_2[r], 11,520 matrices.  Each matrix is put in the phase gauge of
+    ``random_clifford`` (first nonzero entry real and positive), and each
+    real and imaginary part snapped to 0, +-1/2, +-1/sqrt(2) or +-1
+    (ArithmeticError if more than 1e-9 off), so entries are exact and equal
+    ``random_clifford``'s bit for bit.  Kept for the process (2.9 MB at
+    m = 2).  Group averages sum by cosets instead; tests use the stack as
+    their literal reference.
     """
-    if not 1 <= m <= 2:
-        raise ValueError("Clifford enumeration supports m = 1 or 2, got m=%d" % m)
-    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    cycles = [ID2, np.diag([1, 1j]) @ hadamard]     # SH: X -> Z -> Y -> X
-    cycles.append(cycles[1] @ cycles[1])
     if m == 1:
         local = np.array(list(PAULI_1Q.values()))
-        reps = [c @ h for h in (ID2, hadamard) for c in cycles]
+        reps = [c @ h for h in (ID2, _HADAMARD) for c in _AXIS_CYCLES]
     else:
+        reps = _coset_representatives(m)  # raises unless m = 2
         one = enumerate_clifford(1)
         local = np.einsum("iab,jcd->ijacbd", one, one).reshape(-1, 4, 4)
-        swap = np.eye(4)[[0, 2, 1, 3]]
-        entanglers = (np.eye(4)[[0, 1, 3, 2]], np.diag([1, 1j, 1j, 1]) @ swap)  # CNOT, iSWAP
-        reps = [np.eye(4), swap] + [g @ np.kron(a, b) for g in entanglers
-                                    for a in cycles for b in cycles]
     # |real| and |imag| of every gauged entry, spelled as random_clifford computes them.
     levels = np.array([0.0, 0.5, 1 / np.sqrt(2), 1.0])
     parts = []
@@ -380,34 +395,26 @@ def _factor(p: PauliString, j: int) -> np.ndarray:
     return _FACTORS_1Q[((p.x >> j) & 1, (p.z >> j) & 1)]
 
 
-def _conjugation_sum(group: np.ndarray, a: np.ndarray, b: np.ndarray,
-                     rho: np.ndarray) -> np.ndarray:
-    """sum_g (g^dag a g) rho (g^dag b g) over a stack of unitaries, a chunk at a time."""
-    dim = rho.shape[0]
-    total = np.zeros_like(rho)
-    for start in range(0, len(group), _STACK_CHUNK):
-        g = group[start:start + _STACK_CHUNK]
-        gd_rows = g.conj().swapaxes(1, 2).reshape(-1, dim)
-        left = (gd_rows @ a).reshape(g.shape) @ g
-        right = (gd_rows @ b).reshape(g.shape) @ g
-        total += ((left.reshape(-1, dim) @ rho).reshape(g.shape) @ right).sum(axis=0)
-    return total
-
-
 def _twirl_sum(kind: str, q: PauliString, qp: PauliString,
                rho: np.ndarray) -> np.ndarray:
     """sum_G (G q G^dag) rho (G q' G^dag) over the twirl group ``kind``.
 
     For ``pauli`` and ``local_clifford``, G = U_1 x ... x U_m and q = i^k q_1
     x ... x q_m, so the sum is a tensor product of single-qubit maps.  The
-    Clifford group, closed under G -> G^dag, is summed as G^dag q G.
+    Clifford group, closed under G -> G^dag, is summed as G^dag q G over
+    G = l . r, r in R_m (``_coset_representatives``): the local-Clifford sum
+    of r rho r^dag, conjugated back by r.  The local sums also take a stack
+    of matrices, one sum per matrix, which is how the 20 r rho r^dag go in.
     """
     m = q.n
     rho = np.asarray(rho, dtype=complex)
     if kind == "clifford":
         if m > 2:
             raise ValueError("full Clifford enumeration capped at m = 2")
-        return _conjugation_sum(enumerate_clifford(m), q.to_matrix(), qp.to_matrix(), rho)
+        reps = _coset_representatives(m)
+        reps_dag = reps.conj().swapaxes(1, 2)
+        twirled = _twirl_sum("local_clifford", q, qp, reps @ rho @ reps_dag)
+        return (reps_dag @ twirled @ reps).sum(axis=0)
     units = {"pauli": list(PAULI_1Q.values()), "local_clifford": enumerate_clifford(1)}
     if kind not in units:
         raise ValueError("unknown twirl kind %r" % kind)
@@ -427,10 +434,12 @@ def verify_twirl(kind: str, q: PauliString, qp: PauliString,
     of single-qubit Cliffords (kind ``local_clifford``).  For q != q' each
     sum vanishes identically, so the residual is pure numerical noise.
     """
+    if q.n != qp.n:
+        raise ValueError("dimension mismatch: %d vs %d qubits" % (q.n, qp.n))
+    if np.shape(rho) != (1 << q.n, 1 << q.n):
+        raise ValueError("rho of shape %s does not act on %d qubits" % (np.shape(rho), q.n))
     if q.axes_key() == qp.axes_key():
         raise ValueError("twirl lemma requires distinct Pauli operators")
-    if q.n != qp.n:
-        raise ValueError("dimension mismatch")
     return float(np.max(np.abs(_twirl_sum(kind, q, qp, rho))))
 
 

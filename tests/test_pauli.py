@@ -106,6 +106,20 @@ def test_clifford_stack_is_the_whole_group(m):
         assert all(_gauge_key(g @ u) in keys for u in us)
 
 
+def test_coset_representatives_build_the_stack():
+    # The coset sums of the twirls and key averages run over l . r with l in
+    # C_1 x C_1 and r in R_2; row 576 r + 24 i + j of the validated stack
+    # must be that element, so the two cannot drift apart.
+    one, reps = pauli.enumerate_clifford(1), pauli._coset_representatives(2)
+    stack = pauli.enumerate_clifford(2)
+    assert len(reps) == 20 and not reps.flags.writeable
+    assert np.array_equal(pauli._coset_representatives(1), np.eye(2)[None])
+    for r, rep in enumerate(reps):
+        for i, j in itertools.product(range(24), repeat=2):
+            want = _gauge_key(np.kron(one[i], one[j]) @ rep)
+            assert _gauge_key(stack[576 * r + 24 * i + j]) == want, (r, i, j)
+
+
 def test_clifford_enumeration_capped_at_two_qubits():
     with pytest.raises(ValueError, match="m=3"):
         pauli.enumerate_clifford(3)
@@ -151,8 +165,9 @@ def test_local_clifford_sum_matches_literal_group_sum(m, labels):
         assert np.abs(got - want).max() / scale < 1e-12, (ql, qpl)
 
 
-@pytest.mark.parametrize("kind,m", [("pauli", 2), ("pauli", 3), ("clifford", 2),
-                                    ("local_clifford", 2), ("local_clifford", 3)])
+@pytest.mark.parametrize("kind,m", [("pauli", 2), ("pauli", 3), ("clifford", 1),
+                                    ("clifford", 2), ("local_clifford", 2),
+                                    ("local_clifford", 3)])
 def test_twirl_sum_matches_literal_stack_loop(kind, m):
     rng = np.random.default_rng(50 + m)
     a = rng.normal(size=(1 << m, 1 << m)) + 1j * rng.normal(size=(1 << m, 1 << m))
@@ -305,5 +320,14 @@ def test_verify_twirl_residuals_small():
 def test_verify_twirl_rejects_same_axes():
     rho = np.eye(4) / 4
     q = pauli.PauliString.from_label("XI")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="distinct Pauli"):
         pauli.verify_twirl("pauli", q, q, rho)
+
+
+def test_verify_twirl_checks_sizes_before_axes():
+    xi, zi = pauli.PauliString.from_label("XI"), pauli.PauliString.from_label("ZI")
+    # X and XI share their masks, but act on different registers.
+    with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2 qubits"):
+        pauli.verify_twirl("pauli", pauli.PauliString.from_label("X"), xi, np.eye(4) / 4)
+    with pytest.raises(ValueError, match="does not act on 2 qubits"):
+        pauli.verify_twirl("pauli", xi, zi, np.eye(2) / 2)
