@@ -31,6 +31,7 @@ import numpy as np
 from .dense import PAULI_1Q, kron_all, local_product_sum
 from .pauli import (
     PauliString,
+    _axis_codes,
     _coset_representatives,
     all_paulis,
     channel_pauli_weights,
@@ -41,6 +42,8 @@ from .pauli import (
 
 _DENSE_QUBIT_CAP = 7
 _DEPOL_KRAUS_CAP = 5
+# (trial, term, slot) entries per chunk of the sampled trap path: bounded memory at any trials.
+_CHUNK_ENTRIES = 1 << 16
 
 
 # --------------------------------------------------------------------------
@@ -235,14 +238,8 @@ def parse_attack(text: str) -> AttackSpec:
 # keys and register plumbing
 
 
-# A single-qubit Pauli axis is coded x + 2 z: 0 = I, 1 = X, 2 = Z, 3 = Y, so that
-# the axis of a product is the XOR of the codes.
+# The Pauli of each axis code of ``_axis_codes``: I, X, Z, Y.
 _PAULI_BY_CODE = np.array([PAULI_1Q[a] for a in "IXZY"])
-
-
-def _axis_codes(p: PauliString) -> np.ndarray:
-    """Axis code of p on each qubit."""
-    return np.array([((p.x >> q) & 1) + 2 * ((p.z >> q) & 1) for q in range(p.n)])
 
 
 @lru_cache(maxsize=1)
@@ -568,20 +565,21 @@ def soundness_trap_single(n: int, t: int, attack: AttackSpec, mode: str = "exact
     raise ValueError("unknown mode %r" % mode)
 
 
-def _sample(trials, seed, one_trial):
+def _sample(trials, seed, run, chunk=1):
     """(mean lhs, mean accept, stderr of lhs) over seeded independent trials.
 
-    Trial i calls ``one_trial(rng)`` once, with a generator seeded by the
-    i-th child of ``SeedSequence(seed)``, and gets (p_accept, lhs term).
+    Trial i draws from a generator seeded by the i-th child of ``SeedSequence(seed)``;
+    ``run(rngs, size)`` returns p_accept and lhs of the ``size`` <= ``chunk`` trials rngs yields.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1, got %r" % trials)
     if seed < 0:
         raise ValueError("seed must be >= 0, got %r" % seed)
-    vals = np.empty(trials)
-    accs = np.empty(trials)
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        accs[i], vals[i] = one_trial(np.random.default_rng(child))
+    rngs = (np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(trials))
+    accs, vals = np.empty(trials), np.empty(trials)
+    for start in range(0, trials, chunk):
+        part = slice(start, start + chunk)
+        accs[part], vals[part] = run(itertools.islice(rngs, chunk), len(accs[part]))
     err = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return float(np.mean(vals)), float(np.mean(accs)), err
 
@@ -592,8 +590,9 @@ def _sample_trap_single(n, t, attack, psi, trials, seed):
     A flag survives a term exactly when the decrypted operator there is I or
     Z (the flag rule of ``_delegated_rule``), and the signs of the decrypted data operator drop out of
     |<psi|V|psi>|^2, so only axes matter; that overlap is cached per data
-    Pauli.  A depolarizing attack takes ``_sample_keys``, whose closed-form
-    channel never lists the 4^m Pauli terms.
+    Pauli.  A chunk of trials draws its keys trial by trial, then reads them
+    off the decrypt table at once.  A depolarizing attack takes ``_sample_keys``,
+    whose closed-form channel never lists the 4^m Pauli terms.
     """
     if attack.variant not in ("identity", "fixed_pauli", "pauli_mixture"):
         return _sample_keys("trap", n, t, [attack], psi, None, trials, seed)
@@ -602,27 +601,38 @@ def _sample_trap_single(n, t, attack, psi, trials, seed):
     probs = np.array([p for p, _ in terms])
     codes = np.array([_axis_codes(q) for _, q in terms])
     decrypt = _local_key_tables()
-    overlaps: dict[bytes, float] = {}
+    bits = 1 << np.arange(n)
+    overlaps: dict[int, float] = {}
 
-    def overlap(data: np.ndarray) -> float:
-        key = data.tobytes()
+    def overlap(key: int) -> float:
+        """|<psi|V|psi>|^2 for the data Pauli V with x mask key % 2^n and z mask key >> n."""
         if key not in overlaps:
-            x = sum(int(c & 1) << j for j, c in enumerate(data))
-            z = sum(int(c >> 1) << j for j, c in enumerate(data))
-            v = PauliString(n, x, z, (x & z).bit_count()).to_matrix()
-            overlaps[key] = 1.0 if x == z == 0 else abs(np.vdot(psi, v @ psi)) ** 2
+            x, z = key & ((1 << n) - 1), key >> n
+            v = PauliString(n, x, z, (x & z).bit_count())
+            overlaps[key] = 1.0 if key == 0 else abs(np.vdot(psi, v.to_matrix() @ psi)) ** 2
         return overlaps[key]
 
-    def one_trial(rng):
-        flags, (local,) = _random_trap_key(m, t, rng)
-        is_flag = np.zeros(m, dtype=bool)
-        is_flag[list(flags)] = True
-        decrypted = decrypt[local, codes]
-        alive = np.flatnonzero(_delegated_rule(decrypted, is_flag)[0])
-        p_acc = float(probs[alive].sum())
-        return p_acc, p_acc - sum(probs[k] * overlap(decrypted[k, ~is_flag]) for k in alive)
+    def run(rngs, size):
+        flags, local = np.empty((size, t), dtype=int), np.empty((size, m), dtype=int)
+        for i, rng in enumerate(rngs):
+            flags[i], (local[i],) = _random_trap_key(m, t, rng)
+        is_flag = (flags[:, :, None] == np.arange(m)).any(axis=1)
+        decrypted = decrypt[local[:, None, :], codes]
+        alive = _delegated_rule(decrypted, is_flag[:, None, :])[0]
+        data_slots = np.argsort(is_flag, axis=1, kind="stable")[:, None, :n]  # in slot order
+        data = np.take_along_axis(decrypted, data_slots, axis=2)
+        packed = ((data & 1) @ bits) | (((data >> 1) @ bits) << n)
+        uniq, inverse = np.unique(packed[alive], return_inverse=True)
+        ov = np.zeros(alive.shape)
+        ov[alive] = np.array([overlap(int(key)) for key in uniq])[inverse]
+        # A trial's sums equal sums over its accepted terms alone: numpy adds fewer
+        # than eight numbers one by one, as cumsum does, and eight or more pairwise.
+        p_acc = np.cumsum(np.where(alive, probs, 0.0), axis=1)[:, -1]
+        for i in np.flatnonzero(alive.sum(axis=1) >= 8):
+            p_acc[i] = probs[alive[i]].sum()
+        return p_acc, p_acc - np.cumsum(np.where(alive, probs * ov, 0.0), axis=1)[:, -1]
 
-    return _sample(trials, seed, one_trial)
+    return _sample(trials, seed, run, max(1, _CHUNK_ENTRIES // (len(terms) * m)))
 
 
 def _keyed_use(conjugate, channel):
@@ -671,7 +681,7 @@ def _sample_keys(protocol, n, t, attacks, psi, encode, trials, seed):
         uses = [_keyed_use(key, channel) for key, channel in zip(keys, channels)]
         return _round(psi, flags, uses, encode)
 
-    return _sample(trials, seed, one_trial)
+    return _sample(trials, seed, lambda rngs, size: zip(*map(one_trial, rngs)))
 
 
 def soundness_clifford_single(n: int, t: int, attack: AttackSpec,

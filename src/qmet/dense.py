@@ -25,7 +25,7 @@ __all__ = [
     "hermitian_eig", "hermitian_expm",
     "fidelity", "trace_distance", "partial_trace",
     "evolve_lindblad", "evolve_lindblad_tangent",
-    "qfi_spectral", "sld_qfi", "qfi_pure", "qfi_fidelity_limit",
+    "sld_qfi",
 ]
 
 ID2 = np.eye(2, dtype=complex)
@@ -104,30 +104,36 @@ def as_density(rho: np.ndarray, *, atol: float = 1e-10) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square, got shape %r" % (rho.shape,))
-    herm_dev = np.max(np.abs(rho - rho.conj().T))
+    _check_state(rho, np.linalg.eigvalsh(rho), atol)
+    return rho
+
+
+def _check_state(rho: np.ndarray, w: np.ndarray, atol: float) -> None:
+    """as_density's checks of rho, with eigenvalues w; a stack of blocks counts as one state."""
+    herm_dev = np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)))
     if herm_dev > atol * max(1.0, float(np.max(np.abs(rho)))):
         raise ValueError("non-hermitian input: deviation %.3e" % herm_dev)
-    tr = complex(np.trace(rho))
+    tr = complex(np.trace(rho, axis1=-2, axis2=-1).sum())
     if abs(tr - 1.0) > atol:
         raise ValueError("trace %.12f is not 1 within %.1e" % (tr.real, atol))
-    wmin = float(np.linalg.eigvalsh(rho)[0])
+    wmin = float(np.min(w))
     if wmin < -1e-9:
         raise ValueError("negative eigenvalue %.3e below tolerance" % wmin)
-    return rho
 
 
 def hermitian_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    Returns (w, V) with mat = V diag(w) V^dag and orthonormal columns.
+    Returns (w, V) with mat = V diag(w) V^dag and orthonormal columns; a
+    stack (..., d, d) gives stacks (..., d) and (..., d, d), one per matrix.
     Raises ValueError for non-Hermitian input and ArithmeticError if the
     underlying iteration fails to converge.
     """
     mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1]:
         raise ValueError("expected a square matrix, got shape %r" % (mat.shape,))
     scale = max(1.0, float(np.max(np.abs(mat))))
-    if np.max(np.abs(mat - mat.conj().T)) > _HERM_TOL * scale:
+    if np.max(np.abs(mat - mat.conj().swapaxes(-1, -2))) > _HERM_TOL * scale:
         raise ValueError("non-hermitian input to hermitian_eig")
     try:
         w, v = np.linalg.eigh(mat)
@@ -140,12 +146,6 @@ def hermitian_expm(ham: np.ndarray, coeff: complex) -> np.ndarray:
     """exp(coeff * ham) for Hermitian ham, via eigendecomposition."""
     w, v = hermitian_eig(ham)
     return (v * np.exp(coeff * w)) @ v.conj().T
-
-
-def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
-    w, v = hermitian_eig(mat)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -163,7 +163,8 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     if pr > 1.0 - 1e-10 or ps > 1.0 - 1e-10:
         f = float(np.trace(rho @ sigma).real)
     else:
-        root = _sqrtm_psd(rho)
+        w, v = hermitian_eig(rho)
+        root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
         inner = root @ sigma @ root
         w = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None)
         f = float(np.sum(np.sqrt(w)) ** 2)
@@ -400,55 +401,20 @@ def default_fd_step(theta: float) -> float:
     return 1e-5 * max(1.0, abs(theta))
 
 
-def qfi_spectral(family: Callable[[float], np.ndarray], theta: float) -> float:
-    """QFI of a density-matrix family theta -> rho(theta) from its spectrum.
-
-    The derivative is a central finite difference in theta; the spectral
-    formula is :func:`sld_qfi`.
-    """
-    rho = as_density(family(theta))
-    drho = _central_diff(family, theta, default_fd_step(theta))
-    return sld_qfi(rho, drho)
-
-
 def sld_qfi(rho: np.ndarray, drho: np.ndarray) -> float:
     """SLD quantum Fisher information of a density matrix and its derivative.
 
     Q = 2 sum_{jk} |<j| drho |k>|^2 / (lambda_j + lambda_k) over the
     eigenbasis of rho, restricted to pairs with lambda_j + lambda_k above
-    the support cut (Braunstein and Caves 1994).
+    the support cut (Braunstein and Caves 1994).  A stack (..., d, d) of the
+    diagonal blocks of a block-diagonal state, with drho's matching blocks,
+    gives the sum over the blocks.  rho is checked as :func:`as_density`
+    checks it, on the eigenvalues the formula uses.
     """
     w, v = hermitian_eig(rho)
-    a = v.conj().T @ drho @ v
-    denom = w[:, None] + w[None, :]
+    _check_state(np.asarray(rho, dtype=complex), w, 1e-10)
+    a = v.conj().swapaxes(-1, -2) @ drho @ v
+    denom = w[..., :, None] + w[..., None, :]
     mask = denom > EIGEN_CUT
     q = 2.0 * np.sum((np.abs(a) ** 2)[mask] / denom[mask])
     return float(q.real)
-
-
-def qfi_pure(psi_fun: Callable[[float], np.ndarray], theta: float) -> float:
-    """QFI of a pure-state family, Q = 4 (<dpsi|dpsi> - |<psi|dpsi>|^2).
-
-    The caller must keep psi(theta) normalized; a norm drift above 1e-8
-    is rejected.
-    """
-    psi = np.asarray(psi_fun(theta), dtype=complex)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
-        raise ValueError("state family is not normalized at theta=%r" % theta)
-    dpsi = _central_diff(lambda x: np.asarray(psi_fun(x), dtype=complex), theta,
-                         default_fd_step(theta))
-    overlap = np.vdot(psi, dpsi)
-    q = 4.0 * (np.vdot(dpsi, dpsi).real - abs(overlap) ** 2)
-    return float(q)
-
-
-def qfi_fidelity_limit(family: Callable[[float], np.ndarray],
-                       theta: float, dtheta: float = 1e-4) -> float:
-    """QFI from the fidelity drop between rho(theta) and rho(theta + dtheta).
-
-    Uses Q ~= 8 (1 - sqrt(F)) / dtheta^2, valid for small dtheta.
-    """
-    if not (1e-6 <= dtheta <= 1e-2):
-        raise ValueError("dtheta=%g outside the supported window [1e-6, 1e-2]" % dtheta)
-    f = fidelity(as_density(family(theta)), as_density(family(theta + dtheta)))
-    return float(8.0 * (1.0 - np.sqrt(f)) / dtheta ** 2)

@@ -11,10 +11,10 @@ and take the derivative of its power from one block-triangular power (Van
 Loan 1978).  Every closed form is cross-checked against
 :func:`amplitude_oracle`, which propagates the exact diagonal/anti-diagonal
 amplitude recursion together with the omega-derivative of the anti-diagonal
-amplitudes and feeds the reconstructed density matrix and its derivative to
-:func:`qmet.dense.sld_qfi`.  The oracle applies its round map to the full
-register by repeated squaring, so once t/tau >= 2^n its cost grows with
-log(t/tau), not with t/tau.
+amplitudes over the full register, builds its round map from Kronecker powers
+of 2x2 factors, and sums :func:`qmet.dense.sld_qfi` over the 2x2 blocks of the
+X-shaped state.  It applies the round map by repeated squaring, so once
+t/tau >= 2^n its cost grows with log(t/tau), not with t/tau.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dense import EIGEN_CUT, as_density, sld_qfi
+from .dense import EIGEN_CUT, sld_qfi
 
 _SERIES_CUT = 1e-4      # switch sin(delta*d)/delta over to its Taylor series
 
@@ -83,6 +83,18 @@ class AmplitudeOracleState:
         rho[idx, idx] = self.a_vec
         rho[idx, dim - 1 - idx] += self.b_vec
         return 0.5 * (rho + rho.conj().T)
+
+    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dim/2, 2, 2) stacks of the blocks of the X-state density() and of its derivative.
+
+        Block J acts on the pair (J, dim-1-J), with the entries of density().
+        """
+        half = self.a_vec.size // 2
+        out = []
+        for a, b in ((self.a_vec, self.b_vec), (np.zeros_like(self.a_vec), self.db_vec)):
+            off = 0.5 * (b[:half] + b[::-1][:half].conj())
+            out.append(np.stack([a[:half], off, off.conj(), a[::-1][:half]], axis=-1))
+        return tuple(block.reshape(half, 2, 2) for block in out)
 
 
 def _xy_dot(omega: float, gamma: float, duration: float,
@@ -466,11 +478,24 @@ def fisher_alpha(params: EccParams, alpha: float) -> float:
     return total
 
 
-def _kron_power(mat: np.ndarray, k: int) -> np.ndarray:
-    out = np.array([[1.0]], dtype=mat.dtype)
-    for _ in range(k):
-        out = np.kron(out, mat)
-    return out
+def _kron_power_dot(one: np.ndarray, done: np.ndarray | None, n: int) -> list[np.ndarray]:
+    """[one^{x n}, its derivative by the product rule, unless ``done`` = d one/domega is None].
+
+    Each step writes the blocks one[r, c] P (and one[r, c] D + done[r, c] P)
+    of the next power in place, the 2x2 factor on the left: np.kron is slower.
+    """
+    dtype = np.result_type(one, one if done is None else done)
+    mats = [np.ones((1, 1), dtype=dtype)] + ([] if done is None else [np.zeros((1, 1), dtype)])
+    for _ in range(n):
+        k = mats[0].shape[0]
+        nxt = [np.empty((2, k, 2, k), dtype=dtype) for _ in mats]
+        for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            for new, mat in zip(nxt, mats):
+                np.multiply(one[r, c], mat, out=new[r, :, c])
+            if done is not None:
+                nxt[1][r, :, c] += done[r, c] * mats[0]
+        mats = [new.reshape(2 * k, 2 * k) for new in nxt]
+    return mats
 
 
 def _round_maps(params: EccParams, code: str, omega: float
@@ -478,41 +503,39 @@ def _round_maps(params: EccParams, code: str, omega: float
     """One correction round on the full register: (S_a, S_b, dS_b/domega).
 
     The diagonal amplitudes a_J and anti-diagonal amplitudes b_J close
-    under both the free evolution (Kronecker powers of the single-qubit
+    under both the free evolution M (Kronecker powers of the single-qubit
     factors) and the correction map C, so the full density matrix never
     has to be formed.  S = C M for each sector, and dS_b = C dM_b, where
-    dM_b is the product rule over the Kronecker factors.  For the parity
-    code the ancilla is the last tensor factor.
+    dM_b is the product rule over the Kronecker factors.  C is never formed:
+    ``bitflip`` votes rows into rows 0 and dim - 1, two row sums; ``parity``
+    has C = sum_s R_s^{x n} x |s><s| (ancilla last), so C M = sum_s (R_s m)^{x n}
+    x (|s><s| anc) by the mixed-product rule.
     """
-    n = params.n
-    ga, xi, p, tau = params.gamma, params.xi, params.p, params.tau
-    xp, xm, y, dxp, dxm, dy = _xy_dot(omega, ga, tau)
-    cg, sg = _damped_cosh_sinh(ga * tau)
-    mat_a = _kron_power(np.array([[cg, sg], [sg, cg]]), n)
-    one_b = np.array([[xm, y], [y, xp]])
+    n, p, tau = params.n, params.p, params.tau
+    xp, xm, y, dxp, dxm, dy = _xy_dot(omega, params.gamma, tau)
+    cg, sg = _damped_cosh_sinh(params.gamma * tau)
+    one_a, one_b = np.array([[cg, sg], [sg, cg]]), np.array([[xm, y], [y, xp]])
     one_db = np.array([[dxm, dy], [dy, dxp]])
-    mat_b, dmat_b = np.ones((1, 1), dtype=complex), np.zeros((1, 1), dtype=complex)
-    for _ in range(n):
-        mat_b, dmat_b = np.kron(mat_b, one_b), np.kron(dmat_b, one_b) + np.kron(mat_b, one_db)
     if code == "parity":
-        cx, sx = _damped_cosh_sinh(xi * tau)
+        cx, sx = _damped_cosh_sinh(params.xi * tau)
         anc = np.array([[cx, sx], [sx, cx]])
-        mat_a = np.kron(mat_a, anc)
-        mat_b = np.kron(mat_b, anc)
-        dmat_b = np.kron(dmat_b, anc)
-        reset0 = _kron_power(np.array([[1.0 - p, 1.0 - p], [p, p]]), n)
-        reset1 = _kron_power(np.array([[p, p], [1.0 - p, 1.0 - p]]), n)
-        corr = (np.kron(reset0, np.diag([1.0, 0.0]))
-                + np.kron(reset1, np.diag([0.0, 1.0])))
-    elif code == "bitflip":
-        dim = 2 ** n
-        low = np.array([bin(j).count("1") for j in range(dim)]) < n / 2
-        corr = np.zeros((dim, dim))
-        corr[0, low] = 1.0
-        corr[dim - 1, ~low] = 1.0
-    else:
-        corr = np.eye(2 ** n)
-    return corr @ mat_a, corr @ mat_b, corr @ dmat_b
+        half = 2 ** n
+        out = [np.empty((half, 2, half, 2), dtype=dt) for dt in (float, complex, complex)]
+        for s, reset in enumerate(([[1.0 - p] * 2, [p] * 2], [[p] * 2, [1.0 - p] * 2])):
+            mats = (_kron_power_dot(reset @ one_a, None, n)
+                    + _kron_power_dot(reset @ one_b, reset @ one_db, n))
+            for sector, mat in zip(out, mats):
+                for e in range(2):  # |s><s| anc keeps row s of anc
+                    np.multiply(mat, anc[s, e], out=sector[:, s, :, e])
+        return tuple(sector.reshape(2 * half, 2 * half) for sector in out)
+    mats = _kron_power_dot(one_a, None, n) + _kron_power_dot(one_b, one_db, n)
+    if code != "bitflip":
+        return tuple(mats)
+    low = np.array([bin(j).count("1") for j in range(2 ** n)]) < n / 2
+    out = tuple(np.zeros(mat.shape, mat.dtype) for mat in mats)
+    for step, mat in zip(out, mats):
+        step[0], step[-1] = mat[low].sum(axis=0), mat[~low].sum(axis=0)
+    return out
 
 
 def propagate_amplitudes(params: EccParams, code: str, omega: float) -> AmplitudeOracleState:
@@ -535,10 +558,8 @@ def propagate_amplitudes(params: EccParams, code: str, omega: float) -> Amplitud
     step_a, step_b, dstep_b = _round_maps(params, code, omega)
     dim = step_a.shape[0]
     a = np.zeros(dim)
-    b = np.zeros(dim, dtype=complex)
     a[0] = a[dim - 1] = 0.5
-    b[0] = b[dim - 1] = 0.5
-    db = np.zeros(dim, dtype=complex)
+    b, db = a.astype(complex), np.zeros(dim, dtype=complex)
     k = params.rounds
     while k >= dim:
         if k & 1:
@@ -560,13 +581,11 @@ def amplitude_oracle(params: EccParams, code: str = "parity"
     """Ground-truth QFI from the exact amplitude recursion.
 
     Returns the density-matrix family over omega and the SLD QFI at
-    ``params.omega`` of its value and exact derivative there.  This is the
-    reference every closed form above is validated against.
+    ``params.omega`` of its value and exact derivative there, summed by
+    :func:`qmet.dense.sld_qfi` over the 2x2 blocks of the X-shaped state.
+    This is the reference every closed form above is validated against.
     """
     def rho_of(omega: float) -> np.ndarray:
         return propagate_amplitudes(params, code, omega).density()
 
-    st = propagate_amplitudes(params, code, params.omega)
-    # density() is linear in (a, b), and a does not depend on omega.
-    drho = replace(st, a_vec=np.zeros_like(st.a_vec), b_vec=st.db_vec).density()
-    return rho_of, sld_qfi(as_density(st.density()), drho)
+    return rho_of, sld_qfi(*propagate_amplitudes(params, code, params.omega).blocks())

@@ -386,13 +386,19 @@ def enumerate_clifford(m: int) -> np.ndarray:
     return out
 
 
-# X^x Z^z on one qubit, phase-free, keyed by (x, z).
-_FACTORS_1Q = {(0, 0): ID2, (1, 0): PAULI_1Q["X"], (0, 1): PAULI_1Q["Z"],
-               (1, 1): PAULI_1Q["X"] @ PAULI_1Q["Z"]}
+def _axis_codes(p: PauliString) -> np.ndarray:
+    """Axis code x + 2 z of p on each qubit: 0 = I, 1 = X, 2 = Z, 3 = Y (a product XORs them)."""
+    return np.array([((p.x >> q) & 1) + 2 * ((p.z >> q) & 1) for q in range(p.n)])
 
 
-def _factor(p: PauliString, j: int) -> np.ndarray:
-    return _FACTORS_1Q[((p.x >> j) & 1, (p.z >> j) & 1)]
+@lru_cache(maxsize=2)
+def _conjugated_factors(kind: str) -> np.ndarray:
+    """Read-only table[c, i] = u_i X^x Z^z u_i^dag, c = x + 2 z, u_i the units of a local twirl."""
+    units = list(PAULI_1Q.values()) if kind == "pauli" else enumerate_clifford(1)
+    factors = (ID2, PAULI_1Q["X"], PAULI_1Q["Z"], PAULI_1Q["X"] @ PAULI_1Q["Z"])
+    out = np.array([[u @ f @ u.conj().T for u in units] for f in factors])
+    out.flags.writeable = False
+    return out
 
 
 def _twirl_sum(kind: str, q: PauliString, qp: PauliString,
@@ -415,13 +421,12 @@ def _twirl_sum(kind: str, q: PauliString, qp: PauliString,
         reps_dag = reps.conj().swapaxes(1, 2)
         twirled = _twirl_sum("local_clifford", q, qp, reps @ rho @ reps_dag)
         return (reps_dag @ twirled @ reps).sum(axis=0)
-    units = {"pauli": list(PAULI_1Q.values()), "local_clifford": enumerate_clifford(1)}
-    if kind not in units:
+    if kind not in ("pauli", "local_clifford"):
         raise ValueError("unknown twirl kind %r" % kind)
     if m > 3:
         raise ValueError("%s twirl enumeration capped at m = 3" % kind)
-    pairs = [[(u @ _factor(q, j) @ u.conj().T, u @ _factor(qp, j) @ u.conj().T)
-              for u in units[kind]] for j in range(m)]
+    table = _conjugated_factors(kind)
+    pairs = [list(zip(table[c], table[cp])) for c, cp in zip(_axis_codes(q), _axis_codes(qp))]
     return q.phase * qp.phase * local_product_sum(rho, pairs)
 
 

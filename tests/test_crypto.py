@@ -471,6 +471,62 @@ def test_sampled_pauli_mixture_trial_matches_reference_round(n, t):
         assert abs(lhs - want[1]) <= 1e-12
 
 
+def _literal_trap_single(n, t, attack, psi, trials, seed):
+    """The sampled trap path one trial at a time, each overlap computed afresh."""
+    m = n + t
+    terms = attack.pauli_terms(m)
+    probs = np.array([p for p, _ in terms])
+    codes = np.array([pauli._axis_codes(q) for _, q in terms])
+    decrypt = crypto._local_key_tables()
+
+    def overlap(data):
+        x = sum(int(c & 1) << j for j, c in enumerate(data))
+        z = sum(int(c >> 1) << j for j, c in enumerate(data))
+        v = pauli.PauliString(n, x, z, (x & z).bit_count()).to_matrix()
+        return 1.0 if x == z == 0 else abs(np.vdot(psi, v @ psi)) ** 2
+
+    def one_trial(rng):
+        flags, (local,) = crypto._random_trap_key(m, t, rng)
+        is_flag = np.zeros(m, dtype=bool)
+        is_flag[list(flags)] = True
+        decrypted = decrypt[local, codes]
+        alive = np.flatnonzero(crypto._delegated_rule(decrypted, is_flag)[0])
+        p_acc = float(probs[alive].sum())
+        return p_acc, p_acc - sum(probs[k] * overlap(decrypted[k, ~is_flag]) for k in alive)
+
+    vals, accs = np.empty(trials), np.empty(trials)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        accs[i], vals[i] = one_trial(np.random.default_rng(child))
+    err = float(np.std(vals, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    return float(np.mean(vals)), float(np.mean(accs)), err
+
+
+@pytest.mark.parametrize("chunk_entries", [1 << 16, 7 * 14 * 5])
+def test_sampled_trap_matches_literal_trial_loop(monkeypatch, chunk_entries):
+    # 14 terms on m = 5 with one flag: about one trial in seven accepts 8 or
+    # more terms, which numpy's sum adds pairwise.  One-trial runs compare
+    # trials one by one; 7 * 14 * 5 entries make chunks of 7 trials.
+    monkeypatch.setattr(crypto, "_CHUNK_ENTRIES", chunk_entries)
+    rng = np.random.default_rng(21)
+    labels = ["".join(rng.choice(list("IXYZ"), 5)) for _ in range(14)]
+    mix = crypto.AttackSpec.pauli_mixture(list(zip(rng.dirichlet(np.ones(14)).tolist(),
+                                                   labels)))
+    psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+    psi /= np.linalg.norm(psi)
+    for trials, seed in [(1, seed) for seed in range(80)] + [(2, 0), (300, 5)]:
+        assert (crypto._sample_trap_single(4, 1, mix, psi, trials, seed)
+                == _literal_trap_single(4, 1, mix, psi, trials, seed))
+
+
+def test_sampled_trap_report_is_pinned():
+    report = json.loads(cli.crypto_json("trap1", 5, 2, "mix:0.9*IIIIIII,0.1*XZYXZYX",
+                                        trials=1000, seed=7))
+    assert report["mode"] == "sampled"
+    assert report["lhs"] == 0.009899999999999999
+    assert report["accept_rate"] == 0.9107000000000003
+    assert report["stderr"] == 0.0009449248027662743
+
+
 def test_sampled_trap_paths_build_no_tableau(monkeypatch):
     # Trap keys are indices into the single-qubit tables: no sampled trap
     # report at m = 7 and no demo round draws an m-qubit Clifford.

@@ -1,12 +1,14 @@
 """Corrected-GHZ sensing tests: closed forms against the amplitude oracle."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from qmet import checks, dense, ecc
+from qfi_reference import qfi_spectral
 
 
 def test_params_validation():
@@ -271,7 +273,7 @@ def test_xy_dot_matches_central_difference(omega, z_abs):
 ])
 def test_tangent_oracle_matches_finite_difference_family(code, params):
     family, q = ecc.amplitude_oracle(params, code)
-    np.testing.assert_allclose(q, dense.qfi_spectral(family, params.omega), rtol=1e-6)
+    np.testing.assert_allclose(q, qfi_spectral(family, params.omega), rtol=1e-6)
 
 
 def test_small_gamma_tau_closed_forms_match_oracle():
@@ -282,3 +284,100 @@ def test_small_gamma_tau_closed_forms_match_oracle():
         np.testing.assert_allclose(q, ecc.amplitude_oracle(p, "bitflip")[1], rtol=1e-8)
     p = ecc.EccParams(25, 1.0, 0.2, 1e-6, 1e-5, xi=0.05)
     assert 0.99 < ecc.qfi_parity(p) / (25 * p.t) ** 2 <= 1.0
+
+
+def _round_maps_reference(params, code, omega):
+    """The round maps as np.kron powers times a dense correction matrix C."""
+    def kron_power(mat, k):
+        out = np.array([[1.0]], dtype=mat.dtype)
+        for _ in range(k):
+            out = np.kron(out, mat)
+        return out
+
+    n, xi, p, tau = params.n, params.xi, params.p, params.tau
+    xp, xm, y, dxp, dxm, dy = ecc._xy_dot(omega, params.gamma, tau)
+    cg, sg = ecc._damped_cosh_sinh(params.gamma * tau)
+    mat_a = kron_power(np.array([[cg, sg], [sg, cg]]), n)
+    one_b, one_db = np.array([[xm, y], [y, xp]]), np.array([[dxm, dy], [dy, dxp]])
+    mat_b, dmat_b = np.ones((1, 1), dtype=complex), np.zeros((1, 1), dtype=complex)
+    for _ in range(n):
+        mat_b, dmat_b = np.kron(mat_b, one_b), np.kron(dmat_b, one_b) + np.kron(mat_b, one_db)
+    if code == "parity":
+        cx, sx = ecc._damped_cosh_sinh(xi * tau)
+        anc = np.array([[cx, sx], [sx, cx]])
+        mat_a, mat_b, dmat_b = (np.kron(m, anc) for m in (mat_a, mat_b, dmat_b))
+        reset0 = kron_power(np.array([[1.0 - p, 1.0 - p], [p, p]]), n)
+        reset1 = kron_power(np.array([[p, p], [1.0 - p, 1.0 - p]]), n)
+        corr = np.kron(reset0, np.diag([1.0, 0.0])) + np.kron(reset1, np.diag([0.0, 1.0]))
+    elif code == "bitflip":
+        dim = 2 ** n
+        low = np.array([bin(j).count("1") for j in range(dim)]) < n / 2
+        corr = np.zeros((dim, dim))
+        corr[0, low] = 1.0
+        corr[dim - 1, ~low] = 1.0
+    else:
+        corr = np.eye(2 ** n)
+    return corr @ mat_a, corr @ mat_b, corr @ dmat_b
+
+
+@pytest.mark.parametrize("code", ["none", "parity", "bitflip"])
+def test_round_maps_match_dense_correction_product(code):
+    rng = np.random.default_rng(2001)
+    parity = code == "parity"
+    for n in range(1, 8):
+        if code == "bitflip" and n % 2 == 0:
+            continue
+        for _ in range(3):
+            tau = float(rng.uniform(0.01, 0.3))
+            params = ecc.EccParams(n=n, omega=float(rng.uniform(0.5, 2.0)),
+                                   gamma=float(rng.uniform(0.0, 1.0)), tau=tau, t=tau,
+                                   xi=float(rng.uniform(0.0, 0.5)) * parity,
+                                   p=float(rng.uniform(0.0, 0.1)) * parity)
+            got = ecc._round_maps(params, code, params.omega)
+            for mat, ref in zip(got, _round_maps_reference(params, code, params.omega)):
+                assert mat.shape == ref.shape
+                np.testing.assert_allclose(mat, ref, rtol=0, atol=1e-14)
+
+
+def test_block_qfi_matches_dense_spectral_qfi():
+    # gamma tau >= 0.005 keeps every block well away from a pure state.
+    rng = np.random.default_rng(2002)
+    for i in range(120):
+        code = ("none", "parity", "bitflip")[i % 3]
+        parity = code == "parity"
+        n = int(rng.choice([1, 3, 5])) if code == "bitflip" else int(rng.integers(1, 6))
+        tau = float(rng.uniform(0.05, 0.3))
+        params = ecc.EccParams(n=n, omega=float(rng.uniform(0.5, 2.0)),
+                               gamma=float(rng.uniform(0.1, 1.0)), tau=tau,
+                               t=int(rng.integers(1, 20)) * tau,
+                               xi=float(rng.uniform(0.0, 0.5)) * parity,
+                               p=float(rng.uniform(0.0, 0.1)) * parity)
+        st = ecc.propagate_amplitudes(params, code, params.omega)
+        drho = replace(st, a_vec=np.zeros_like(st.a_vec), b_vec=st.db_vec).density()
+        want = dense.sld_qfi(dense.as_density(st.density()), drho)
+        assert want > 0
+        np.testing.assert_allclose(dense.sld_qfi(*st.blocks()), want, rtol=1e-12)
+
+
+def test_amplitude_oracle_shares_no_closed_form_path(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the amplitude oracle reached a closed-form or dense-state path")
+
+    # ecc no longer binds as_density; dense.as_density is where any call would land.
+    monkeypatch.setattr(dense, "as_density", forbidden)
+    for name in ("_power_dot", "_z_recurrence", "_z_majority", "_qfi_of_amplitude"):
+        monkeypatch.setattr(ecc, name, forbidden)
+    for code in ("none", "parity", "bitflip"):
+        params = ecc.EccParams(3, 1.0, 0.2, 0.1, 0.5, xi=0.1 * (code == "parity"))
+        assert ecc.amplitude_oracle(params, code)[1] > 0
+
+
+def test_amplitude_oracle_rejects_negative_block_eigenvalue(monkeypatch):
+    # Block [[0.5, 0.9], [0.9, 0.5]] has eigenvalue -0.4: not a state.
+    bad = ecc.AmplitudeOracleState(np.array([0.5, 0.5]), np.array([0.9, 0.9], dtype=complex),
+                                   np.zeros(2, dtype=complex))
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        dense.sld_qfi(*bad.blocks())
+    monkeypatch.setattr(ecc, "propagate_amplitudes", lambda *args: bad)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        ecc.amplitude_oracle(ecc.EccParams(1, 1.0, 0.2, 0.1, 0.1), "none")
