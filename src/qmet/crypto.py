@@ -663,8 +663,8 @@ def _sample_keys(protocol, n, t, attacks, psi, encode, trials, seed):
     units = enumerate_clifford(1)
 
     def trap_key(local):
-        pairs = [[(u, u.conj().T)] for u in units[local]]
-        pairs_dag = [[(b, a)] for ((a, b),) in pairs]
+        pairs = [(u[None], u.conj().T[None]) for u in units[local]]
+        pairs_dag = [(b, a) for a, b in pairs]
         return lambda rho, dag: local_product_sum(rho, pairs_dag if dag else pairs)
 
     def clifford_key(u):
@@ -915,8 +915,8 @@ def replay_attack_demo(n: int, t: int, theta: float, *,
     # every slot and E the encoding, e = exp(-i theta Z / 2) on data slots and I on
     # flags, is one 2x2 factor (u^dag X u) e (u^dag X u) per slot.
     flips = [u.conj().T @ PAULI_1Q["X"] @ u for u in enumerate_clifford(1)]
-    slot_pairs = [[(a, a.conj().T) for a in (f @ e @ f for f in flips)]
-                  for e in (np.eye(2), _phase_unitary(1, theta))]  # flag slot, data slot
+    slot_pairs = [(a, a.conj().swapaxes(1, 2))  # flag slot, data slot
+                  for a in (flips @ e @ flips for e in (np.eye(2), _phase_unitary(1, theta)))]
     placements = list(itertools.combinations(range(m), t))
     lhs = 0.0
     for flags in placements:
@@ -954,7 +954,8 @@ def privacy_deviation(protocol: str, n: int, t: int, *,
         raise ValueError("unknown protocol %r" % protocol)
     vecs = [_embed_with_flags(psi, flags, m) for flags in placements]
     states = np.einsum("rab,vb->rva", reps, vecs).reshape(-1, 1 << m)
-    pairs = [[(u, u.conj().T) for u in enumerate_clifford(1)]] * m
+    units = enumerate_clifford(1)
+    pairs = [(units, units.conj().swapaxes(1, 2))] * m
     avg = local_product_sum(states.T @ states.conj(), pairs) / (24 ** m * len(states))
     return float(np.max(np.abs(avg - np.eye(1 << m) / (1 << m))))
 

@@ -40,28 +40,29 @@ _HERM_TOL = 1e-8
 
 
 def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """mats[0] x mats[1] x ... as a complex matrix, one outer product per factor."""
     out = np.array([[1.0 + 0j]])
     for m in mats:
-        out = np.kron(out, m)
+        out = np.multiply.outer(out, m).transpose(0, 2, 1, 3).reshape(len(out) * len(m), -1)
     return out
 
 
 def local_product_sum(rho: np.ndarray,
-                      pairs: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]]) -> np.ndarray:
+                      pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """sum of (A_1 x ... x A_m) rho (B_1 x ... x B_m) over one pair per qubit.
 
-    ``pairs[j]`` lists the 2x2 pairs (A_j, B_j) allowed on qubit j (qubit 0
-    leftmost).  The sum over all prod_j len(pairs[j]) combinations is a
-    tensor product of single-qubit maps.  Qubit j's map is summed once into
-    one [2, 2, 2, 2] tensor sum_k A_k[a, a'] B_k[b', b], which one
-    contraction applies on row axis j and column axis m + j of rho as a
-    [2] * 2m tensor: m contractions and no Kronecker product.  A stack of
-    matrices, shape (..., 2^m, 2^m), is mapped one matrix at a time.
+    ``pairs[j]`` is one pair (A, B) of (k_j, 2, 2) stacks, the pairs
+    (A[i], B[i]) allowed on qubit j (qubit 0 leftmost).  The sum over all
+    prod_j k_j combinations is a tensor product of single-qubit maps.
+    Qubit j's map is summed once into one [2, 2, 2, 2] tensor
+    sum_i A[i][a, a'] B[i][b', b], which one contraction applies on row
+    axis j and column axis m + j of rho as a [2] * 2m tensor: m
+    contractions and no Kronecker product.  A stack of matrices, shape
+    (..., 2^m, 2^m), is mapped one matrix at a time.
     """
     m, lead = len(pairs), np.ndim(rho) - 2
     t = np.asarray(rho, dtype=complex).reshape(np.shape(rho)[:lead] + (2,) * (2 * m))
-    for j, options in enumerate(pairs):
-        a, b = (np.array(side) for side in zip(*options))
+    for j, (a, b) in enumerate(pairs):
         kernel = np.einsum("kac,kdb->acdb", a, b)
         axes = [lead + j, lead + m + j]
         t = np.moveaxis(np.tensordot(kernel, t, axes=([1, 2], axes)), [0, 1], axes)
@@ -240,8 +241,9 @@ class _Liouvillian:
         out = self.a @ s
         out += out.conj().swapaxes(-1, -2)
         if self.kops is not None:
-            for k, kd in zip(self.kops, self.kdag):
-                out += (k @ s) @ kd
+            # Added one jump at a time: a single sum over the stack rounds differently.
+            for term in (self.kops[:, None] @ s) @ self.kdag[:, None]:
+                out += term
         if self.force is not None:
             f = self.force @ s[0]
             out[1] += f + f.conj().T
@@ -256,7 +258,7 @@ class _Liouvillian:
         """
         out = 2.0 * float(np.linalg.norm(self.a, 2))
         if self.kops is not None:
-            out += sum(float(np.linalg.norm(k, 2)) ** 2 for k in self.kops)
+            out += sum(float(v) ** 2 for v in np.linalg.norm(self.kops, 2, axis=(1, 2)))
         return out
 
 

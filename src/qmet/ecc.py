@@ -481,20 +481,16 @@ def fisher_alpha(params: EccParams, alpha: float) -> float:
 def _kron_power_dot(one: np.ndarray, done: np.ndarray | None, n: int) -> list[np.ndarray]:
     """[one^{x n}, its derivative by the product rule, unless ``done`` = d one/domega is None].
 
-    Each step writes the blocks one[r, c] P (and one[r, c] D + done[r, c] P)
-    of the next power in place, the 2x2 factor on the left: np.kron is slower.
+    Each step forms the blocks one[r, c] P (and one[r, c] D + done[r, c] P), the 2x2
+    factor on the left, as one outer product, axes (r, c, R, C) to rows rR, columns cC.
     """
     dtype = np.result_type(one, one if done is None else done)
     mats = [np.ones((1, 1), dtype=dtype)] + ([] if done is None else [np.zeros((1, 1), dtype)])
     for _ in range(n):
-        k = mats[0].shape[0]
-        nxt = [np.empty((2, k, 2, k), dtype=dtype) for _ in mats]
-        for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            for new, mat in zip(nxt, mats):
-                np.multiply(one[r, c], mat, out=new[r, :, c])
-            if done is not None:
-                nxt[1][r, :, c] += done[r, c] * mats[0]
-        mats = [new.reshape(2 * k, 2 * k) for new in nxt]
+        nxt = [np.multiply.outer(one, mat) for mat in mats]
+        if done is not None:
+            nxt[1] += np.multiply.outer(done, mats[0])
+        mats = [new.transpose(0, 2, 1, 3).reshape(2 * len(mats[0]), -1) for new in nxt]
     return mats
 
 

@@ -426,7 +426,7 @@ def _twirl_sum(kind: str, q: PauliString, qp: PauliString,
     if m > 3:
         raise ValueError("%s twirl enumeration capped at m = 3" % kind)
     table = _conjugated_factors(kind)
-    pairs = [list(zip(table[c], table[cp])) for c, cp in zip(_axis_codes(q), _axis_codes(qp))]
+    pairs = [(table[c], table[cp]) for c, cp in zip(_axis_codes(q), _axis_codes(qp))]
     return q.phase * qp.phase * local_product_sum(rho, pairs)
 
 

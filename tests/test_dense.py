@@ -1,5 +1,7 @@
 """Dense-backbone tests: states, channels, integrator, spectral QFI."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,38 @@ def test_kron_all_matches_numpy():
     rng = np.random.default_rng(1)
     mats = [rng.normal(size=(2, 2)) for _ in range(3)]
     want = np.kron(np.kron(mats[0], mats[1]), mats[2])
-    np.testing.assert_allclose(dense.kron_all(mats), want)
+    assert np.array_equal(dense.kron_all(mats), want)
+    shapes = [(2, 2), (1, 3), (4, 4), (3, 1), (2, 2)]
+    mats = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+    want = np.array([[1.0 + 0j]])
+    for j, m in enumerate(mats):
+        want = np.kron(want, m)
+        assert np.array_equal(dense.kron_all(mats[:j + 1]), want)
+    assert dense.kron_all([]).shape == (1, 1)
+
+
+def _random_density(rng, dim, k=None):
+    shape = (dim, dim) if k is None else (k, dim, dim)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rho = a @ a.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_local_product_sum_matches_literal_combination_sum(m):
+    rng = np.random.default_rng(60 + m)
+    counts = [3, 1, 4][:m]
+    pairs = [tuple(rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
+                   for _ in range(2)) for k in counts]
+    for rho in (_random_density(rng, 1 << m), _random_density(rng, 1 << m, k=3)):
+        want = np.zeros_like(rho)
+        for combo in itertools.product(*(range(k) for k in counts)):
+            left = dense.kron_all([pairs[j][0][i] for j, i in enumerate(combo)])
+            right = dense.kron_all([pairs[j][1][i] for j, i in enumerate(combo)])
+            want += left @ rho @ right
+        got = dense.local_product_sum(rho, pairs)
+        assert got.shape == rho.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_pure_and_as_density():
@@ -199,6 +232,32 @@ def test_lindblad_zero_rate_jumps_are_dropped():
     for a, b in zip(dense.evolve_lindblad_tangent(rho0, h0, h1, idle, 0.5),
                     dense.evolve_lindblad_tangent(rho0, h0, h1, [], 0.5)):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dim, jumps", [(2, 1), (4, 3), (8, 2), (16, 6), (32, 5)])
+def test_liouvillian_matches_literal_jump_loop_bit_for_bit(dim, jumps):
+    rng = np.random.default_rng(dim + jumps)
+
+    def draw():
+        return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+    ham, dham = draw(), draw()
+    ham, dham = ham + ham.conj().T, dham + dham.conj().T
+    ops = [(draw(), rate) for rate in rng.uniform(0.05, 2.0, size=jumps)]
+    for force in (None, dham):
+        gen = dense._liouvillian(dim, ham, ops, force)
+        s = _random_density(rng, dim, k=1 if force is None else 2)
+        want = gen.a @ s
+        want += want.conj().swapaxes(-1, -2)
+        for k, kd in zip(gen.kops, gen.kdag):
+            want += (k @ s) @ kd
+        if force is not None:
+            f = gen.force @ s[0]
+            want[1] += f + f.conj().T
+        assert np.array_equal(gen(s), want)
+        rate = 2.0 * float(np.linalg.norm(gen.a, 2))
+        rate += sum(float(np.linalg.norm(k, 2)) ** 2 for k in gen.kops)
+        assert gen.rate() == rate
 
 
 @pytest.mark.parametrize("field, value, match", [

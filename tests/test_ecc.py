@@ -320,6 +320,41 @@ def _round_maps_reference(params, code, omega):
     return corr @ mat_a, corr @ mat_b, corr @ dmat_b
 
 
+def _kron_power_dot_block_writes(one, done, n):
+    """Reference for ecc._kron_power_dot: each step writes the four blocks one[r, c] P in place."""
+    dtype = np.result_type(one, one if done is None else done)
+    mats = [np.ones((1, 1), dtype=dtype)] + ([] if done is None else [np.zeros((1, 1), dtype)])
+    for _ in range(n):
+        k = mats[0].shape[0]
+        nxt = [np.empty((2, k, 2, k), dtype=dtype) for _ in mats]
+        for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            for new, mat in zip(nxt, mats):
+                np.multiply(one[r, c], mat, out=new[r, :, c])
+            if done is not None:
+                nxt[1][r, :, c] += done[r, c] * mats[0]
+        mats = [new.reshape(2 * k, 2 * k) for new in nxt]
+    return mats
+
+
+@pytest.mark.parametrize("kinds", [("real", None), ("real", "real"), ("complex", None),
+                                   ("complex", "complex"), ("real", "complex")])
+def test_kron_power_dot_matches_block_writes_bit_for_bit(kinds):
+    rng = np.random.default_rng(2000)
+
+    def draw(kind):
+        if kind is None:
+            return None
+        return rng.normal(size=(2, 2)) + (1j * rng.normal(size=(2, 2)) if kind == "complex" else 0)
+
+    for n in range(1, 9):
+        one, done = draw(kinds[0]), draw(kinds[1])
+        got = ecc._kron_power_dot(one, done, n)
+        want = _kron_power_dot_block_writes(one, done, n)
+        assert len(got) == len(want) == (1 if done is None else 2)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), n
+
+
 @pytest.mark.parametrize("code", ["none", "parity", "bitflip"])
 def test_round_maps_match_dense_correction_product(code):
     rng = np.random.default_rng(2001)
