@@ -539,6 +539,39 @@ def _check_soundness_dual_path() -> tuple[list[Measure], str]:
             "broken %.4f > bound %.4f > honest %.4f" % (worst, broken, bound, honest))
 
 
+@_register("sampled-vs-exact", quick=False)
+def _check_sampled_vs_exact() -> tuple[list[Measure], str]:
+    # z = |sampled - exact| / stderr at seed 0; a stderr at rounding level
+    # (the attack commutes with every key) asks for equality to 1e-12 instead.
+    mix3 = crypto.parse_attack("mix:0.6*III,0.4*XZY")
+    pair3 = crypto.parse_attack("double:mix:0.6*III,0.4*XZY;depol:0.5")
+    encode = crypto._phase_unitary(2, 0.7)
+    cases = [
+        ("trap1 (2,1)", lambda **kw: crypto.soundness_trap_single(2, 1, mix3, **kw), 2000),
+        ("trap1 (5,2)", lambda **kw: crypto.soundness_trap_single(
+            5, 2, crypto.parse_attack("mix:0.9*IIIIIII,0.1*XZYXZYX"), **kw), 2000),
+        ("trap1 (4,3) depol", lambda **kw: crypto.soundness_trap_single(
+            4, 3, crypto.parse_attack("depol:0.37"), **kw), 2),
+        ("trap2 (2,1)", lambda **kw: crypto.soundness_double("trap", 2, 1, pair3,
+                                                            encode=encode, **kw), 200),
+        ("cliff1 (2,1)", lambda **kw: crypto.soundness_clifford_single(2, 1, mix3, **kw), 200),
+        ("cliff2 (2,1)", lambda **kw: crypto.soundness_double("clifford", 2, 1, pair3,
+                                                             encode=encode, **kw), 200),
+    ]
+    measures, zs = [], []
+    for label, report, trials in cases:
+        exact = report()
+        sampled = report(mode="sampled", trials=trials, seed=0)
+        delta = abs(sampled.lhs - exact.lhs)
+        if sampled.stderr > 1e-12:
+            zs.append(delta / sampled.stderr)
+            measures.append(_at_most("%s z" % label, zs[-1], 4.0))
+        else:
+            measures.append(_at_most("%s |delta| at zero stderr" % label, delta, 1e-12))
+    return (measures, "%d sampled reports vs exact (m = 3 and 7): worst z %.2f, "
+            "%d at zero stderr" % (len(cases), np.max(zs), len(cases) - len(zs)))
+
+
 @_register("privacy", quick=True)
 def _check_privacy() -> tuple[list[Measure], str]:
     measures = [_at_most("%s (%d,%d) deviation" % case, crypto.privacy_deviation(*case), 1e-10)

@@ -341,6 +341,8 @@ def crypto_json(protocol: str, n: int, t: int, attack_text: str,
     for name, value in (("n", n), ("t", t), ("trials", trials)):
         if value < 1:
             raise CliError(EXIT_USAGE, "--%s must be >= 1, got %d" % (name, value))
+    if trials > crypto._TRIALS_CAP:
+        raise CliError(EXIT_USAGE, "--trials must be <= %d, got %d" % (crypto._TRIALS_CAP, trials))
     if seed < 0:
         raise CliError(EXIT_USAGE, "--seed must be >= 0, got %d" % seed)
     try:
@@ -474,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="id | pauli:-XIZ | mix:0.9*III,0.1*ZII | depol:0.3 "
                          "| double:<spec>;<spec>")
     pc.add_argument("--trials", type=int, default=2000,
-                    help="rounds in sampled mode")
+                    help="rounds in sampled mode, at most %d" % crypto._TRIALS_CAP)
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--out", required=True, help="JSON output path")
     pc.set_defaults(fn=cmd_crypto)

@@ -42,8 +42,9 @@ from .pauli import (
 
 _DENSE_QUBIT_CAP = 7
 _DEPOL_KRAUS_CAP = 5
-# (trial, term, slot) entries per chunk of the sampled trap path: bounded memory at any trials.
+# (trial, term, slot) entries per chunk of the sampled paths: bounded memory at any trials.
 _CHUNK_ENTRIES = 1 << 16
+_TRIALS_CAP = 10 ** 6  # per report; at m = 7 ~1 s of Pauli-mixture trap trials, 1-2 h of dense
 
 
 # --------------------------------------------------------------------------
@@ -259,15 +260,21 @@ def _local_key_tables() -> np.ndarray:
     return decrypt
 
 
-def _random_trap_key(m: int, t: int, rng: np.random.Generator,
-                     uses: int = 1) -> tuple[tuple[int, ...], list[np.ndarray]]:
-    """A trap key: t sorted flag slots out of m, then m local-Clifford indices per use.
+def _key_stream(seq: np.random.SeedSequence) -> tuple[np.random.Generator, ...]:
+    """The (placements, slots) generators of one sampled run: the next two children of ``seq``."""
+    return tuple(np.random.default_rng(child) for child in seq.spawn(2))
 
-    The indices, one ``rng.integers(24, size=m)`` per use, are uniform over
-    the 24 single-qubit Cliffords of ``enumerate_clifford(1)``.
+
+def _draw_trap_keys(rngs, size: int, m: int, t: int,
+                    uses: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """``size`` trap keys: (size, t) sorted flag slots and (size, uses, m) indices in 0..23.
+
+    ``rngs`` is a ``_key_stream`` pair, each generator read in order, so draws of
+    sizes a and b equal one of size a + b.  A placement is the first t slots of the
+    argsort of m uniforms; an index picks one of the 24 of ``enumerate_clifford(1)``.
     """
-    flags = tuple(sorted(int(v) for v in rng.choice(m, size=t, replace=False)))
-    return flags, [rng.integers(24, size=m) for _ in range(uses)]
+    flags = np.sort(rngs[0].random((size, m)).argsort(axis=1)[:, :t], axis=1)
+    return flags, rngs[1].integers(24, size=(size, uses, m))
 
 
 def _physical_axes(flag_positions, m: int) -> list[int]:
@@ -411,17 +418,13 @@ def _ghz_theta(n: int, theta: float) -> np.ndarray:
     return vec
 
 
-def _default_data(n: int) -> np.ndarray:
-    return _ghz_theta(n, 0.0)
-
-
 def _data_state(n: int, t: int, data_state, default: bool = True) -> np.ndarray | None:
     """Check n, t >= 1 and the state (unit norm, shape (2^n,)); return it, GHZ or None."""
     for name, value in (("n", n), ("t", t)):
         if value < 1:
             raise ValueError("%s must be >= 1, got %r" % (name, value))
     if data_state is None:
-        return _default_data(n) if default else None
+        return _ghz_theta(n, 0.0) if default else None
     shape, norm = np.shape(data_state), float(np.linalg.norm(data_state))
     if shape != (1 << n,) or abs(norm - 1.0) > 1e-9:
         raise ValueError("data_state must be a unit vector of shape (%d,), got shape %r, "
@@ -565,21 +568,24 @@ def soundness_trap_single(n: int, t: int, attack: AttackSpec, mode: str = "exact
     raise ValueError("unknown mode %r" % mode)
 
 
-def _sample(trials, seed, run, chunk=1):
-    """(mean lhs, mean accept, stderr of lhs) over seeded independent trials.
+def _sample(trials, seed, run, chunk):
+    """(mean lhs, mean accept, stderr of lhs) over independent trials from one seeded stream.
 
-    Trial i draws from a generator seeded by the i-th child of ``SeedSequence(seed)``;
-    ``run(rngs, size)`` returns p_accept and lhs of the ``size`` <= ``chunk`` trials rngs yields.
+    The run's keys come from ``stream = _key_stream(SeedSequence(seed))``, read in
+    trial order: ``run(stream, size)`` draws the next ``size`` <= ``chunk`` trials'
+    keys from it and returns their p_accept and lhs, so no result depends on ``chunk``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1, got %r" % trials)
+    if trials > _TRIALS_CAP:
+        raise ValueError("trials must be <= %d, got %r" % (_TRIALS_CAP, trials))
     if seed < 0:
         raise ValueError("seed must be >= 0, got %r" % seed)
-    rngs = (np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(trials))
+    stream = _key_stream(np.random.SeedSequence(seed))
     accs, vals = np.empty(trials), np.empty(trials)
     for start in range(0, trials, chunk):
         part = slice(start, start + chunk)
-        accs[part], vals[part] = run(itertools.islice(rngs, chunk), len(accs[part]))
+        accs[part], vals[part] = run(stream, len(accs[part]))
     err = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return float(np.mean(vals)), float(np.mean(accs)), err
 
@@ -590,8 +596,8 @@ def _sample_trap_single(n, t, attack, psi, trials, seed):
     A flag survives a term exactly when the decrypted operator there is I or
     Z (the flag rule of ``_delegated_rule``), and the signs of the decrypted data operator drop out of
     |<psi|V|psi>|^2, so only axes matter; that overlap is cached per data
-    Pauli.  A chunk of trials draws its keys trial by trial, then reads them
-    off the decrypt table at once.  A depolarizing attack takes ``_sample_keys``,
+    Pauli.  A chunk of trials draws its keys with one ``_draw_trap_keys`` call
+    and reads them off the decrypt table at once.  A depolarizing attack takes ``_sample_keys``,
     whose closed-form channel never lists the 4^m Pauli terms.
     """
     if attack.variant not in ("identity", "fixed_pauli", "pauli_mixture"):
@@ -612,12 +618,10 @@ def _sample_trap_single(n, t, attack, psi, trials, seed):
             overlaps[key] = 1.0 if key == 0 else abs(np.vdot(psi, v.to_matrix() @ psi)) ** 2
         return overlaps[key]
 
-    def run(rngs, size):
-        flags, local = np.empty((size, t), dtype=int), np.empty((size, m), dtype=int)
-        for i, rng in enumerate(rngs):
-            flags[i], (local[i],) = _random_trap_key(m, t, rng)
+    def run(stream, size):
+        flags, local = _draw_trap_keys(stream, size, m, t)
         is_flag = (flags[:, :, None] == np.arange(m)).any(axis=1)
-        decrypted = decrypt[local[:, None, :], codes]
+        decrypted = decrypt[local, codes]
         alive = _delegated_rule(decrypted, is_flag[:, None, :])[0]
         data_slots = np.argsort(is_flag, axis=1, kind="stable")[:, None, :n]  # in slot order
         data = np.take_along_axis(decrypted, data_slots, axis=2)
@@ -650,10 +654,9 @@ def _keyed_use(conjugate, channel):
 def _sample_keys(protocol, n, t, attacks, psi, encode, trials, seed):
     """(mean lhs, mean accept, stderr) of ``_round`` with a fresh random key per use.
 
-    A trial draws the flag placement, then one key per attack: m single-qubit
-    Clifford indices for the trap code, applied one qubit at a time by
-    ``local_product_sum``, and one m-qubit Clifford for the Clifford code,
-    whose flags stay last.
+    A chunk of trials draws its trap keys with one ``_draw_trap_keys`` call, each
+    applied one qubit at a time by ``local_product_sum``; a Clifford-code key,
+    flags last, is one ``random_clifford`` from the slot generator per trial and use.
     """
     m = n + t
     if m > _DENSE_QUBIT_CAP:
@@ -671,17 +674,17 @@ def _sample_keys(protocol, n, t, attacks, psi, encode, trials, seed):
         ud = u.conj().T
         return lambda rho, dag: ud @ rho @ u if dag else u @ rho @ ud
 
-    def one_trial(rng):
+    def run(stream, size):
         if protocol == "trap":
-            flags, locals_ = _random_trap_key(m, t, rng, len(channels))
-            keys = [trap_key(local) for local in locals_]
+            flags, local = _draw_trap_keys(stream, size, m, t, len(channels))
+            keyed = zip(map(tuple, flags.tolist()), ([trap_key(k) for k in ks] for ks in local))
         else:
-            flags = tuple(range(n, m))
-            keys = [clifford_key(random_clifford(m, rng)) for _ in channels]
-        uses = [_keyed_use(key, channel) for key, channel in zip(keys, channels)]
-        return _round(psi, flags, uses, encode)
+            keyed = ((tuple(range(n, m)), [clifford_key(random_clifford(m, stream[1]))
+                                           for _ in channels]) for _ in range(size))
+        return zip(*(_round(psi, f, [_keyed_use(*kc) for kc in zip(keys, channels)], encode)
+                     for f, keys in keyed))
 
-    return _sample(trials, seed, lambda rngs, size: zip(*map(one_trial, rngs)))
+    return _sample(trials, seed, run, max(1, _CHUNK_ENTRIES // (len(channels) * m)))
 
 
 def soundness_clifford_single(n: int, t: int, attack: AttackSpec,
@@ -1067,7 +1070,9 @@ def end_to_end_demo(n: int, t: int, nu: int, attack: AttackSpec,
     the accepted ones, inverts the mean parity through the first-order
     expansion around theta_0 = theta_true, and reports the empirical bias
     and MSE next to the bounds derived from the attack's exact soundness and
-    acceptance rate.
+    acceptance rate.  The phase comes from child 0 of ``SeedSequence(seed)``, all
+    keys from one ``_draw_trap_keys`` call on children 1 and 2, then the term and
+    outcome uniforms from the slot generator; the decrypt table is read once.
     """
     m = n + t
     if m > 6:
@@ -1090,19 +1095,12 @@ def end_to_end_demo(n: int, t: int, nu: int, attack: AttackSpec,
     cum = np.cumsum([max(p, 0.0) for p, _ in terms])
     codes = np.array([_axis_codes(q) for _, q in terms])
 
-    def draw(child):
-        """(flag slots, key indices, uniform for the attack term, uniform for the outcome)."""
-        rng = np.random.default_rng(child)
-        flags, (local,) = _random_trap_key(m, t, rng)
-        return flags, local, *rng.random(2)
-
-    # Each round draws from its own seeded generator; every round is then read
-    # off the decrypt table at once.
-    flags, local, u_term, u_out = (np.array(col) for col in zip(*map(draw, master.spawn(nu))))
+    stream = _key_stream(master)
+    flags, local = _draw_trap_keys(stream, nu, m, t)
+    u_term, u_out = stream[1].random((2, nu))
     term = np.minimum(np.searchsorted(cum, u_term * cum[-1], side="right"), len(terms) - 1)
-    is_flag = np.zeros((nu, m), dtype=bool)
-    np.put_along_axis(is_flag, flags, True, axis=1)
-    accepted, s = _delegated_rule(_local_key_tables()[local, codes[term]], is_flag)
+    is_flag = (flags[:, :, None] == np.arange(m)).any(axis=1)
+    accepted, s = _delegated_rule(_local_key_tables()[local[:, 0], codes[term]], is_flag)
     arr = np.where(u_out < (1.0 + s * mean_o) / 2, 1.0, -1.0)[accepted]
     n_acc = arr.size
     if n_acc < 2:

@@ -97,10 +97,11 @@ def test_criterion_08_twirl_lemmas():
 
 
 def test_criterion_09_soundness():
-    with _report(9, "soundness bounds and dual-path agreement"):
+    with _report(9, "soundness bounds, dual-path and sampled-vs-exact agreement"):
         t0 = time.perf_counter()
         _run_check("soundness-exact-battery")
         _run_check("soundness-dual-path")
+        _run_check("sampled-vs-exact")
         assert time.perf_counter() - t0 < 300
 
 

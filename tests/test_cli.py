@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -446,10 +447,11 @@ def test_crypto_rejects_non_finite_weights(tmp_path, capsys, attack):
     ("trap1", 0, 1, 2000, 0, "id", "--n must be >= 1, got 0"),
     ("trap1", 5, 2, 0, 0, "id", "--trials must be >= 1, got 0"),
     ("trap1", 5, 2, -3, 0, "id", "--trials must be >= 1, got -3"),
+    ("trap1", 5, 2, 10 ** 6 + 1, 0, "id", "--trials must be <= 1000000, got 1000001"),
     ("trap1", 1, 1, 3, -1, "id", "--seed must be >= 0, got -1"),
     ("trap1", 5, 2, 3, -1, "id", "--seed must be >= 0, got -1"),
 ], ids=["trap1-t0", "trap2-t0", "delegated-t0", "n0", "trials0", "trials-negative",
-        "seed-negative-exact", "seed-negative-sampled"])
+        "trials-over-cap", "seed-negative-exact", "seed-negative-sampled"])
 def test_crypto_degenerate_counts(tmp_path, capsys, protocol, n, t, trials, seed, attack,
                                   message):
     out_path = tmp_path / "x.json"
@@ -458,6 +460,24 @@ def test_crypto_degenerate_counts(tmp_path, capsys, protocol, n, t, trials, seed
                   "--out", str(out_path)])
     assert rc == 2
     assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out_path.exists()
+
+
+def test_crypto_trials_far_over_cap_exit_2_without_allocating(tmp_path, capsys):
+    # 10^12 trials would need 16 TB of per-trial values: the cap is checked
+    # before any array or key is made.
+    out_path = tmp_path / "x.json"
+    tracemalloc.start()
+    try:
+        rc = run_cli(["crypto", "--protocol", "trap1", "--n", "5", "--t", "2",
+                      "--attack", "mix:0.9*IIIIIII,0.1*XZYXZYX", "--trials", str(10 ** 12),
+                      "--seed", "0", "--out", str(out_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --trials must be <= 1000000, got 1000000000000\n"
+    assert peak < 2 ** 20
     assert not out_path.exists()
 
 

@@ -354,11 +354,15 @@ def _apply_kraus(rho, kraus):
     return out
 
 
-def _reference_trap_keys(m, t, rng, uses=1):
-    """Flag slots, then per use the Kronecker product of rng.integers(24, size=m) Cliffords."""
-    flags = tuple(sorted(int(v) for v in rng.choice(m, size=t, replace=False)))
+def _seeded_stream(seed):
+    return crypto._key_stream(np.random.SeedSequence(seed))
+
+
+def _reference_trap_keys(m, t, stream, uses=1):
+    """Flag slots, then per use the Kronecker product of the slots' drawn Cliffords."""
+    flags, local = crypto._draw_trap_keys(stream, 1, m, t, uses)
     group = pauli.enumerate_clifford(1)
-    return flags, [kron_all(list(group[rng.integers(24, size=m)])) for _ in range(uses)]
+    return tuple(flags[0].tolist()), [kron_all(list(group[row])) for row in local[0]]
 
 
 def _reference_trap_round_single(psi, t, flags, u_enc, attack):
@@ -392,17 +396,17 @@ def _reference_clifford_round(psi, vec, t, u_enc, kraus):
     return p_acc, p_acc - overlap
 
 
-def _reference_double_trial(protocol, n, t, kraus1, kraus2, psi, u_data, rng):
+def _reference_double_trial(protocol, n, t, kraus1, kraus2, psi, u_data, stream):
     """(accept, lhs term) of one double-use trial with two independent keys."""
     m = n + t
     u_full_l = np.kron(u_data, np.eye(1 << t, dtype=complex))
     ideal = u_data @ psi
     if protocol == "trap":
-        flags, (u1, u2) = _reference_trap_keys(m, t, rng, uses=2)
+        flags, (u1, u2) = _reference_trap_keys(m, t, stream, uses=2)
     else:
         flags = tuple(range(n, m))
-        u1 = pauli.random_clifford(m, rng)
-        u2 = pauli.random_clifford(m, rng)
+        u1 = pauli.random_clifford(m, stream[1])
+        u2 = pauli.random_clifford(m, stream[1])
     vec = crypto._embed_with_flags(psi, flags, m)
     rho = np.outer(vec, vec.conj())
     rho = u1.conj().T @ _apply_kraus(u1 @ rho @ u1.conj().T, kraus1) @ u1
@@ -414,18 +418,18 @@ def _reference_double_trial(protocol, n, t, kraus1, kraus2, psi, u_data, rng):
     return p_acc, p_acc - float(np.real(np.vdot(ideal, block @ ideal)))
 
 
-def _reference_trial(protocol, n, t, attacks, psi, encode, rng):
+def _reference_trial(protocol, n, t, attacks, psi, encode, stream):
     m = n + t
     if len(attacks) == 2:
         u_data = np.eye(1 << n, dtype=complex) if encode is None else encode
         return _reference_double_trial(protocol, n, t, attacks[0].kraus_ops(m),
-                                       attacks[1].kraus_ops(m), psi, u_data, rng)
+                                       attacks[1].kraus_ops(m), psi, u_data, stream)
     if protocol == "trap":
-        flags, (u_enc,) = _reference_trap_keys(m, t, rng)
+        flags, (u_enc,) = _reference_trap_keys(m, t, stream)
         p_acc, cond = _reference_trap_round_single(psi, t, flags, u_enc, attacks[0])
         rho_id = np.outer(psi, psi.conj())
         return p_acc, p_acc * (1.0 - float(np.real(np.trace(rho_id @ cond))))
-    u_enc = pauli.random_clifford(m, rng)
+    u_enc = pauli.random_clifford(m, stream[1])
     vec = np.kron(psi, np.eye(1 << t)[0])
     return _reference_clifford_round(psi, vec, t, u_enc, attacks[0].kraus_ops(m))
 
@@ -433,8 +437,9 @@ def _reference_trial(protocol, n, t, attacks, psi, encode, rng):
 @pytest.mark.parametrize("n,t", [(2, 1), (3, 2)])
 @pytest.mark.parametrize("protocol", ["trap", "clifford"])
 def test_sampled_round_matches_reference_rounds(n, t, protocol):
-    # One seeded trial of _sample_keys draws the keys of the reference rounds
-    # in the same order, so each (p_accept, lhs) pair must agree to rounding.
+    # One seeded trial of _sample_keys reads the keys the reference rounds
+    # draw from the same seeded stream, so each (p_accept, lhs) pair must
+    # agree to rounding.
     m = n + t
     fixed = crypto.AttackSpec.fixed_pauli("XZYXZ"[:m])
     mix = crypto.AttackSpec.pauli_mixture([(0.7, "I" * m), (0.3, "ZXYZX"[:m])])
@@ -447,8 +452,8 @@ def test_sampled_round_matches_reference_rounds(n, t, protocol):
     for attacks, encode in cases:
         for seed in range(20):
             lhs, accept, _ = crypto._sample_keys(protocol, n, t, attacks, psi, encode, 1, seed)
-            trial_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-            want = _reference_trial(protocol, n, t, attacks, psi, encode, trial_rng)
+            stream = _seeded_stream(seed)
+            want = _reference_trial(protocol, n, t, attacks, psi, encode, stream)
             assert abs(accept - want[0]) <= 1e-12
             assert abs(lhs - want[1]) <= 1e-12
 
@@ -465,8 +470,8 @@ def test_sampled_pauli_mixture_trial_matches_reference_round(n, t):
     psi /= np.linalg.norm(psi)
     for seed in range(20):
         lhs, accept, _ = crypto._sample_trap_single(n, t, mix, psi, 1, seed)
-        trial_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        want = _reference_trial("trap", n, t, [mix], psi, None, trial_rng)
+        stream = _seeded_stream(seed)
+        want = _reference_trial("trap", n, t, [mix], psi, None, stream)
         assert abs(accept - want[0]) <= 1e-12
         assert abs(lhs - want[1]) <= 1e-12
 
@@ -485,8 +490,7 @@ def _literal_trap_single(n, t, attack, psi, trials, seed):
         v = pauli.PauliString(n, x, z, (x & z).bit_count()).to_matrix()
         return 1.0 if x == z == 0 else abs(np.vdot(psi, v @ psi)) ** 2
 
-    def one_trial(rng):
-        flags, (local,) = crypto._random_trap_key(m, t, rng)
+    def one_trial(flags, local):
         is_flag = np.zeros(m, dtype=bool)
         is_flag[list(flags)] = True
         decrypted = decrypt[local, codes]
@@ -494,9 +498,10 @@ def _literal_trap_single(n, t, attack, psi, trials, seed):
         p_acc = float(probs[alive].sum())
         return p_acc, p_acc - sum(probs[k] * overlap(decrypted[k, ~is_flag]) for k in alive)
 
+    stream = _seeded_stream(seed)
     vals, accs = np.empty(trials), np.empty(trials)
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        accs[i], vals[i] = one_trial(np.random.default_rng(child))
+    for i, (flags, (local,)) in enumerate(zip(*crypto._draw_trap_keys(stream, trials, m, t))):
+        accs[i], vals[i] = one_trial(flags, local)
     err = float(np.std(vals, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return float(np.mean(vals)), float(np.mean(accs)), err
 
@@ -518,13 +523,59 @@ def test_sampled_trap_matches_literal_trial_loop(monkeypatch, chunk_entries):
                 == _literal_trap_single(4, 1, mix, psi, trials, seed))
 
 
+def test_drawn_placements_are_uniform():
+    # 60,000 placements of t = 2 flags among m = 4 slots: each of the C(4, 2) = 6
+    # sorted pairs within 4 sigma of 10,000.
+    flags, _ = crypto._draw_trap_keys(_seeded_stream(31), 60_000, 4, 2)
+    assert (np.diff(flags, axis=1) > 0).all() and ((0 <= flags) & (flags < 4)).all()
+    pairs, counts = np.unique(flags, axis=0, return_counts=True)
+    assert pairs.tolist() == [list(c) for c in itertools.combinations(range(4), 2)]
+    sigma = np.sqrt(60_000 * (1 / 6) * (5 / 6))
+    assert np.abs(counts - 10_000).max() <= 4 * sigma
+
+
+def test_drawn_slot_indices_are_uniform():
+    # 240,000 indices over the 24 single-qubit Cliffords, each within 4 sigma.
+    _, local = crypto._draw_trap_keys(_seeded_stream(32), 30_000, 4, 2, uses=2)
+    assert local.shape == (30_000, 2, 4)
+    counts = np.bincount(local.ravel(), minlength=24)
+    assert counts.size == 24
+    sigma = np.sqrt(240_000 * (1 / 24) * (23 / 24))
+    assert np.abs(counts - 10_000).max() <= 4 * sigma
+
+
+def test_chunked_key_draws_equal_one_draw():
+    whole = crypto._draw_trap_keys(_seeded_stream(33), 310, 7, 3, uses=2)
+    stream = _seeded_stream(33)
+    parts = [crypto._draw_trap_keys(stream, size, 7, 3, uses=2) for size in (1, 7, 300, 2)]
+    for got, want in zip(zip(*parts), whole):
+        assert np.array_equal(np.concatenate(got), want)
+
+
+def test_sample_accepts_the_trials_cap_and_refuses_one_more():
+    def run(stream, size):
+        return np.zeros(size), np.zeros(size)
+
+    assert crypto._sample(crypto._TRIALS_CAP, 0, run, 1 << 20) == (0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="^trials must be <= 1000000, got 1000001$"):
+        crypto._sample(crypto._TRIALS_CAP + 1, 0, run, 1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^trials must be <= 1000000, got 1000000000000$"):
+            crypto._sample(10 ** 12, 0, run, 1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_sampled_trap_report_is_pinned():
     report = json.loads(cli.crypto_json("trap1", 5, 2, "mix:0.9*IIIIIII,0.1*XZYXZYX",
                                         trials=1000, seed=7))
     assert report["mode"] == "sampled"
-    assert report["lhs"] == 0.009899999999999999
-    assert report["accept_rate"] == 0.9107000000000003
-    assert report["stderr"] == 0.0009449248027662743
+    assert report["lhs"] == 0.009899999999999997
+    assert report["accept_rate"] == 0.9103000000000002
+    assert report["stderr"] == 0.0009449248027662744
 
 
 def test_sampled_trap_paths_build_no_tableau(monkeypatch):
@@ -565,7 +616,8 @@ def test_depolarizing_kraus_form_is_capped():
     (0, 0, "trials must be >= 1, got 0"),
     (-2, 0, "trials must be >= 1, got -2"),
     (3, -1, "seed must be >= 0, got -1"),
-], ids=["trials-zero", "trials-negative", "seed-negative"])
+    (10 ** 12, 0, "trials must be <= 1000000, got 1000000000000"),
+], ids=["trials-zero", "trials-negative", "seed-negative", "trials-over-cap"])
 @pytest.mark.parametrize("sample", [
     lambda **kw: crypto.soundness_trap_single(2, 1, crypto.parse_attack("pauli:XII"), **kw),
     lambda **kw: crypto.soundness_clifford_single(2, 1, crypto.parse_attack("pauli:XII"), **kw),
@@ -646,8 +698,8 @@ def test_flags_required():
 def test_end_to_end_demo_obeys_bounds():
     att = crypto.parse_attack("mix:0.99*III,0.01*ZII")
     res = crypto.end_to_end_demo(2, 1, 4000, att, seed=13)
-    assert res.rounds_accepted == 3993
-    np.testing.assert_allclose(res.accept_rate, 0.99825, atol=1e-5)
+    assert res.rounds_accepted == 3989
+    np.testing.assert_allclose(res.accept_rate, 0.99725, atol=1e-5)
     assert abs(res.empirical_bias) <= res.bound_bias + 4 * res.bias_stderr
     excess = res.empirical_mse - res.ideal_mse
     assert excess <= res.bound_mse + 4 * res.mse_stderr
