@@ -281,30 +281,19 @@ def cmd_ecc(args: argparse.Namespace) -> int:
 _PROTOCOLS = ("trap1", "trap2", "cliff1", "cliff2", "delegated")
 
 
-def _attack_width(attack: crypto.AttackSpec) -> int | None:
-    if attack.variant == "fixed_pauli":
-        return attack.pauli.n
-    if attack.variant == "pauli_mixture":
-        return attack.mixture[0][1].n
-    return None
-
-
 def _pad_attack(attack: crypto.AttackSpec, m: int) -> crypto.AttackSpec:
-    """Extend a narrower attack with identities on the trailing qubits."""
+    """Extend a narrower Pauli attack with identities on the trailing qubits."""
     if attack.variant == "double":
         return crypto.AttackSpec.double(_pad_attack(attack.pair[0], m),
                                         _pad_attack(attack.pair[1], m))
-    width = _attack_width(attack)
-    if width is None or width == m:
+    width = attack.mixture[0][1].n if attack.variant == "pauli_mixture" else m
+    if width == m:
         return attack
     if width > m:
         raise CliError(EXIT_USAGE,
                        "attack acts on %d qubits but the register has %d"
                        % (width, m))
     pad = "I" * (m - width)
-    if attack.variant == "fixed_pauli":
-        return crypto.AttackSpec.fixed_pauli(
-            pauli.PauliString.from_label(attack.pauli.label() + pad))
     return crypto.AttackSpec.pauli_mixture(
         [(w, pauli.PauliString.from_label(p.label() + pad))
          for w, p in attack.mixture])

@@ -16,7 +16,9 @@ delegating Pauli-basis measurements, together with their figures of merit:
 
 Attacks are CPTP maps given either as structured `AttackSpec` values or in a
 small text language (``id``, ``pauli:-XIZ``, ``mix:0.9*II,0.1*ZI``,
-``depol:0.3``, ``double:<spec>;<spec>``).
+``depol:0.3``, ``double:<spec>;<spec>``).  Every attack but a Kraus one is a
+Pauli mixture, its terms listed by ``AttackSpec.pauli_terms``; a fixed Pauli
+is the one-term mixture.
 """
 
 from __future__ import annotations
@@ -55,14 +57,14 @@ _TRIALS_CAP = 10 ** 6  # per report; at m = 7 ~1 s of Pauli-mixture trap trials,
 class AttackSpec:
     """A CPTP attack on the encrypted register.
 
-    ``variant`` selects the interpretation: ``identity``, ``fixed_pauli``,
-    ``pauli_mixture``, ``depolarizing``, ``kraus`` or ``double`` (a pair of
-    attacks for the two uses of the channel).  Specs are symbolic where
-    possible; Kraus matrices are materialized per qubit count on demand.
+    ``variant`` selects the interpretation: ``identity``, ``pauli_mixture``
+    (a fixed Pauli is the one-term mixture), ``depolarizing``, ``kraus`` or
+    ``double`` (a pair of attacks for the two uses of the channel).  Specs are
+    symbolic where possible; Kraus matrices are materialized per qubit count
+    on demand, sqrt(p) P for each Pauli term (p, P) unless the attack is ``kraus``.
     """
 
     variant: str
-    pauli: PauliString | None = None
     mixture: tuple[tuple[float, PauliString], ...] = ()
     strength: float = 0.0
     kraus_mats: tuple[np.ndarray, ...] = ()
@@ -90,7 +92,7 @@ class AttackSpec:
         elif self.variant == "double":
             if self.pair is None or any(g.variant == "double" for g in self.pair):
                 raise ValueError("double attack needs exactly two single-use specs")
-        elif self.variant not in ("identity", "fixed_pauli"):
+        elif self.variant != "identity":
             raise ValueError("unknown attack variant %r" % self.variant)
 
     @classmethod
@@ -99,9 +101,7 @@ class AttackSpec:
 
     @classmethod
     def fixed_pauli(cls, p: PauliString | str) -> "AttackSpec":
-        if isinstance(p, str):
-            p = PauliString.from_label(p)
-        return cls("fixed_pauli", pauli=p)
+        return cls.pauli_mixture([(1.0, p)])
 
     @classmethod
     def pauli_mixture(cls, terms) -> "AttackSpec":
@@ -122,48 +122,29 @@ class AttackSpec:
         return cls("double", pair=(first, second))
 
     def _check_width(self, m: int) -> None:
-        if self.variant == "fixed_pauli" and self.pauli.n != m:
-            raise ValueError("attack Pauli acts on %d qubits, register has %d"
-                             % (self.pauli.n, m))
-        if self.variant == "pauli_mixture" and any(q.n != m for _, q in self.mixture):
-            raise ValueError("mixture Pauli width mismatch")
+        width = next((q.n for _, q in self.mixture if q.n != m), m)
+        if width != m:
+            raise ValueError("attack Pauli acts on %d qubits, register has %d" % (width, m))
         if self.variant == "kraus" and self.kraus_mats[0].shape[0] != 1 << m:
             raise ValueError("Kraus dimension mismatch")
 
     def kraus_ops(self, m: int) -> list[np.ndarray]:
-        """Materialize Kraus operators on m qubits."""
+        """Materialize Kraus operators on m qubits: sqrt(p) P per Pauli term (p, P) with p > 0."""
         self._check_width(m)
-        if self.variant == "identity":
-            return [np.eye(1 << m, dtype=complex)]
-        if self.variant == "fixed_pauli":
-            return [self.pauli.to_matrix()]
-        if self.variant == "pauli_mixture":
-            return [math.sqrt(max(p, 0.0)) * q.to_matrix() for p, q in self.mixture if p > 0]
-        if self.variant == "depolarizing":
-            # One 2^m x 2^m matrix per Pauli: 16^m entries in all (4.3 GB at m = 7).
-            if m > _DEPOL_KRAUS_CAP:
-                raise ValueError("depolarizing Kraus form capped at m = %d qubits "
-                                 "(it lists all 4^m Pauli operators), got m = %d"
-                                 % (_DEPOL_KRAUS_CAP, m))
-            dim4 = 4 ** m
-            c_id = 1.0 - self.strength + self.strength / dim4
-            ops = []
-            for p in all_paulis(m):
-                c = c_id if p.is_identity_axis() else self.strength / dim4
-                if c > 0:
-                    ops.append(math.sqrt(c) * p.to_matrix())
-            return ops
         if self.variant == "kraus":
             return [a.copy() for a in self.kraus_mats]
-        raise ValueError("double attacks have no single Kraus form")
+        # Depolarizing has one 2^m x 2^m matrix per Pauli: 16^m entries in all (4.3 GB at m = 7).
+        if self.variant == "depolarizing" and m > _DEPOL_KRAUS_CAP:
+            raise ValueError("depolarizing Kraus form capped at m = %d qubits "
+                             "(it lists all 4^m Pauli operators), got m = %d"
+                             % (_DEPOL_KRAUS_CAP, m))
+        return [math.sqrt(p) * q.to_matrix() for p, q in self.pauli_terms(m) if p > 0]
 
     def pauli_terms(self, m: int) -> list[tuple[float, PauliString]]:
         """The attack as a Pauli mixture, when it is one."""
         self._check_width(m)
         if self.variant == "identity":
             return [(1.0, PauliString.identity(m))]
-        if self.variant == "fixed_pauli":
-            return [(1.0, self.pauli)]
         if self.variant == "pauli_mixture":
             return [(p, q) for p, q in self.mixture if p > 0]
         if self.variant == "depolarizing":
@@ -433,12 +414,12 @@ def _data_state(n: int, t: int, data_state, default: bool = True) -> np.ndarray 
 
 
 class _VariantTable:
-    """Averages of 1 - |<ideal| Q U P |psi>|^2 over Pauli variants on index subsets.
+    """Overlaps |<ideal| Q U P |psi>|^2 of data Paulis P, Q and their averages per support.
 
-    P and Q run over {X, Y, Z}^S and {X, Y, Z}^S' for subsets of data qubits
-    (the identity on an empty one), U is the encoding between the uses; the
-    table caches the mean per (S, S').  Each pre-Pauli is applied to psi once
-    (with the encoding), each post-Pauli to the ideal state once.
+    U is the encoding between the uses.  ``double`` caches the mean of
+    1 - overlap over P in {X, Y, Z}^S and Q in {X, Y, Z}^S', per pair of data
+    bit masks (S, S'); the empty mask holds the identity alone.  Each post-Pauli
+    is applied to the ideal state once.
     """
 
     def __init__(self, psi: np.ndarray, u_encode: np.ndarray | None = None):
@@ -448,16 +429,19 @@ class _VariantTable:
         self.ideal = self.psi if u_encode is None else u_encode @ self.psi
         self._pre: dict[tuple[int, int], np.ndarray] = {}
         self._post: dict[tuple[int, int], np.ndarray] = {}
-        self._double: dict[tuple[frozenset, frozenset], float] = {}
+        self._single: dict[tuple[int, int], float] = {}
+        self._double: dict[tuple[int, int], float] = {}
 
-    def _pre_vec(self, v: PauliString) -> np.ndarray:
+    def _pre_vec(self, v: PauliString, keep: bool) -> np.ndarray:
         key = v.axes_key()
-        if key not in self._pre:
+        vec = self._pre.get(key)
+        if vec is None:
             vec = v.to_matrix() @ self.psi
             if self.u_encode is not None:
                 vec = self.u_encode @ vec
-            self._pre[key] = vec
-        return self._pre[key]
+            if keep:
+                self._pre[key] = vec
+        return vec
 
     def _post_vec(self, v: PauliString) -> np.ndarray:
         key = v.axes_key()
@@ -465,23 +449,29 @@ class _VariantTable:
             self._post[key] = v.to_matrix() @ self.ideal
         return self._post[key]
 
-    @staticmethod
-    def _mask(subset: frozenset) -> int:
-        return sum(1 << j for j in subset)
+    def overlap(self, pre: PauliString, post: PauliString) -> float:
+        """|<ideal| post U pre |psi>|^2, exactly 1 when both are the identity.
 
-    def double(self, pre_set: frozenset, post_set: frozenset) -> float:
-        if not pre_set and not post_set:
-            # Untouched data: 0, not the rounding residue of 1 - |<ideal|ideal>|^2.
-            return 0.0
-        key = (pre_set, post_set)
+        Against the identity post the value is kept per pre axes and U pre |psi>
+        is not: a sampled report meets up to 4^n data Paulis, at n <= 9.  Against
+        any other post the vector U pre |psi> is kept, since the double-use
+        casework pairs it with every post support.
+        """
+        if post.support:
+            return abs(np.vdot(self._post_vec(post), self._pre_vec(pre, True))) ** 2
+        key = pre.axes_key()
+        if key not in self._single:
+            # Untouched data: 1, not the rounding residue of |<ideal|ideal>|^2.
+            self._single[key] = (abs(np.vdot(self._post_vec(post), self._pre_vec(pre, False))) ** 2
+                                 if pre.support else 1.0)
+        return self._single[key]
+
+    def double(self, pre_mask: int, post_mask: int) -> float:
+        key = (pre_mask, post_mask)
         if key not in self._double:
-            ident = PauliString.identity(self.n)
-            pres = ([ident] if not pre_set else
-                    list(paulis_on_support(self.n, self._mask(pre_set))))
-            posts = ([ident] if not post_set else
-                     list(paulis_on_support(self.n, self._mask(post_set))))
-            vals = [1.0 - abs(np.vdot(self._post_vec(vq), self._pre_vec(vp))) ** 2
-                    for vp in pres for vq in posts]
+            posts = list(paulis_on_support(self.n, post_mask))
+            vals = [1.0 - self.overlap(vp, vq)
+                    for vp in paulis_on_support(self.n, pre_mask) for vq in posts]
             self._double[key] = float(np.mean(vals))
         return self._double[key]
 
@@ -496,13 +486,6 @@ def _get_table(psi: np.ndarray, u_encode: np.ndarray | None = None) -> _VariantT
             _TABLE_CACHE.clear()
         _TABLE_CACHE[key] = _VariantTable(psi, u_encode)
     return _TABLE_CACHE[key]
-
-
-def _data_subset(support: int, flag_set: set, m: int) -> frozenset:
-    """Map the non-flag slots of a support mask to data-qubit indices."""
-    data_slots = [q for q in range(m) if q not in flag_set]
-    rank = {q: i for i, q in enumerate(data_slots)}
-    return frozenset(rank[q] for q in range(m) if (support >> q) & 1 and q not in flag_set)
 
 
 def trap_bound(n: int, t: int) -> float:
@@ -533,18 +516,20 @@ def _trap_double_casework(n: int, t: int, first: AttackSpec, second: AttackSpec,
     lhs = accept = 0.0
     placements = list(itertools.combinations(range(m), t))
     for flags in placements:
-        flag_set = set(flags)
         flag_mask = sum(1 << f for f in flags)
+        data_slots = [q for q in range(m) if q not in flags]
+        # support -> data bit mask: bit i for the i-th data slot in the support
+        data = {sup: sum(1 << i for i, q in enumerate(data_slots) if sup >> q & 1)
+                for sup in w1.keys() | w2.keys()}
         for sup_p, wp in w1.items():
             p_flags = sup_p & flag_mask
-            pre = _data_subset(sup_p, flag_set, m)
             for sup_q, wq in w2.items():
                 q_flags = sup_q & flag_mask
                 both = (p_flags & q_flags).bit_count()
                 lone = (p_flags ^ q_flags).bit_count()
                 factor = wp * wq * (5.0 / 9.0) ** both * 3.0 ** (-lone)
                 accept += factor
-                lhs += factor * table.double(pre, _data_subset(sup_q, flag_set, m))
+                lhs += factor * table.double(data[sup_p], data[sup_q])
     k = float(len(placements))
     return lhs / k, accept / k
 
@@ -594,13 +579,15 @@ def _sample_trap_single(n, t, attack, psi, trials, seed):
     """Trap keys read off the key tables for a listed Pauli mixture, else ``_sample_keys``.
 
     A flag survives a term exactly when the decrypted operator there is I or
-    Z (the flag rule of ``_delegated_rule``), and the signs of the decrypted data operator drop out of
-    |<psi|V|psi>|^2, so only axes matter; that overlap is cached per data
-    Pauli.  A chunk of trials draws its keys with one ``_draw_trap_keys`` call
-    and reads them off the decrypt table at once.  A depolarizing attack takes ``_sample_keys``,
-    whose closed-form channel never lists the 4^m Pauli terms.
+    Z (the flag rule of ``_delegated_rule``), and the signs of the decrypted
+    data operator drop out of |<psi|V|psi>|^2, so only axes matter; that
+    overlap comes from the probe's ``_get_table``, shared with the exact
+    casework.  A chunk of trials draws its keys with one ``_draw_trap_keys``
+    call and reads them off the decrypt table at once.  A depolarizing attack
+    takes ``_sample_keys``, whose closed-form channel never lists the 4^m
+    Pauli terms.
     """
-    if attack.variant not in ("identity", "fixed_pauli", "pauli_mixture"):
+    if attack.variant not in ("identity", "pauli_mixture"):
         return _sample_keys("trap", n, t, [attack], psi, None, trials, seed)
     m = n + t
     terms = attack.pauli_terms(m)
@@ -608,15 +595,12 @@ def _sample_trap_single(n, t, attack, psi, trials, seed):
     codes = np.array([_axis_codes(q) for _, q in terms])
     decrypt = _local_key_tables()
     bits = 1 << np.arange(n)
-    overlaps: dict[int, float] = {}
+    table, ident = _get_table(psi), PauliString.identity(n)
 
     def overlap(key: int) -> float:
         """|<psi|V|psi>|^2 for the data Pauli V with x mask key % 2^n and z mask key >> n."""
-        if key not in overlaps:
-            x, z = key & ((1 << n) - 1), key >> n
-            v = PauliString(n, x, z, (x & z).bit_count())
-            overlaps[key] = 1.0 if key == 0 else abs(np.vdot(psi, v.to_matrix() @ psi)) ** 2
-        return overlaps[key]
+        x, z = key & ((1 << n) - 1), key >> n
+        return table.overlap(PauliString(n, x, z, (x & z).bit_count()), ident)
 
     def run(stream, size):
         flags, local = _draw_trap_keys(stream, size, m, t)

@@ -10,6 +10,7 @@ oracle on exact derivatives (statevector to n = 20, noisy rho to n = 8).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -124,9 +125,6 @@ class NeighborhoodPartition:
     """
 
     classes: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-    def sizes(self) -> list[tuple[int, int]]:
-        return [(len(u), len(m)) for u, m in self.classes]
 
 
 def partition(g: Graph) -> NeighborhoodPartition:
@@ -250,30 +248,17 @@ def qfi_erasure(g: Graph, erased: Iterable[int]) -> float:
     return total
 
 
-def _tree_sum(values: list[float]) -> float:
-    """Pairwise reduction: result independent of any chunked evaluation order."""
-    vals = list(values)
-    if not vals:
-        return 0.0
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
-
-
 def mean_qfi_erasure(g: Graph, e: int) -> float:
-    """Average qfi_erasure over all C(n, e) erasure patterns of size e."""
+    """Average qfi_erasure over all C(n, e) erasure patterns of size e.
+
+    Each qfi_erasure value is an integer, so the sum is exact in any order.
+    """
     if not (0 <= e <= g.n):
         raise ValueError("erasure count %d out of range" % e)
     n_pat = math.comb(g.n, e)
     if n_pat > 10 ** 6:
         raise ValueError("too many erasure patterns: C(%d, %d) = %d" % (g.n, e, n_pat))
-    import itertools
-
-    vals = [qfi_erasure(g, pat) for pat in itertools.combinations(range(g.n), e)]
-    return _tree_sum(vals) / n_pat
+    return sum(qfi_erasure(g, pat) for pat in itertools.combinations(range(g.n), e)) / n_pat
 
 
 def stabilizer_generators(g: Graph) -> list[PauliString]:
@@ -308,45 +293,33 @@ def expval_pauli(g: Graph, p: PauliString) -> int:
     return 1 if acc.k == p.k else -1
 
 
-def _gf2_solve_lexmin(rows: list[int], rhs: list[int], n_vars: int) -> int | None:
+def _gf2_solve_lexmin(rows: list[int], rhs: list[int]) -> int | None:
     """Lexicographically smallest solution of a GF(2) linear system.
 
     Rows are bit masks over the variables.  Returns the solution as a bit
     mask (bit i = variable i), or None when inconsistent.  Lex order treats
     variable 0 as the most significant decision, preferring 0.
+
+    One fully reduced elimination: each row pivots on its highest variable,
+    and no pivot variable appears in another row.  A pivot then depends only
+    on free variables below it, so free variables set to 0, lowest first, give
+    the lexicographically smallest solution, each pivot equal to its rhs.
     """
-
-    def consistent(fixed: int, n_fixed: int) -> bool:
-        work = []
-        for row, b in zip(rows, rhs):
-            b ^= (row & fixed).bit_count() & 1
-            work.append((row >> n_fixed, b))
-        pivots: dict[int, tuple[int, int]] = {}
-        for row, b in work:
-            while row:
-                piv = row.bit_length() - 1
-                if piv in pivots:
-                    prow, pb = pivots[piv]
-                    row ^= prow
-                    b ^= pb
-                else:
-                    pivots[piv] = (row, b)
-                    break
-            if row == 0 and b:
-                return False
-        return True
-
-    if not consistent(0, 0):
-        return None
-    fixed = 0
-    for i in range(n_vars):
-        n_fixed = i + 1
-        if consistent(fixed, n_fixed):
+    pivots: dict[int, tuple[int, int]] = {}
+    for row, b in zip(rows, rhs):
+        for piv, (prow, pb) in pivots.items():
+            if row >> piv & 1:
+                row, b = row ^ prow, b ^ pb
+        if not row:
+            if b:
+                return None
             continue
-        fixed |= 1 << i
-        if not consistent(fixed, n_fixed):
-            return None
-    return fixed
+        piv = row.bit_length() - 1
+        for other, (prow, pb) in pivots.items():
+            if prow >> piv & 1:
+                pivots[other] = (prow ^ row, pb ^ b)
+        pivots[piv] = (row, b)
+    return sum(b << piv for piv, (_, b) in pivots.items())
 
 
 def find_yz_stabilizer(g: Graph) -> PauliString | None:
@@ -365,7 +338,7 @@ def find_yz_stabilizer(g: Graph) -> PauliString | None:
         for k in g.neighbors(v):
             row |= 1 << k
         rows.append(row)
-    sol = _gf2_solve_lexmin(rows, [1] * g.n, g.n)
+    sol = _gf2_solve_lexmin(rows, [1] * g.n)
     if sol is None:
         return None
     gens = stabilizer_generators(g)

@@ -62,9 +62,6 @@ class PauliString:
     def weight(self) -> int:
         return self.support.bit_count()
 
-    def is_identity_axis(self) -> bool:
-        return self.support == 0
-
     def is_hermitian(self) -> bool:
         return (self.k - (self.x & self.z).bit_count()) % 2 == 0
 

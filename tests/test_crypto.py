@@ -15,8 +15,8 @@ from qmet.dense import PAULI_1Q, kron_all
 def test_parse_attack_variants():
     assert crypto.parse_attack("id").variant == "identity"
     a = crypto.parse_attack("pauli:-XIZ")
-    assert a.variant == "fixed_pauli"
-    assert a.pauli.label() == "-XIZ"
+    assert a.variant == "pauli_mixture"
+    assert [(w, q.label()) for w, q in a.mixture] == [(1.0, "-XIZ")]
     m = crypto.parse_attack("mix:0.9*III,0.1*ZII")
     assert m.variant == "pauli_mixture"
     np.testing.assert_allclose(sum(w for w, _ in m.mixture), 1.0)
@@ -24,7 +24,7 @@ def test_parse_attack_variants():
     assert d.variant == "depolarizing" and d.strength == 0.3
     dd = crypto.parse_attack("double:pauli:XI;depol:0.5")
     assert dd.variant == "double"
-    assert dd.pair[0].variant == "fixed_pauli"
+    assert dd.pair[0].variant == "pauli_mixture"
 
 
 def test_parse_attack_rejections():
@@ -603,6 +603,52 @@ def test_sampled_double_use_matches_exact(n, t, protocol):
                                           trials=400)
         assert sampled.mode == "sampled" and sampled.stderr > 0
         assert abs(sampled.lhs - exact.lhs) <= 4 * sampled.stderr + 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_kraus_ops_are_scaled_pauli_kron_products(m):
+    # Every non-Kraus attack lists sqrt(p) times the Kronecker product of
+    # 2x2 Paulis for each of its Pauli terms, identity first for depol.
+    labels = ["".join(axes) for axes in itertools.product("IXYZ", repeat=m)]
+
+    def literal(prob, label, sign=1.0):
+        return np.sqrt(prob) * sign * kron_all([PAULI_1Q[a] for a in label])
+
+    s = 0.3
+    cases = [
+        (crypto.AttackSpec.identity(), [literal(1.0, "I" * m)]),
+        (crypto.parse_attack("pauli:-" + "XZY"[:m]), [literal(1.0, "XZY"[:m], -1.0)]),
+        (crypto.parse_attack("mix:0.7*%s,0.3*%s" % ("I" * m, "ZXY"[:m])),
+         [literal(0.7, "I" * m), literal(0.3, "ZXY"[:m])]),
+        (crypto.parse_attack("depol:%r" % s),
+         [literal(1.0 - s + s / 4 ** m if lab == "I" * m else s / 4 ** m, lab)
+          for lab in sorted(labels, key=_xz_order)]),
+    ]
+    for attack, want in cases:
+        got = attack.kraus_ops(m)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() <= 1e-15
+
+
+def _xz_order(label):
+    """The order of all_paulis, identity first: x mask, then z mask, qubit j as bit j."""
+    x = sum(1 << j for j, a in enumerate(label) if a in "XY")
+    z = sum(1 << j for j, a in enumerate(label) if a in "ZY")
+    return x, z
+
+
+def test_sampled_mixture_report_ignores_exact_casework_on_the_same_probe():
+    # The exact casework and the sampled trap path share one overlap table per
+    # probe, so a sampled report reads the same bytes from a fresh table and
+    # from one the casework already filled.
+    text = "mix:0.5*IIIIIII,0.3*XZYXZYX,0.2*ZZIIYXI"
+    crypto._TABLE_CACHE.clear()
+    fresh = cli.crypto_json("trap1", 5, 2, text, trials=500, seed=3)
+    crypto._TABLE_CACHE.clear()
+    crypto.soundness_trap_single(5, 2, crypto.parse_attack(text))
+    assert crypto._TABLE_CACHE
+    assert cli.crypto_json("trap1", 5, 2, text, trials=500, seed=3) == fresh
 
 
 def test_depolarizing_kraus_form_is_capped():

@@ -142,6 +142,29 @@ def test_stabilizers_and_expectations():
     assert graphs.expval_pauli(g, x0) == 0
 
 
+def _lexmin_brute_force(rows, rhs, n):
+    """Smallest solution over all 2^n assignments, variable 0 the most significant."""
+    def solves(sol):
+        return all((row & sol).bit_count() % 2 == b for row, b in zip(rows, rhs))
+
+    solutions = [sol for sol in range(1 << n) if solves(sol)]
+    return min(solutions, key=lambda sol: [(sol >> i) & 1 for i in range(n)], default=None)
+
+
+def test_gf2_lexmin_matches_brute_force():
+    rng = np.random.default_rng(17)
+    inconsistent = 0
+    for _ in range(600):
+        n = int(rng.integers(1, 11))
+        n_rows = int(rng.integers(1, n + 3))
+        rows = [int(r) for r in rng.integers(0, 1 << n, size=n_rows)]
+        rhs = [int(b) for b in rng.integers(0, 2, size=n_rows)]
+        want = _lexmin_brute_force(rows, rhs, n)
+        inconsistent += want is None
+        assert graphs._gf2_solve_lexmin(rows, rhs) == want, (rows, rhs)
+    assert inconsistent > 50
+
+
 def test_yz_stabilizer_search():
     assert graphs.find_yz_stabilizer(graphs.star(5)).label() == "YZZZY"
     assert graphs.find_yz_stabilizer(graphs.complete(2)).label() == "YY"

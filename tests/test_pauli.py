@@ -218,6 +218,11 @@ def test_all_paulis_counts():
     assert all(p.support == 0b10 for p in on_first)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_paulis_on_empty_support_are_the_identity(n):
+    assert list(pauli.paulis_on_support(n, 0)) == [pauli.PauliString.identity(n)]
+
+
 def _signed_pauli(v):
     """The Pauli string equal to the matrix v, read off its action on basis states, or None."""
     m = v.shape[0].bit_length() - 1
