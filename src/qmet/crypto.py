@@ -33,6 +33,7 @@ import numpy as np
 from .dense import PAULI_1Q, kron_all, local_product_sum
 from .pauli import (
     PauliString,
+    _apply_pauli,
     _axis_codes,
     _coset_representatives,
     all_paulis,
@@ -436,7 +437,7 @@ class _VariantTable:
         key = v.axes_key()
         vec = self._pre.get(key)
         if vec is None:
-            vec = v.to_matrix() @ self.psi
+            vec = _apply_pauli(v, self.psi)
             if self.u_encode is not None:
                 vec = self.u_encode @ vec
             if keep:
@@ -446,7 +447,7 @@ class _VariantTable:
     def _post_vec(self, v: PauliString) -> np.ndarray:
         key = v.axes_key()
         if key not in self._post:
-            self._post[key] = v.to_matrix() @ self.ideal
+            self._post[key] = _apply_pauli(v, self.ideal)
         return self._post[key]
 
     def overlap(self, pre: PauliString, post: PauliString) -> float:

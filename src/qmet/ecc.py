@@ -14,7 +14,8 @@ amplitude recursion together with the omega-derivative of the anti-diagonal
 amplitudes over the full register, builds its round map from Kronecker powers
 of 2x2 factors, and sums :func:`qmet.dense.sld_qfi` over the 2x2 blocks of the
 X-shaped state.  It applies the round map by repeated squaring, so once
-t/tau >= 2^n its cost grows with log(t/tau), not with t/tau.
+t/tau >= 2^n its cost grows with log(t/tau), not with t/tau, and it
+multiplies only the rows the round map writes, found from the map's entries.
 """
 
 from __future__ import annotations
@@ -538,12 +539,15 @@ def propagate_amplitudes(params: EccParams, code: str, omega: float) -> Amplitud
     """Exact amplitude-space propagation over t/tau correction rounds.
 
     Starts from the GHZ amplitudes and applies the round maps of
-    :func:`_round_maps`, with db/domega carried alongside b.  The rounds are
-    applied by binary powering of (S, dS), with d(S^2) = dS S + S dS, for as
-    long as at least dim rounds remain: a squaring costs about dim mat-vecs,
-    so it pays only then.  The last k < dim rounds apply the current power
-    one at a time, so a run with fewer than dim rounds is the literal
-    per-round loop.
+    :func:`_round_maps`, with db/domega carried alongside b.  Rows that are
+    zero in every round map, found from the maps' entries, stay zero in all
+    their powers, so only the live rows R = S[live] are kept: S = E R, where
+    E puts the live rows back into the full register, S^2 = E (R[:, live] R)
+    and S v = E (R v).  The rounds are applied by binary powering of (R, dR),
+    with d(S^2) = dS S + S dS, for as long as at least dim rounds remain: a
+    squaring costs about one live-row mat-vec per live row, at most dim, so
+    it pays then.  The last k < dim rounds apply the current power one at a
+    time, so a run with fewer than dim rounds applies the maps once per round.
     """
     if code not in ("none", "parity", "bitflip"):
         raise ValueError("code must be one of: none, parity, bitflip")
@@ -553,20 +557,36 @@ def propagate_amplitudes(params: EccParams, code: str, omega: float) -> Amplitud
         raise ValueError("majority vote needs odd n")
     step_a, step_b, dstep_b = _round_maps(params, code, omega)
     dim = step_a.shape[0]
+    live = np.flatnonzero(np.any(step_a, axis=1) | np.any(step_b, axis=1)
+                          | np.any(dstep_b, axis=1))
+    full = live.size == dim
+    if full:    # E is the identity: plain dense products, no copies
+        live = slice(None)
+    step_a, step_b, dstep_b = step_a[live], step_b[live], dstep_b[live]
+
+    def lift(part: np.ndarray) -> np.ndarray:
+        """E part: the live rows in place, zero elsewhere."""
+        if full:
+            return part
+        out = np.zeros(dim, dtype=part.dtype)
+        out[live] = part
+        return out
+
     a = np.zeros(dim)
     a[0] = a[dim - 1] = 0.5
     b, db = a.astype(complex), np.zeros(dim, dtype=complex)
     k = params.rounds
     while k >= dim:
         if k & 1:
-            a = step_a @ a
-            b, db = step_b @ b, step_b @ db + dstep_b @ b
+            a = lift(step_a @ a)
+            b, db = lift(step_b @ b), lift(step_b @ db + dstep_b @ b)
         k >>= 1
-        step_a, step_b, dstep_b = (step_a @ step_a, step_b @ step_b,
-                                   dstep_b @ step_b + step_b @ dstep_b)
+        head_a, head_b, dhead_b = step_a[:, live], step_b[:, live], dstep_b[:, live]
+        step_a, step_b, dstep_b = (head_a @ step_a, head_b @ step_b,
+                                   dhead_b @ step_b + head_b @ dstep_b)
     for _ in range(k):
-        a = step_a @ a
-        b, db = step_b @ b, step_b @ db + dstep_b @ b
+        a = lift(step_a @ a)
+        b, db = lift(step_b @ b), lift(step_b @ db + dstep_b @ b)
     if abs(a.sum() - 1.0) > 1e-10:
         raise ArithmeticError("amplitude propagation lost normalisation")
     return AmplitudeOracleState(a_vec=a, b_vec=b, db_vec=db)

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import dense
-from .pauli import PauliString, pauli_mul
+from .pauli import PauliString, _apply_pauli, pauli_mul
 
 __all__ = [
     "Graph", "NeighborhoodPartition", "ErasurePattern",
@@ -383,7 +383,7 @@ def measurement_variance(g: Graph, theta: float) -> float:
     psi = graph_state(g).reshape([2] * g.n)
     for q in range(g.n):
         psi = np.cos(theta / 2) * psi - 1j * np.sin(theta / 2) * np.flip(psi, axis=q)
-    s_psi = stab.to_matrix() @ psi.reshape(-1)
+    s_psi = _apply_pauli(stab, psi.reshape(-1))
     slope = np.vdot(s_psi, _pauli_sum(psi, "x", g.n)).imag  # 2 Im <S psi|H psi>
     if abs(slope) < 1e-12:
         raise ValueError("degenerate slope at theta=%r" % theta)

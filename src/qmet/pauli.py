@@ -168,6 +168,13 @@ def _pauli_action(n: int, x, z, k) -> tuple[np.ndarray, np.ndarray]:
     return perm, _PHASE_ARRAY[k] * signs[perm & z]
 
 
+def _apply_pauli(p: PauliString, vec: np.ndarray) -> np.ndarray:
+    """p.to_matrix() @ vec in O(2^n), exactly: each entry is a phase times one entry of vec."""
+    rev = _basis_tables(p.n)[2]
+    perm, factor = _pauli_action(p.n, rev[p.x], rev[p.z], p.k)
+    return factor * vec[perm]
+
+
 def pauli_mul(p: PauliString, q: PauliString) -> PauliString:
     """Product PQ with exact phase tracking."""
     if p.n != q.n:

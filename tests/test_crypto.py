@@ -651,6 +651,26 @@ def test_sampled_mixture_report_ignores_exact_casework_on_the_same_probe():
     assert cli.crypto_json("trap1", 5, 2, text, trials=500, seed=3) == fresh
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_variant_table_vectors_match_pauli_matrices_bit_for_bit(n):
+    # The table applies a data Pauli by its permutation and phases, never its
+    # matrix: each entry is one of 1, -1, i, -i times one amplitude, so the
+    # vectors equal the matrix products exactly, for every phase of the Pauli.
+    rng = np.random.default_rng(2300 + n)
+    psi = _random_unitary(2 ** n, n)[:, 0]
+    for u_encode in (None, _random_unitary(2 ** n, 100 + n)):
+        ideal = psi if u_encode is None else u_encode @ psi
+        for _ in range(6):
+            x, z = (int(v) for v in rng.integers(0, 2 ** n, size=2))
+            for k in range(4):
+                v = pauli.PauliString(n, x, z, k)
+                table = crypto._VariantTable(psi, u_encode)
+                pre = v.to_matrix() @ psi
+                assert np.array_equal(table._pre_vec(v, True),
+                                      pre if u_encode is None else u_encode @ pre)
+                assert np.array_equal(table._post_vec(v), v.to_matrix() @ ideal)
+
+
 def test_depolarizing_kraus_form_is_capped():
     # The Kraus form lists all 4^m Paulis (4.3 GB at m = 7); sampled rounds
     # apply depolarizing noise in closed form instead.

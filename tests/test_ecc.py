@@ -205,7 +205,7 @@ def _per_round(params, code):
 def test_powered_propagation_matches_per_round_loop(code):
     rng = np.random.default_rng(1401)
     parity = code == "parity"
-    for n in (1, 3, 5):
+    for n in (1, 3, 5, 7) if code == "bitflip" else (1, 3, 5):
         dim = 2 ** (n + 1 if parity else n)
         for rounds in (1, dim - 1, dim, dim + 1, 2 * dim + 3, 3 * dim):
             tau = float(rng.uniform(0.01, 0.1))
@@ -221,6 +221,53 @@ def test_powered_propagation_matches_per_round_loop(code):
                     assert np.array_equal(vec, ref)
                 else:
                     assert np.max(np.abs(vec - ref)) <= 1e-10 * scale
+
+
+def _maps_with_zero_rows(rng, dim, live):
+    """Random round maps, non-zero only on the rows ``live``.
+
+    step_a is column-stochastic, so the oracle's normalisation check holds;
+    step_b is scaled to spectral radius 1, so its powers neither vanish nor
+    overflow.  One live row of step_a is zeroed when there are several: a
+    row is live if any of the three maps writes it.
+    """
+    step_a = np.zeros((dim, dim))
+    rows_a = live[1:] if live.size > 2 else live
+    step_a[rows_a] = rng.uniform(0.0, 1.0, (rows_a.size, dim))
+    step_a /= step_a.sum(axis=0)
+    step_b, dstep_b = (np.zeros((dim, dim), dtype=complex) for _ in range(2))
+    for mat in (step_b, dstep_b):
+        mat[live] = rng.normal(size=(live.size, dim)) + 1j * rng.normal(size=(live.size, dim))
+    step_b /= np.max(np.abs(np.linalg.eigvals(step_b)))
+    return step_a, step_b, dstep_b
+
+
+@pytest.mark.parametrize("pattern", ["no-zero-rows", "two-live-rows", "random-rows"])
+def test_live_row_propagation_matches_dense_loop(monkeypatch, pattern):
+    # The oracle finds the rows a round map writes from its entries: here they
+    # are anywhere, and in the last two patterns never rows 0 and dim - 1.
+    # Below dim rounds no squaring happens, but the float mat-vec of a matrix
+    # of |live| rows need not round like the dense one: OpenBLAS moves real
+    # entries by an ulp when |live| is not a multiple of 4.  Hence 1e-14, not
+    # array_equal; rows no map writes must come out exactly zero either way.
+    rng = np.random.default_rng(2404)
+    for dim in (8, 16, 32):
+        for _ in range(3):
+            if pattern == "no-zero-rows":
+                live = np.arange(dim)
+            else:
+                size = 2 if pattern == "two-live-rows" else int(rng.integers(1, dim - 2))
+                live = np.sort(rng.choice(np.arange(1, dim - 1), size, replace=False))
+            maps = _maps_with_zero_rows(rng, dim, live)
+            monkeypatch.setattr(ecc, "_round_maps", lambda *args: maps)
+            for rounds in (1, 2, dim - 1, dim, dim + 1, 3 * dim + 5, 1000):
+                params = ecc.EccParams(n=3, omega=1.0, gamma=0.1, tau=0.1, t=rounds * 0.1)
+                got = ecc.propagate_amplitudes(params, "none", params.omega)
+                for vec, ref in zip((got.a_vec, got.b_vec, got.db_vec),
+                                    _per_round(params, "none")):
+                    assert not np.any(np.delete(vec, live)) and not np.any(np.delete(ref, live))
+                    tol = 1e-14 if rounds < dim else 1e-10
+                    assert np.max(np.abs(vec - ref)) <= tol * np.max(np.abs(ref))
 
 
 def test_oracle_at_many_rounds_matches_bitflip_closed_form():
