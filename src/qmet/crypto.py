@@ -259,32 +259,22 @@ def _draw_trap_keys(rngs, size: int, m: int, t: int,
     return flags, rngs[1].integers(24, size=(size, uses, m))
 
 
-def _physical_axes(flag_positions, m: int) -> list[int]:
-    """axes[q] = logical axis carried by physical slot q (data first, flags last)."""
-    slots = [q for q in range(m) if q not in flag_positions] + sorted(flag_positions)
-    return np.argsort(slots).tolist()
+def _placement(flags, m: int) -> np.ndarray:
+    """perm[j], the physical index of logical basis state j under the flag slots ``flags``.
+
+    The logical register holds the data qubits first and the t flags last.
+    The placement P_f = I[:, perm] moves logical qubit l to its slot: the l-th
+    of the other slots for data, the (l - n)-th of the sorted ``flags`` for a flag.
+    """
+    slots = [q for q in range(m) if q not in flags] + sorted(flags)
+    return np.arange(1 << m).reshape([2] * m).transpose(slots).reshape(-1)
 
 
-def _embed_with_flags(data_vec: np.ndarray, flag_positions, m: int) -> np.ndarray:
-    """|psi> on the data slots, |0> flags at the given physical positions."""
-    logical = np.zeros((len(data_vec), 1 << len(flag_positions)), dtype=complex)
-    logical[:, 0] = data_vec
-    return logical.reshape([2] * m).transpose(_physical_axes(flag_positions, m)).reshape(-1)
-
-
-def _to_logical(rho_phys: np.ndarray, flag_positions, m: int) -> np.ndarray:
-    """Permute a density matrix back to data-first, flags-last ordering."""
-    axes = _physical_axes(flag_positions, m)
-    inverse = list(np.argsort(axes))
-    both = inverse + [a + m for a in inverse]
-    return rho_phys.reshape([2] * (2 * m)).transpose(both).reshape(1 << m, 1 << m)
-
-
-def _to_physical(rho_l: np.ndarray, flag_positions, m: int) -> np.ndarray:
-    """Inverse of :func:`_to_logical`: move the flags to their physical slots."""
-    axes = _physical_axes(flag_positions, m)
-    both = axes + [a + m for a in axes]
-    return rho_l.reshape([2] * (2 * m)).transpose(both).reshape(1 << m, 1 << m)
+def _logical_start(psi: np.ndarray, t: int) -> np.ndarray:
+    """psi on the data qubits, then t flags in |0>."""
+    vec = np.zeros(psi.size << t, dtype=complex)
+    vec[::1 << t] = psi
+    return vec
 
 
 def _channel(attack: AttackSpec, m: int):
@@ -307,36 +297,32 @@ def _channel(attack: AttackSpec, m: int):
     return apply
 
 
-def _round(psi: np.ndarray, flags, uses, encode: np.ndarray | None = None) -> tuple[float, float]:
+def _round(psi: np.ndarray, t: int, uses, encode: np.ndarray | None = None) -> tuple[float, float]:
     """(p_accept, p_accept - <ideal|block|ideal>) of one round over the given uses.
 
-    The data ``psi`` gets |0> flags at the physical slots ``flags``.  Each use
-    maps the register state: the first receives the pure start as a vector,
-    the later ones a density matrix, and ``encode`` (skipped when None) acts on
-    the data between uses.  ``block`` is the data block left by projecting the
-    flags on |0...0>, ``ideal`` is psi after every encoding.
+    The round runs in the logical register: the data ``psi``, then t flags in
+    |0>.  Each use maps the register state: the first receives the pure start
+    as a vector, the later ones a density matrix, and ``encode`` (skipped when
+    None) acts on the data between uses.  ``ideal`` is psi after every encoding.
     """
-    n, t = psi.size.bit_length() - 1, len(flags)
-    m = n + t
-    state, ideal = _embed_with_flags(psi, flags, m), psi
+    state, ideal = _logical_start(psi, t), psi
+    u_full = None if encode is None else np.kron(encode, np.eye(1 << t, dtype=complex))
     for use_index, use in enumerate(uses):
-        if use_index and encode is not None:
-            u_full = np.kron(encode, np.eye(1 << t, dtype=complex))
-            state = _to_physical(u_full @ _to_logical(state, flags, m) @ u_full.conj().T,
-                                 flags, m)
+        if use_index and u_full is not None:
+            state = u_full @ state @ u_full.conj().T
             ideal = encode @ ideal
         state = use(state)
-    return _accept(state, flags, ideal)
+    return _accept(state, t, ideal)
 
 
-def _accept(rho: np.ndarray, flags, ideal: np.ndarray) -> tuple[float, float]:
+def _accept(rho: np.ndarray, t: int, ideal: np.ndarray) -> tuple[float, float]:
     """(p_accept, p_accept - <ideal|block|ideal>), block the data block of rho with |0> flags.
 
-    ``rho`` is in the physical order with flags at the slots ``flags``;
-    ``ideal`` is the expected data state.
+    ``rho`` is a logical register state, its t flags last; ``ideal`` is the
+    expected data state.
     """
-    n, t = ideal.size.bit_length() - 1, len(flags)
-    block = _to_logical(rho, flags, n + t).reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
+    n = ideal.size.bit_length() - 1
+    block = rho.reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
     p_acc = float(np.real(np.trace(block)))
     return p_acc, p_acc - float(np.real(np.vdot(ideal, block @ ideal)))
 
@@ -624,14 +610,13 @@ def _sample_trap_single(n, t, attack, psi, trials, seed):
     return _sample(trials, seed, run, max(1, _CHUNK_ENTRIES // (len(terms) * m)))
 
 
-def _keyed_use(conjugate, channel):
-    """The use U^dag Gamma(U rho U^dag) U of one key U; a vector input is the pure start.
+def _keyed_use(key: np.ndarray, channel):
+    """The use U^dag Gamma(U rho U^dag) U of one key U; a vector input is the pure start."""
+    key_dag = key.conj().T
 
-    ``conjugate(rho, False)`` is U rho U^dag and ``conjugate(rho, True)`` is U^dag rho U.
-    """
     def use(state):
         rho = np.outer(state, state.conj()) if state.ndim == 1 else state
-        return conjugate(channel(conjugate(rho, False)), True)
+        return key_dag @ channel(key @ rho @ key_dag) @ key
 
     return use
 
@@ -639,9 +624,11 @@ def _keyed_use(conjugate, channel):
 def _sample_keys(protocol, n, t, attacks, psi, encode, trials, seed):
     """(mean lhs, mean accept, stderr) of ``_round`` with a fresh random key per use.
 
-    A chunk of trials draws its trap keys with one ``_draw_trap_keys`` call, each
-    applied one qubit at a time by ``local_product_sum``; a Clifford-code key,
-    flags last, is one ``random_clifford`` from the slot generator per trial and use.
+    Every key is one m-qubit unitary U on the logical register.  A trap key is
+    L P_f, L the Kronecker product of the slots' single-qubit Cliffords and P_f
+    the trial's ``_placement``, read off one ``_draw_trap_keys`` call per chunk
+    of trials; a Clifford-code key is one ``random_clifford`` from the slot
+    generator per trial and use.
     """
     m = n + t
     if m > _DENSE_QUBIT_CAP:
@@ -650,24 +637,14 @@ def _sample_keys(protocol, n, t, attacks, psi, encode, trials, seed):
     channels = [_channel(attack, m) for attack in attacks]
     units = enumerate_clifford(1)
 
-    def trap_key(local):
-        pairs = [(u[None], u.conj().T[None]) for u in units[local]]
-        pairs_dag = [(b, a) for a, b in pairs]
-        return lambda rho, dag: local_product_sum(rho, pairs_dag if dag else pairs)
-
-    def clifford_key(u):
-        ud = u.conj().T
-        return lambda rho, dag: ud @ rho @ u if dag else u @ rho @ ud
-
     def run(stream, size):
         if protocol == "trap":
             flags, local = _draw_trap_keys(stream, size, m, t, len(channels))
-            keyed = zip(map(tuple, flags.tolist()), ([trap_key(k) for k in ks] for ks in local))
+            keys = ([kron_all(units[row])[:, perm] for row in rows]
+                    for perm, rows in zip((_placement(f, m) for f in flags.tolist()), local))
         else:
-            keyed = ((tuple(range(n, m)), [clifford_key(random_clifford(m, stream[1]))
-                                           for _ in channels]) for _ in range(size))
-        return zip(*(_round(psi, f, [_keyed_use(*kc) for kc in zip(keys, channels)], encode)
-                     for f, keys in keyed))
+            keys = ([random_clifford(m, stream[1]) for _ in channels] for _ in range(size))
+        return zip(*(_round(psi, t, list(map(_keyed_use, ks, channels)), encode) for ks in keys))
 
     return _sample(trials, seed, run, max(1, _CHUNK_ENTRIES // (len(channels) * m)))
 
@@ -784,17 +761,15 @@ def _local_twirl_map() -> np.ndarray:
     return out
 
 
-def _twirl(rho: np.ndarray, kraus: list[np.ndarray], protocol: str) -> np.ndarray:
-    """Average of U^dag Gamma(U rho U^dag) U over every key U of ``protocol``.
+def _twirl(rho: np.ndarray, kraus: list[np.ndarray], reps: np.ndarray) -> np.ndarray:
+    """Average of U^dag Gamma(U rho U^dag) U over every key U = l . r, r in the stack ``reps``.
 
-    Every key is U = l . r modulo phase, l = U_1 x ... x U_m a local Clifford
-    layer and r in R: R = {I} for trap keys, R_m (``_coset_representatives``,
-    m <= 2) for Clifford keys.  The average over l is one superoperator, S =
-    sum_K K x conj(K) averaged on each qubit's four axes as a [2] * 4m
+    l = U_1 x ... x U_m runs over the local Clifford layers, and ``reps`` is
+    one key set of ``_dense_reps``.  The average over l is one superoperator,
+    S = sum_K K x conj(K) averaged on each qubit's four axes as a [2] * 4m
     tensor, applied to each r rho r^dag and conjugated back by r.
     """
     m = rho.shape[0].bit_length() - 1
-    reps = _coset_representatives(m) if protocol == "clifford" else np.eye(1 << m)[None]
     s = sum(kron_all([k, k.conj()]) for k in kraus).reshape([2] * (4 * m))
     for q in range(m):
         axes = [q, q + m, q + 2 * m, q + 3 * m]
@@ -805,14 +780,37 @@ def _twirl(rho: np.ndarray, kraus: list[np.ndarray], protocol: str) -> np.ndarra
     return (reps_dag @ out.reshape(reps.shape) @ reps).mean(axis=0)
 
 
+def _dense_reps(protocol: str, n: int, t: int) -> list[np.ndarray]:
+    """The representatives r of a dense key set, one stack per round.
+
+    Every key is l . r modulo phase, l a local Clifford layer, on the logical
+    register.  A trap round (m <= 3) keeps its flag placement for every use,
+    so each of the C(m, t) rounds gets one placement matrix P_f; the Clifford
+    code (m <= 2) has one round, each use drawing r from R_m
+    (``_coset_representatives``).  ``delegated`` keys are trap keys.
+    """
+    m = n + t
+    if protocol in ("trap", "delegated"):
+        if m > 3:
+            raise ValueError("dense trap key enumeration capped at m = 3, got m = %d" % m)
+        eye = np.eye(1 << m)
+        return [eye[:, _placement(flags, m)][None]
+                for flags in itertools.combinations(range(m), t)]
+    if protocol == "clifford":
+        if m > 2:
+            raise ValueError("dense Clifford key enumeration capped at m = 2, got m = %d" % m)
+        return [_coset_representatives(m)]
+    raise ValueError("unknown protocol %r" % protocol)
+
+
 def _dense_average(protocol: str, n: int, t: int, attacks,
                    encode: np.ndarray | None = None,
                    data_state: np.ndarray | None = None) -> tuple[float, float]:
     """(lhs, accept_rate) by literal enumeration of every key, one use per attack.
 
     Trap keys are every flag placement times every local-Clifford layer
-    (m <= 3), Clifford keys the m-qubit Clifford group with the flags last
-    (m <= 2).  Each use draws its own key, so its key average is one
+    (m <= 3), Clifford keys the m-qubit Clifford group (m <= 2), both listed
+    by ``_dense_reps``.  Each use draws its own key, so its key average is one
     ``_twirl`` inside ``_round``; the rounds are averaged over placements.
     This path uses no Pauli weight, no support and no twirl lemma; the
     per-qubit map uses only the fact that a local layer's per-qubit draws
@@ -822,20 +820,14 @@ def _dense_average(protocol: str, n: int, t: int, attacks,
     if attacks is None:  # the pair of a spec that is not a double one
         raise ValueError("double-use soundness needs a double attack spec")
     psi = _data_state(n, t, data_state)
-    m = n + t
-    if protocol == "trap":
-        if m > 3:
-            raise ValueError("dense key enumeration capped at m = 3")
-        placements = list(itertools.combinations(range(m), t))
-    else:
-        placements = [tuple(range(n, m))]
+    key_sets = _dense_reps(protocol, n, t)
+    kraus = [attack.kraus_ops(n + t) for attack in attacks]
 
-    def twirled(kraus):
+    def twirled(ops, reps):
         return lambda state: _twirl(state if state.ndim == 2 else np.outer(state, state.conj()),
-                                    kraus, protocol)
+                                    ops, reps)
 
-    uses = [twirled(attack.kraus_ops(m)) for attack in attacks]
-    rounds = [_round(psi, flags, uses, encode) for flags in placements]
+    rounds = [_round(psi, t, [twirled(k, reps) for k in kraus], encode) for reps in key_sets]
     accept, lhs = (sum(column) / len(rounds) for column in zip(*rounds))
     return lhs, accept
 
@@ -876,42 +868,40 @@ def replay_attack_demo(n: int, t: int, theta: float, *,
     picks up an undetected frame flip; the honest two-key protocol keeps the
     same attack under its bound.  Returns (broken_lhs, honest_lhs, bound).
 
-    With ``dense`` the broken value comes from literal enumeration of all
-    shared keys (m <= 3) instead of the per-slot axis average the shared-key
-    twirl reduces to.
+    Without ``dense`` the broken value is the per-slot axis average the
+    shared-key twirl reduces to, read off the probe's overlap table.  With
+    ``dense`` it comes from literal enumeration of all shared local layers
+    (m <= 3) in the logical register.
     """
     psi = _data_state(n, t, None)
     m = n + t
     u_data = _phase_unitary(n, theta)
-    ideal = u_data @ psi
     p_attack = PauliString(m, (1 << m) - 1, 0, 0)
     attack = AttackSpec.double(AttackSpec.fixed_pauli(p_attack),
                                AttackSpec.fixed_pauli(p_attack))
     honest = soundness_double("trap", n, t, attack, encode=u_data)
     if not dense:
         # Same key on both uses: the decrypted attack operator is the same
-        # uniformly-relabeled Pauli before and after the encoding, the flag
+        # uniformly-relabeled Pauli V before and after the encoding, the flag
         # factors square to identity, and only the data axes survive.
-        vals = [1.0 - abs(np.vdot(ideal, vm @ u_data @ vm @ psi)) ** 2
-                for v in paulis_on_support(n, (1 << n) - 1)
-                for vm in (v.to_matrix(),)]
-        broken = float(np.mean(vals))
+        table = _get_table(psi, u_data)
+        broken = float(np.mean([1.0 - table.overlap(v, v)
+                                for v in paulis_on_support(n, (1 << n) - 1)]))
         return broken, honest.lhs, honest.bound
     if m > 3:
-        raise ValueError("replay enumeration capped at m = 3")
-    # Shared key U = u_1 x ... x u_m: A_U = (U^dag P U) E (U^dag P U) with P = X on
-    # every slot and E the encoding, e = exp(-i theta Z / 2) on data slots and I on
-    # flags, is one 2x2 factor (u^dag X u) e (u^dag X u) per slot.
+        raise ValueError("replay enumeration capped at m = 3, got m = %d" % m)
+    # Shared key U = L P_f, L = u_1 x ... x u_m: with P = X on every slot and E the
+    # encoding, U^dag P U E U^dag P U = P_f^dag A P_f, A one 2x2 factor
+    # (u^dag X u) e (u^dag X u) per slot, e = exp(-i theta Z / 2) on data slots and
+    # I on flags.  P_f carries each slot's factor to its logical qubit, so every
+    # placement gives the same sum: data factors on the first n qubits, flag
+    # factors on the last t.
     flips = [u.conj().T @ PAULI_1Q["X"] @ u for u in enumerate_clifford(1)]
-    slot_pairs = [(a, a.conj().swapaxes(1, 2))  # flag slot, data slot
+    flag, data = [(a, a.conj().swapaxes(1, 2))
                   for a in (flips @ e @ flips for e in (np.eye(2), _phase_unitary(1, theta)))]
-    placements = list(itertools.combinations(range(m), t))
-    lhs = 0.0
-    for flags in placements:
-        vec = _embed_with_flags(psi, flags, m)
-        pairs = [slot_pairs[q not in flags] for q in range(m)]
-        lhs += _accept(local_product_sum(np.outer(vec, vec.conj()), pairs), flags, ideal)[1]
-    return lhs / (len(placements) * 24 ** m), honest.lhs, honest.bound
+    vec = _logical_start(psi, t)
+    rho = local_product_sum(np.outer(vec, vec.conj()), [data] * n + [flag] * t)
+    return _accept(rho, t, u_data @ psi)[1] / 24 ** m, honest.lhs, honest.bound
 
 
 # --------------------------------------------------------------------------
@@ -923,25 +913,15 @@ def privacy_deviation(protocol: str, n: int, t: int, *,
     """Max-norm distance of the key-averaged encrypted state from I/2^m.
 
     Every key is l . r modulo phase, l = U_1 x ... x U_m a local Clifford
-    layer and r in R: R = {I} for trap keys (m <= 3), whose flags take every
-    placement, and R_m for Clifford keys (m <= 2), whose flags stay last.
-    The exact key average is the local-Clifford sum of the mixture of the
-    r |v><v| r^dag.
+    layer and r one of ``_dense_reps``: a flag placement for trap and
+    delegated keys (m <= 3), R_m for Clifford keys (m <= 2).  The exact key
+    average is the local-Clifford sum of the mixture of the r |v><v| r^dag,
+    v the logical start.
     """
     psi = _data_state(n, t, data_state)
     m = n + t
-    if protocol in ("trap", "delegated"):
-        if m > 3:
-            raise ValueError("trap privacy enumeration capped at m = 3")
-        placements, reps = itertools.combinations(range(m), t), np.eye(1 << m)[None]
-    elif protocol == "clifford":
-        if m > 2:
-            raise ValueError("Clifford privacy enumeration capped at m = 2")
-        placements, reps = [tuple(range(n, m))], _coset_representatives(m)
-    else:
-        raise ValueError("unknown protocol %r" % protocol)
-    vecs = [_embed_with_flags(psi, flags, m) for flags in placements]
-    states = np.einsum("rab,vb->rva", reps, vecs).reshape(-1, 1 << m)
+    reps = np.concatenate(_dense_reps(protocol, n, t))
+    states = np.einsum("rab,b->ra", reps, _logical_start(psi, t))
     units = enumerate_clifford(1)
     pairs = [(units, units.conj().swapaxes(1, 2))] * m
     avg = local_product_sum(states.T @ states.conj(), pairs) / (24 ** m * len(states))

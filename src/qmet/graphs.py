@@ -33,6 +33,10 @@ __all__ = [
     "graph_state", "oracle_graph_qfi",
 ]
 
+# A vertex count of 10^6 took 2.5 s and 513 MiB before failing a later check.
+_VERTEX_CAP = 10 ** 5
+_BUNDLE_EDGE_CAP = 10 ** 6
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -100,6 +104,8 @@ def parse_graph(text: str) -> Graph:
             if len(parts) != 1:
                 raise ValueError("line %d: expected the vertex count first" % lineno)
             n = int(parts[0])
+            if n > _VERTEX_CAP:
+                raise ValueError("line %d: at most %d vertices, got %d" % (lineno, _VERTEX_CAP, n))
             continue
         if len(parts) != 2:
             raise ValueError("line %d: expected `u v`" % lineno)
@@ -173,6 +179,10 @@ def bundle(g: Graph, sizes: Sequence[int]) -> Graph:
         raise ValueError("need one bundle size per vertex, got %d for n=%d" % (len(sizes), g.n))
     if any(s < 1 for s in sizes):
         raise ValueError("bundle sizes must be positive")
+    count = sum(sizes[u] * sizes[v] for u, v in g.edges)
+    if count > _BUNDLE_EDGE_CAP:
+        raise ValueError("bundled graph needs at most %d edges, got %d"
+                         % (_BUNDLE_EDGE_CAP, count))
     offsets = [0]
     for s in sizes:
         offsets.append(offsets[-1] + s)
@@ -272,6 +282,16 @@ def stabilizer_generators(g: Graph) -> list[PauliString]:
     return gens
 
 
+def _generator_product(g: Graph, mask: int) -> PauliString:
+    """The product of the generators g_j over the set bits j of ``mask``, in increasing j."""
+    gens = stabilizer_generators(g)
+    acc = PauliString.identity(g.n)
+    for j in range(g.n):
+        if (mask >> j) & 1:
+            acc = pauli_mul(acc, gens[j])
+    return acc
+
+
 def expval_pauli(g: Graph, p: PauliString) -> int:
     """<G| P |G> for a signed Pauli string: +1, -1 or 0.
 
@@ -283,11 +303,7 @@ def expval_pauli(g: Graph, p: PauliString) -> int:
         raise ValueError("Pauli acts on %d qubits, graph has %d" % (p.n, g.n))
     if not p.is_hermitian():
         raise ValueError("expectation value needs a Hermitian string")
-    gens = stabilizer_generators(g)
-    acc = PauliString.identity(g.n)
-    for j in range(g.n):
-        if (p.x >> j) & 1:
-            acc = pauli_mul(acc, gens[j])
+    acc = _generator_product(g, p.x)
     if (acc.x, acc.z) != (p.x, p.z):
         return 0
     return 1 if acc.k == p.k else -1
@@ -341,12 +357,7 @@ def find_yz_stabilizer(g: Graph) -> PauliString | None:
     sol = _gf2_solve_lexmin(rows, [1] * g.n)
     if sol is None:
         return None
-    gens = stabilizer_generators(g)
-    acc = PauliString.identity(g.n)
-    for j in range(g.n):
-        if (sol >> j) & 1:
-            acc = pauli_mul(acc, gens[j])
-    return acc
+    return _generator_product(g, sol)
 
 
 def extend_with_ancilla(g: Graph, partial: PauliString) -> Graph:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -326,6 +327,54 @@ def test_ecc_bad_sweep_spec(tmp_path):
                   "--gamma", "0.2", "--tau", "0.1", "--t", "0.5",
                   "--sweep", "gamma:0.1:1:5:lin", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+
+
+def test_ecc_sweep_refuses_too_many_steps_before_any_work(tmp_path):
+    out_path = tmp_path / "x.csv"
+    start = time.perf_counter()
+    proc = _run_subprocess(["ecc", "--code", "parity", "--n", "25", "--omega", "1",
+                            "--gamma", "0.05", "--tau", "1e-4", "--t", "0.1",
+                            "--sweep", "tau:0.1:0.2:3000000:lin", "--out", str(out_path)],
+                           timeout=60)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2
+    assert proc.stderr == "error: sweep needs at most 10000 steps, got 3000000\n"
+    assert not out_path.exists()
+    assert cli._parse_sweep("tau:0.1:0.2:10000:lin")[3] == 10000
+
+
+def test_graph_refuses_an_oversized_vertex_count(tmp_path):
+    path = tmp_path / "big.edges"
+    path.write_text("1000000\n0 1\n")
+    start = time.perf_counter()
+    proc = _run_subprocess(["graph", "--edges", str(path)], timeout=60)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2
+    assert "bad edge file" in proc.stderr
+    assert "at most 100000 vertices, got 1000000" in proc.stderr
+    assert graphs.parse_graph("100000\n0 1\n").n == 100000
+    with pytest.raises(ValueError, match="^line 2: at most 100000 vertices, got 100001$"):
+        graphs.parse_graph("# header\n100001\n0 1\n")
+
+
+def test_bundle_refuses_too_many_clone_edges(tmp_path, monkeypatch):
+    path = tmp_path / "edge.edges"
+    path.write_text("2\n0 1\n")
+    out_path = tmp_path / "out.edges"
+    start = time.perf_counter()
+    proc = _run_subprocess(["bundle", "--edges", str(path), "--sizes", "30000,30000",
+                            "--out", str(out_path)], timeout=60)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 3
+    assert proc.stderr == ("error: bundled graph needs at most 1000000 edges, "
+                           "got 900000000\n")
+    assert not out_path.exists()
+    # The cap counts clone edges, sum of s_u s_v over the edges: 12 fit under a cap of 12.
+    monkeypatch.setattr(graphs, "_BUNDLE_EDGE_CAP", 12)
+    path_graph = graphs.path(3)
+    assert len(graphs.bundle(path_graph, [2, 3, 2]).edges) == 12
+    with pytest.raises(ValueError, match="^bundled graph needs at most 12 edges, got 15$"):
+        graphs.bundle(path_graph, [2, 3, 3])
 
 
 def test_crypto_identity(tmp_path, capsys):

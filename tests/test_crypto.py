@@ -12,6 +12,56 @@ from qmet import cli, crypto, pauli
 from qmet.dense import PAULI_1Q, kron_all
 
 
+# The physical register layout: flags at their slots, data in the other slots in
+# order.  The src rounds run in the logical register (data first, flags last) and
+# apply a placement as part of the key; these functions are the literal reference.
+
+
+def _physical_axes(flag_positions, m):
+    """axes[q] = logical axis carried by physical slot q (data first, flags last)."""
+    slots = [q for q in range(m) if q not in flag_positions] + sorted(flag_positions)
+    return np.argsort(slots).tolist()
+
+
+def _embed_with_flags(data_vec, flag_positions, m):
+    """|psi> on the data slots, |0> flags at the given physical positions."""
+    logical = np.zeros((len(data_vec), 1 << len(flag_positions)), dtype=complex)
+    logical[:, 0] = data_vec
+    return logical.reshape([2] * m).transpose(_physical_axes(flag_positions, m)).reshape(-1)
+
+
+def _to_logical(rho_phys, flag_positions, m):
+    """Permute a density matrix back to data-first, flags-last ordering."""
+    inverse = list(np.argsort(_physical_axes(flag_positions, m)))
+    both = inverse + [a + m for a in inverse]
+    return rho_phys.reshape([2] * (2 * m)).transpose(both).reshape(1 << m, 1 << m)
+
+
+def _to_physical(rho_l, flag_positions, m):
+    """Inverse of ``_to_logical``: move the flags to their physical slots."""
+    axes = _physical_axes(flag_positions, m)
+    both = axes + [a + m for a in axes]
+    return rho_l.reshape([2] * (2 * m)).transpose(both).reshape(1 << m, 1 << m)
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_placement_matches_reference_embedding(m):
+    # P_f = I[:, perm] sends the logical start to the reference embedding and
+    # conjugates a logical density matrix to the reference physical one.
+    rng = np.random.default_rng(60 + m)
+    for t in range(1, m):
+        psi = _random_unitary(1 << (m - t), m)[:, 0]
+        a = rng.normal(size=(1 << m, 1 << m)) + 1j * rng.normal(size=(1 << m, 1 << m))
+        for flags in itertools.combinations(range(m), t):
+            perm = crypto._placement(flags, m)
+            assert sorted(perm.tolist()) == list(range(1 << m))
+            place = np.eye(1 << m)[:, perm]
+            assert np.array_equal(place @ crypto._logical_start(psi, t),
+                                  _embed_with_flags(psi, flags, m))
+            assert np.array_equal(place @ a @ place.T, _to_physical(a, flags, m))
+            assert np.array_equal(_to_logical(_to_physical(a, flags, m), flags, m), a)
+
+
 def test_parse_attack_variants():
     assert crypto.parse_attack("id").variant == "identity"
     a = crypto.parse_attack("pauli:-XIZ")
@@ -115,7 +165,7 @@ def test_demo_round_rule_matches_measured_statevector(n, t):
     seen = set()
     for flags in itertools.combinations(range(m), t):
         is_flag = np.array([q in flags for q in range(m)])
-        start = crypto._embed_with_flags(crypto._ghz_theta(n, theta), flags, m)
+        start = _embed_with_flags(crypto._ghz_theta(n, theta), flags, m)
         parity = kron_all([PAULI_1Q["I"] if f else PAULI_1Q["X"] for f in is_flag])
         local = rng.integers(24, size=(200, m))
         codes = rng.integers(4, size=(200, m))  # attack term axes, all four on every slot
@@ -278,7 +328,8 @@ def test_twirl_matches_literal_key_loop(attack):
     local = (kron_all(list(c)) for c in itertools.product(pauli.enumerate_clifford(1), repeat=2))
     for protocol, keys in (("trap", local), ("clifford", iter(pauli.enumerate_clifford(2)))):
         want = _literal_twirl(rho, kraus, keys)
-        assert np.abs(crypto._twirl(rho, kraus, protocol) - want).max() <= 1e-12, protocol
+        reps = np.eye(4)[None] if protocol == "trap" else pauli._coset_representatives(2)
+        assert np.abs(crypto._twirl(rho, kraus, reps) - want).max() <= 1e-12, protocol
 
 
 @pytest.mark.parametrize("n,t,attack,dense", [
@@ -372,11 +423,11 @@ def _reference_trap_round_single(psi, t, flags, u_enc, attack):
     """
     n = psi.size.bit_length() - 1
     m = n + t
-    vec = crypto._embed_with_flags(psi, flags, m)
+    vec = _embed_with_flags(psi, flags, m)
     enc = u_enc @ vec
     rho = _apply_kraus(np.outer(enc, enc.conj()), attack.kraus_ops(m))
     rho = u_enc.conj().T @ rho @ u_enc
-    rho_l = crypto._to_logical(rho, flags, m)
+    rho_l = _to_logical(rho, flags, m)
     block = rho_l.reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
     p_acc = float(np.real(np.trace(block)))
     if p_acc < 1e-14:
@@ -407,13 +458,12 @@ def _reference_double_trial(protocol, n, t, kraus1, kraus2, psi, u_data, stream)
         flags = tuple(range(n, m))
         u1 = pauli.random_clifford(m, stream[1])
         u2 = pauli.random_clifford(m, stream[1])
-    vec = crypto._embed_with_flags(psi, flags, m)
+    vec = _embed_with_flags(psi, flags, m)
     rho = np.outer(vec, vec.conj())
     rho = u1.conj().T @ _apply_kraus(u1 @ rho @ u1.conj().T, kraus1) @ u1
-    rho = crypto._to_physical(u_full_l @ crypto._to_logical(rho, flags, m) @ u_full_l.conj().T,
-                              flags, m)
+    rho = _to_physical(u_full_l @ _to_logical(rho, flags, m) @ u_full_l.conj().T, flags, m)
     rho = u2.conj().T @ _apply_kraus(u2 @ rho @ u2.conj().T, kraus2) @ u2
-    block = crypto._to_logical(rho, flags, m).reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
+    block = _to_logical(rho, flags, m).reshape(1 << n, 1 << t, 1 << n, 1 << t)[:, 0, :, 0]
     p_acc = float(np.real(np.trace(block)))
     return p_acc, p_acc - float(np.real(np.vdot(ideal, block @ ideal)))
 
@@ -732,6 +782,30 @@ def test_replay_reduction_matches_dense():
     np.testing.assert_allclose(b1, b2, atol=1e-9)
     np.testing.assert_allclose(h1, h2, atol=1e-9)
     np.testing.assert_allclose(bd1, bd2)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: crypto.dense_trap_single(2, 2, crypto.AttackSpec.identity()),
+     "dense trap key enumeration capped at m = 3, got m = 4"),
+    (lambda: crypto.dense_trap_double(3, 1, crypto.parse_attack("double:id;id")),
+     "dense trap key enumeration capped at m = 3, got m = 4"),
+    (lambda: crypto.dense_clifford_single(2, 1, crypto.AttackSpec.identity()),
+     "dense Clifford key enumeration capped at m = 2, got m = 3"),
+    (lambda: crypto.dense_clifford_double(1, 2, crypto.parse_attack("double:id;id")),
+     "dense Clifford key enumeration capped at m = 2, got m = 3"),
+    (lambda: crypto.privacy_deviation("trap", 3, 1),
+     "dense trap key enumeration capped at m = 3, got m = 4"),
+    (lambda: crypto.privacy_deviation("delegated", 2, 2),
+     "dense trap key enumeration capped at m = 3, got m = 4"),
+    (lambda: crypto.privacy_deviation("clifford", 1, 2),
+     "dense Clifford key enumeration capped at m = 2, got m = 3"),
+    (lambda: crypto.replay_attack_demo(2, 2, 0.7, dense=True),
+     "replay enumeration capped at m = 3, got m = 4"),
+], ids=["trap1", "trap2", "cliff1", "cliff2", "privacy-trap", "privacy-delegated",
+        "privacy-clifford", "replay"])
+def test_dense_enumerations_refuse_registers_past_their_caps(call, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call()
 
 
 def test_privacy_of_all_protocols():
