@@ -169,8 +169,8 @@ def cmd_bundle(args: argparse.Namespace) -> int:
 
 
 _ECC_HEADER = "param,omega,gamma,xi,p,tau,t,n,qfi,qfi_over_HL"
-# One point costs 0.15-0.3 ms for an n = 25 closed form, 25 ms for an n = 8
-# parity point with --oracle: about 4 min at the cap.
+# One point costs 0.15-0.3 ms for an n = 25 closed form, 15-30 ms with --oracle at
+# n = 8 (parity, 10 rounds) or n = 15 (bitflip): about 4 min at the cap.
 _SWEEP_STEPS_CAP = 10_000
 
 

@@ -11,11 +11,13 @@ and take the derivative of its power from one block-triangular power (Van
 Loan 1978).  Every closed form is cross-checked against
 :func:`amplitude_oracle`, which propagates the exact diagonal/anti-diagonal
 amplitude recursion together with the omega-derivative of the anti-diagonal
-amplitudes over the full register, builds its round map from Kronecker powers
-of 2x2 factors, and sums :func:`qmet.dense.sld_qfi` over the 2x2 blocks of the
-X-shaped state.  It applies the round map by repeated squaring, so once
-t/tau >= 2^n its cost grows with log(t/tau), not with t/tau, and it
-multiplies only the rows the round map writes, found from the map's entries.
+amplitudes on the register's kept rows, the rows some round map writes plus
+the GHZ start rows, and sums :func:`qmet.dense.sld_qfi` over the 2x2 blocks of
+the X-shaped state.  Its round map comes from Kronecker powers of 2x2 factors;
+the bit-flip code keeps two rows and needs only two columns of each power, so
+its oracle costs O(n 2^n) and runs to n = 15, the others to n = 8.  It applies
+the map by repeated squaring, so once t/tau reaches the number of kept rows
+its cost grows with log(t/tau), not with t/tau.
 """
 
 from __future__ import annotations
@@ -483,36 +485,66 @@ def _kron_power_dot(one: np.ndarray, done: np.ndarray | None, n: int) -> list[np
     """[one^{x n}, its derivative by the product rule, unless ``done`` = d one/domega is None].
 
     Each step forms the blocks one[r, c] P (and one[r, c] D + done[r, c] P), the 2x2
-    factor on the left, as one outer product, axes (r, c, R, C) to rows rR, columns cC.
+    factor on the left, as one broadcast product with axes (r, R, c, C), already in the
+    order of rows rR and columns cC.  ``one`` may be a single column, one[:, [c]]: then
+    the result is the column of the Kronecker power whose index has every bit c, in O(2^n).
     """
     dtype = np.result_type(one, one if done is None else done)
     mats = [np.ones((1, 1), dtype=dtype)] + ([] if done is None else [np.zeros((1, 1), dtype)])
+    left = one[:, None, :, None]
     for _ in range(n):
-        nxt = [np.multiply.outer(one, mat) for mat in mats]
+        nxt = [left * mat[:, None, :] for mat in mats]
         if done is not None:
-            nxt[1] += np.multiply.outer(done, mats[0])
-        mats = [new.transpose(0, 2, 1, 3).reshape(2 * len(mats[0]), -1) for new in nxt]
+            nxt[1] += done[:, None, :, None] * mats[0][:, None, :]
+        mats = [new.reshape(2 * len(mats[0]), -1) for new in nxt]
     return mats
 
 
+def _keep_written_rows(maps: tuple[np.ndarray, ...]
+                       ) -> tuple[np.ndarray | None, tuple[np.ndarray, ...]]:
+    """(kept, the maps' blocks on the kept rows and columns); kept is None when it is every row.
+
+    The kept rows are the rows some map writes, found from the maps' entries,
+    plus the GHZ start rows 0 and dim - 1.  The amplitudes start on the kept
+    rows and every round writes only kept rows, so the columns of the other
+    rows only ever multiply zeros.
+    """
+    dim = maps[0].shape[0]
+    written = np.any(maps[0], axis=1) | np.any(maps[1], axis=1) | np.any(maps[2], axis=1)
+    if written.all():
+        return None, maps
+    written[[0, dim - 1]] = True
+    kept = np.flatnonzero(written)
+    return kept, tuple(mat[np.ix_(kept, kept)] for mat in maps)
+
+
 def _round_maps(params: EccParams, code: str, omega: float
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One correction round on the full register: (S_a, S_b, dS_b/domega).
+                ) -> tuple[np.ndarray | None, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """One correction round on its kept rows: (kept, (S_a, S_b, dS_b/domega)).
 
     The diagonal amplitudes a_J and anti-diagonal amplitudes b_J close
     under both the free evolution M (Kronecker powers of the single-qubit
     factors) and the correction map C, so the full density matrix never
     has to be formed.  S = C M for each sector, and dS_b = C dM_b, where
     dM_b is the product rule over the Kronecker factors.  C is never formed:
-    ``bitflip`` votes rows into rows 0 and dim - 1, two row sums; ``parity``
-    has C = sum_s R_s^{x n} x |s><s| (ancilla last), so C M = sum_s (R_s m)^{x n}
-    x (|s><s| anc) by the mixed-product rule.
+    ``bitflip`` votes rows into rows 0 and dim - 1, its kept rows, so its 2x2
+    maps are the vote's two row sums of the powers of the factors' columns 0
+    and 1; ``parity`` has C = sum_s R_s^{x n} x |s><s| (ancilla last), so
+    C M = sum_s (R_s m)^{x n} x (|s><s| anc) by the mixed-product rule.
+    ``kept`` lists the kept rows in order, None when every row is kept.
     """
     n, p, tau = params.n, params.p, params.tau
     xp, xm, y, dxp, dxm, dy = _xy_dot(omega, params.gamma, tau)
     cg, sg = _damped_cosh_sinh(params.gamma * tau)
     one_a, one_b = np.array([[cg, sg], [sg, cg]]), np.array([[xm, y], [y, xp]])
     one_db = np.array([[dxm, dy], [dy, dxp]])
+    if code == "bitflip":
+        low = np.indices((2,) * n).sum(axis=0).ravel() < n / 2     # Hamming weight < n/2
+        cols = [_kron_power_dot(one_a[:, [c]], None, n)
+                + _kron_power_dot(one_b[:, [c]], one_db[:, [c]], n) for c in (0, 1)]
+        stacked = (np.hstack(parts) for parts in zip(*cols))
+        return np.array([0, 2 ** n - 1]), tuple(
+            np.stack([mat[low].sum(axis=0), mat[~low].sum(axis=0)]) for mat in stacked)
     if code == "parity":
         cx, sx = _damped_cosh_sinh(params.xi * tau)
         anc = np.array([[cx, sx], [sx, cx]])
@@ -524,71 +556,63 @@ def _round_maps(params: EccParams, code: str, omega: float
             for sector, mat in zip(out, mats):
                 for e in range(2):  # |s><s| anc keeps row s of anc
                     np.multiply(mat, anc[s, e], out=sector[:, s, :, e])
-        return tuple(sector.reshape(2 * half, 2 * half) for sector in out)
-    mats = _kron_power_dot(one_a, None, n) + _kron_power_dot(one_b, one_db, n)
-    if code != "bitflip":
-        return tuple(mats)
-    low = np.array([bin(j).count("1") for j in range(2 ** n)]) < n / 2
-    out = tuple(np.zeros(mat.shape, mat.dtype) for mat in mats)
-    for step, mat in zip(out, mats):
-        step[0], step[-1] = mat[low].sum(axis=0), mat[~low].sum(axis=0)
-    return out
+        return _keep_written_rows(tuple(sector.reshape(2 * half, 2 * half) for sector in out))
+    return _keep_written_rows(tuple(_kron_power_dot(one_a, None, n)
+                                    + _kron_power_dot(one_b, one_db, n)))
+
+
+# Largest n the amplitude oracle takes for each code.  The bit-flip maps cost
+# O(n 2^n); the others are full 2^n- or 2^(n+1)-square matrices.
+_ORACLE_MAX_N = {"none": 8, "parity": 8, "bitflip": 15}
 
 
 def propagate_amplitudes(params: EccParams, code: str, omega: float) -> AmplitudeOracleState:
     """Exact amplitude-space propagation over t/tau correction rounds.
 
     Starts from the GHZ amplitudes and applies the round maps of
-    :func:`_round_maps`, with db/domega carried alongside b.  Rows that are
-    zero in every round map, found from the maps' entries, stay zero in all
-    their powers, so only the live rows R = S[live] are kept: S = E R, where
-    E puts the live rows back into the full register, S^2 = E (R[:, live] R)
-    and S v = E (R v).  The rounds are applied by binary powering of (R, dR),
-    with d(S^2) = dS S + S dS, for as long as at least dim rounds remain: a
-    squaring costs about one live-row mat-vec per live row, at most dim, so
-    it pays then.  The last k < dim rounds apply the current power one at a
-    time, so a run with fewer than dim rounds applies the maps once per round.
+    :func:`_round_maps`, with db/domega carried alongside b.  The maps and
+    the amplitudes live on the K kept rows: the rows some round map writes
+    and the GHZ start rows 0 and dim - 1.  Amplitudes on the other rows stay
+    zero, so each map is its K x K block, and the result is written back to
+    the full register once, at the end.  The rounds are applied by binary
+    powering of (S, dS), with d(S^2) = dS S + S dS, for as long as at least
+    K rounds remain: squaring a K x K map costs about K mat-vecs, so it pays
+    then.  The last k < K rounds apply the current power one at a time, so a
+    run with fewer than K rounds applies the maps once per round.  K is 2 for
+    the bit-flip code and for parity with p = 0, 4 for parity with p = 1, and
+    the whole register otherwise: then the maps are used as they are.
     """
-    if code not in ("none", "parity", "bitflip"):
+    if code not in _ORACLE_MAX_N:
         raise ValueError("code must be one of: none, parity, bitflip")
-    if params.n > 8:
-        raise ValueError("oracle limited to n <= 8")
+    if params.n > _ORACLE_MAX_N[code]:
+        raise ValueError("%s oracle limited to n <= %d, got n = %d (caps: %s)"
+                         % (code, _ORACLE_MAX_N[code], params.n,
+                            ", ".join("%s n <= %d" % item for item in _ORACLE_MAX_N.items())))
     if code == "bitflip" and params.n % 2 == 0:
         raise ValueError("majority vote needs odd n")
-    step_a, step_b, dstep_b = _round_maps(params, code, omega)
-    dim = step_a.shape[0]
-    live = np.flatnonzero(np.any(step_a, axis=1) | np.any(step_b, axis=1)
-                          | np.any(dstep_b, axis=1))
-    full = live.size == dim
-    if full:    # E is the identity: plain dense products, no copies
-        live = slice(None)
-    step_a, step_b, dstep_b = step_a[live], step_b[live], dstep_b[live]
-
-    def lift(part: np.ndarray) -> np.ndarray:
-        """E part: the live rows in place, zero elsewhere."""
-        if full:
-            return part
-        out = np.zeros(dim, dtype=part.dtype)
-        out[live] = part
-        return out
-
-    a = np.zeros(dim)
-    a[0] = a[dim - 1] = 0.5
-    b, db = a.astype(complex), np.zeros(dim, dtype=complex)
+    kept, (step_a, step_b, dstep_b) = _round_maps(params, code, omega)
+    size = step_a.shape[0]
+    a = np.zeros(size)
+    a[0] = a[-1] = 0.5
+    b, db = a.astype(complex), np.zeros(size, dtype=complex)
     k = params.rounds
-    while k >= dim:
+    while k >= size:
         if k & 1:
-            a = lift(step_a @ a)
-            b, db = lift(step_b @ b), lift(step_b @ db + dstep_b @ b)
+            a = step_a @ a
+            b, db = step_b @ b, step_b @ db + dstep_b @ b
         k >>= 1
-        head_a, head_b, dhead_b = step_a[:, live], step_b[:, live], dstep_b[:, live]
-        step_a, step_b, dstep_b = (head_a @ step_a, head_b @ step_b,
-                                   dhead_b @ step_b + head_b @ dstep_b)
+        step_a, step_b, dstep_b = (step_a @ step_a, step_b @ step_b,
+                                   dstep_b @ step_b + step_b @ dstep_b)
     for _ in range(k):
-        a = lift(step_a @ a)
-        b, db = lift(step_b @ b), lift(step_b @ db + dstep_b @ b)
+        a = step_a @ a
+        b, db = step_b @ b, step_b @ db + dstep_b @ b
     if abs(a.sum() - 1.0) > 1e-10:
         raise ArithmeticError("amplitude propagation lost normalisation")
+    if kept is not None:    # back to the full register, zero off the kept rows
+        full = [np.zeros(2 ** (params.n + (code == "parity")), vec.dtype) for vec in (a, b, db)]
+        for out, vec in zip(full, (a, b, db)):
+            out[kept] = vec
+        a, b, db = full
     return AmplitudeOracleState(a_vec=a, b_vec=b, db_vec=db)
 
 

@@ -586,6 +586,28 @@ def test_ecc_oracle_normalisation_guard_exits_3(tmp_path, monkeypatch, capsys):
     assert "lost normalisation" in capsys.readouterr().err
 
 
+def test_ecc_bitflip_oracle_at_n11_exits_zero(tmp_path):
+    out_path = tmp_path / "x.csv"
+    assert run_cli(["ecc", "--code", "bitflip", "--n", "11", "--omega", "1", "--gamma", "0.5",
+                    "--tau", "0.01", "--t", "0.3", "--oracle", "--out", str(out_path)]) == 0
+    header, row = out_path.read_text().splitlines()
+    cols = dict(zip(header.split(","), map(float, row.split(","))))
+    np.testing.assert_allclose(cols["qfi_oracle"], cols["qfi"], rtol=1e-8)
+
+
+def test_ecc_oracle_past_the_bitflip_cap_exits_3_before_building(tmp_path, monkeypatch, capsys):
+    def forbidden(*args):
+        raise AssertionError("built a round map past the oracle cap")
+
+    monkeypatch.setattr(ecc, "_round_maps", forbidden)
+    monkeypatch.setattr(ecc, "_kron_power_dot", forbidden)
+    out_path = tmp_path / "x.csv"
+    assert run_cli(["ecc", "--code", "bitflip", "--n", "17", "--omega", "1", "--gamma", "0.5",
+                    "--tau", "0.01", "--t", "0.3", "--oracle", "--out", str(out_path)]) == 3
+    assert "bitflip oracle limited to n <= 15" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_ecc_oracle_at_a_million_rounds_exits_cleanly(tmp_path):
     out_path = tmp_path / "x.csv"
     proc = _run_subprocess(["ecc", "--code", "bitflip", "--n", "5", "--omega", "1",

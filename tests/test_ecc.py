@@ -189,20 +189,46 @@ def test_propagate_amplitudes_shapes_and_norm():
 
 
 def _per_round(params, code):
-    """(a, b, db) by the literal loop: one application of the round maps per round."""
-    step_a, step_b, dstep_b = ecc._round_maps(params, code, params.omega)
+    """(a, b, db) by the literal loop on the kept rows: one application of the round maps per round."""
+    kept, (step_a, step_b, dstep_b) = ecc._round_maps(params, code, params.omega)
+    size = step_a.shape[0]
+    a = np.zeros(size)
+    a[0] = a[-1] = 0.5
+    b, db = a.astype(complex), np.zeros(size, dtype=complex)
+    for _ in range(params.rounds):
+        a = step_a @ a
+        b, db = step_b @ b, step_b @ db + dstep_b @ b
+    if kept is None:
+        return a, b, db
+    dim = 2 ** (params.n + (code == "parity"))
+    full = tuple(np.zeros(dim, dtype=vec.dtype) for vec in (a, b, db))
+    for out, vec in zip(full, (a, b, db)):
+        out[kept] = vec
+    return full
+
+
+def _dense_loop(maps, rounds):
+    """(a, b, db) by the literal loop over the full register, from full round maps."""
+    step_a, step_b, dstep_b = maps
     dim = step_a.shape[0]
     a = np.zeros(dim)
     a[0] = a[dim - 1] = 0.5
     b, db = a.astype(complex), np.zeros(dim, dtype=complex)
-    for _ in range(params.rounds):
+    for _ in range(rounds):
         a = step_a @ a
         b, db = step_b @ b, step_b @ db + dstep_b @ b
     return a, b, db
 
 
+def _kept_size(params, code):
+    """K, the number of rows the oracle keeps."""
+    kept = ecc._round_maps(params, code, params.omega)[0]
+    return 2 ** (params.n + (code == "parity")) if kept is None else kept.size
+
+
 @pytest.mark.parametrize("code", ["none", "parity", "bitflip"])
 def test_powered_propagation_matches_per_round_loop(code):
+    # No squaring happens below K rounds, where the loops must agree bit for bit.
     rng = np.random.default_rng(1401)
     parity = code == "parity"
     for n in (1, 3, 5, 7) if code == "bitflip" else (1, 3, 5):
@@ -214,10 +240,11 @@ def test_powered_propagation_matches_per_round_loop(code):
                                    xi=float(rng.uniform(0.0, 0.3)) * parity,
                                    p=float(rng.uniform(0.0, 0.05)) * parity)
             got = ecc.propagate_amplitudes(params, code, params.omega)
+            squared = rounds >= _kept_size(params, code)
             for vec, ref in zip((got.a_vec, got.b_vec, got.db_vec), _per_round(params, code)):
                 scale = np.max(np.abs(ref))
                 assert scale > 1e-250
-                if rounds < dim:
+                if not squared:
                     assert np.array_equal(vec, ref)
                 else:
                     assert np.max(np.abs(vec - ref)) <= 1e-10 * scale
@@ -245,11 +272,12 @@ def _maps_with_zero_rows(rng, dim, live):
 @pytest.mark.parametrize("pattern", ["no-zero-rows", "two-live-rows", "random-rows"])
 def test_live_row_propagation_matches_dense_loop(monkeypatch, pattern):
     # The oracle finds the rows a round map writes from its entries: here they
-    # are anywhere, and in the last two patterns never rows 0 and dim - 1.
-    # Below dim rounds no squaring happens, but the float mat-vec of a matrix
-    # of |live| rows need not round like the dense one: OpenBLAS moves real
-    # entries by an ulp when |live| is not a multiple of 4.  Hence 1e-14, not
-    # array_equal; rows no map writes must come out exactly zero either way.
+    # are anywhere, and in the last two patterns never rows 0 and dim - 1,
+    # which it keeps as well.  Below K kept rows no squaring happens, but the
+    # float mat-vec of a K x K block need not round like the dense one:
+    # OpenBLAS moves real entries by an ulp when K is not a multiple of 4.
+    # Hence 1e-14, not array_equal; rows no map writes must come out exactly
+    # zero either way.
     rng = np.random.default_rng(2404)
     for dim in (8, 16, 32):
         for _ in range(3):
@@ -259,15 +287,45 @@ def test_live_row_propagation_matches_dense_loop(monkeypatch, pattern):
                 size = 2 if pattern == "two-live-rows" else int(rng.integers(1, dim - 2))
                 live = np.sort(rng.choice(np.arange(1, dim - 1), size, replace=False))
             maps = _maps_with_zero_rows(rng, dim, live)
-            monkeypatch.setattr(ecc, "_round_maps", lambda *args: maps)
+            kept, blocks = ecc._keep_written_rows(maps)
+            if pattern == "no-zero-rows":
+                assert kept is None and all(block is mat for block, mat in zip(blocks, maps))
+            else:
+                assert kept.tolist() == [0, *live.tolist(), dim - 1]
+            monkeypatch.setattr(ecc, "_round_maps", lambda *args: (kept, blocks))
             for rounds in (1, 2, dim - 1, dim, dim + 1, 3 * dim + 5, 1000):
-                params = ecc.EccParams(n=3, omega=1.0, gamma=0.1, tau=0.1, t=rounds * 0.1)
+                params = ecc.EccParams(n=dim.bit_length() - 1, omega=1.0, gamma=0.1, tau=0.1,
+                                       t=rounds * 0.1)
                 got = ecc.propagate_amplitudes(params, "none", params.omega)
-                for vec, ref in zip((got.a_vec, got.b_vec, got.db_vec),
-                                    _per_round(params, "none")):
+                for vec, ref in zip((got.a_vec, got.b_vec, got.db_vec), _dense_loop(maps, rounds)):
+                    assert vec.shape == ref.shape == (dim,)
                     assert not np.any(np.delete(vec, live)) and not np.any(np.delete(ref, live))
-                    tol = 1e-14 if rounds < dim else 1e-10
+                    tol = 1e-14 if rounds < blocks[0].shape[0] else 1e-10
                     assert np.max(np.abs(vec - ref)) <= tol * np.max(np.abs(ref))
+
+
+def test_parity_with_p_one_matches_dense_loop():
+    # p = 1 resets every sensing qubit to the wrong value: the maps write rows
+    # 1 and dim - 2, and neither holds the GHZ start, so the oracle keeps four
+    # rows.  The reference maps are np.kron products, whose entries round
+    # apart from the oracle's by up to 1e-14, hence 1e-12.
+    rng = np.random.default_rng(2601)
+    for n in (2, 3, 4):
+        dim = 2 ** (n + 1)
+        for rounds in (1, 2, 3, 4, 5, 9, 40):
+            tau = float(rng.uniform(0.02, 0.1))
+            params = ecc.EccParams(n=n, omega=float(rng.uniform(0.5, 2.0)),
+                                   gamma=float(rng.uniform(0.05, 0.3)), tau=tau,
+                                   t=rounds * tau, xi=float(rng.uniform(0.0, 0.3)), p=1.0)
+            maps = _round_maps_reference(params, "parity", params.omega)
+            written = np.flatnonzero(np.any(np.stack(maps) != 0, axis=(0, 2)))
+            assert written.tolist() == [1, dim - 2]
+            assert ecc._round_maps(params, "parity", params.omega)[0].tolist() == [
+                0, 1, dim - 2, dim - 1]
+            got = ecc.propagate_amplitudes(params, "parity", params.omega)
+            for vec, ref in zip((got.a_vec, got.b_vec, got.db_vec), _dense_loop(maps, rounds)):
+                assert not np.any(np.delete(vec, written))
+                assert np.max(np.abs(vec - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_oracle_at_many_rounds_matches_bitflip_closed_form():
@@ -404,6 +462,8 @@ def test_kron_power_dot_matches_block_writes_bit_for_bit(kinds):
 
 @pytest.mark.parametrize("code", ["none", "parity", "bitflip"])
 def test_round_maps_match_dense_correction_product(code):
+    # The kept block must be the reference's block at the kept rows and
+    # columns, and the reference must write no other row.
     rng = np.random.default_rng(2001)
     parity = code == "parity"
     for n in range(1, 8):
@@ -415,10 +475,83 @@ def test_round_maps_match_dense_correction_product(code):
                                    gamma=float(rng.uniform(0.0, 1.0)), tau=tau, t=tau,
                                    xi=float(rng.uniform(0.0, 0.5)) * parity,
                                    p=float(rng.uniform(0.0, 0.1)) * parity)
-            got = ecc._round_maps(params, code, params.omega)
-            for mat, ref in zip(got, _round_maps_reference(params, code, params.omega)):
-                assert mat.shape == ref.shape
-                np.testing.assert_allclose(mat, ref, rtol=0, atol=1e-14)
+            kept, got = ecc._round_maps(params, code, params.omega)
+            ref = _round_maps_reference(params, code, params.omega)
+            dim = ref[0].shape[0]
+            if code == "bitflip":
+                assert kept.tolist() == [0, dim - 1]
+            else:
+                assert kept is None
+            rows = np.arange(dim) if kept is None else kept
+            for mat, full in zip(got, ref):
+                assert mat.shape == (rows.size, rows.size)
+                np.testing.assert_allclose(mat, full[np.ix_(rows, rows)], rtol=0, atol=1e-14)
+                assert not np.any(np.delete(full, rows, axis=0))
+
+
+def _bitflip_maps_full(params, omega):
+    """The bit-flip round maps on the full register: full Kronecker powers, then the vote's row sums."""
+    n = params.n
+    xp, xm, y, dxp, dxm, dy = ecc._xy_dot(omega, params.gamma, params.tau)
+    cg, sg = ecc._damped_cosh_sinh(params.gamma * params.tau)
+    mats = (_kron_power_dot_block_writes(np.array([[cg, sg], [sg, cg]]), None, n)
+            + _kron_power_dot_block_writes(np.array([[xm, y], [y, xp]]),
+                                           np.array([[dxm, dy], [dy, dxp]]), n))
+    low = np.array([bin(j).count("1") for j in range(2 ** n)]) < n / 2
+    out = tuple(np.zeros(mat.shape, mat.dtype) for mat in mats)
+    for step, mat in zip(out, mats):
+        step[0], step[-1] = mat[low].sum(axis=0), mat[~low].sum(axis=0)
+    return out
+
+
+def test_bitflip_maps_are_the_full_construction_bit_for_bit():
+    rng = np.random.default_rng(2602)
+    for n in (1, 3, 5, 7, 9):
+        for _ in range(4):
+            tau = float(rng.uniform(0.001, 0.3))
+            params = ecc.EccParams(n=n, omega=float(rng.uniform(0.5, 2.0)),
+                                   gamma=float(rng.uniform(0.0, 1.0)), tau=tau, t=tau)
+            kept, got = ecc._round_maps(params, "bitflip", params.omega)
+            corners = np.ix_([0, 2 ** n - 1], [0, 2 ** n - 1])
+            for mat, full in zip(got, _bitflip_maps_full(params, params.omega)):
+                assert mat.dtype == full.dtype and np.array_equal(mat, full[corners])
+
+
+def test_bitflip_maps_build_single_columns_only(monkeypatch):
+    shapes = []
+    kron_power_dot = ecc._kron_power_dot
+
+    def recording(one, done, n):
+        shapes.append((one.shape, None if done is None else done.shape))
+        return kron_power_dot(one, done, n)
+
+    monkeypatch.setattr(ecc, "_kron_power_dot", recording)
+    for n in (1, 3, 7, 11):
+        shapes.clear()
+        params = ecc.EccParams(n=n, omega=1.0, gamma=0.3, tau=0.05, t=0.5)
+        assert ecc.amplitude_oracle(params, "bitflip")[1] > 0
+        assert len(shapes) == 4
+        assert all(one == (2, 1) and done in (None, (2, 1)) for one, done in shapes)
+
+
+@pytest.mark.parametrize("n", [9, 11, 13])
+def test_bitflip_oracle_past_n8_matches_closed_form(n):
+    for tau, rounds in ((0.01, 30), (0.05, 7), (0.002, 1000)):
+        params = ecc.EccParams(n=n, omega=1.0, gamma=0.5, tau=tau, t=rounds * tau)
+        np.testing.assert_allclose(ecc.amplitude_oracle(params, "bitflip")[1],
+                                   ecc.qfi_bitflip(params), rtol=1e-8)
+
+
+@pytest.mark.parametrize("code,cap", [("none", 8), ("parity", 8), ("bitflip", 15)])
+def test_oracle_refuses_n_past_its_code_cap(monkeypatch, code, cap):
+    def forbidden(*args):
+        raise AssertionError("built a round map past the cap")
+
+    n = cap + 2
+    params = ecc.EccParams(n=n, omega=1.0, gamma=0.3, tau=0.05, t=0.1)
+    monkeypatch.setattr(ecc, "_round_maps", forbidden)
+    with pytest.raises(ValueError, match=r"%s oracle limited to n <= %d, got n = %d" % (code, cap, n)):
+        ecc.propagate_amplitudes(params, code, 1.0)
 
 
 def test_block_qfi_matches_dense_spectral_qfi():
