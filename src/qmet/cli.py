@@ -206,19 +206,40 @@ def _sweep_values(start: float, stop: float, steps: int, spacing: str) -> np.nda
     return np.linspace(start, stop, steps)
 
 
-def _ecc_qfi(code: str, params: ecc.EccParams) -> float:
-    if code == "none":
-        return ecc.qfi_no_ecc(params.n, params.omega, params.gamma, params.t)
-    if code == "parity":
-        return ecc.qfi_parity(params)
-    return ecc.qfi_bitflip(params)
+def _ecc_qfi(code: str, params: list[ecc.EccParams]
+             ) -> tuple[np.ndarray, Exception | None]:
+    """The qfi column up to the first point whose closed form fails, and that point's error.
+
+    One call evaluates every point.  If it raises, the points run one at a
+    time, in sweep order, to find the first failing point and its message.
+    """
+    try:
+        qfi = ecc.qfi_sweep(code, params) if params else np.empty(0)
+    except (ValueError, OverflowError):
+        qfi = []
+        for one in params:
+            try:
+                qfi.append(ecc.qfi_sweep(code, [one])[0])
+            except (ValueError, OverflowError) as exc:
+                return np.array(qfi), exc
+        qfi = np.array(qfi)
+    for i, (q, point) in enumerate(zip(qfi, params)):
+        hl = (point.n * point.t) * (point.n * point.t)
+        if not (math.isfinite(q) and math.isfinite(hl)):
+            return qfi[:i], ValueError("QFI %g and (n t)^2 %g must be finite" % (q, hl))
+    return qfi, None
 
 
 def ecc_csv(code: str, *, n: int, omega: float, gamma: float, xi: float = 0.0,
             p: float = 0.0, tau: float, t: float,
             sweep: tuple[str, float, float, int, str] | None = None,
             oracle: bool = False) -> str:
-    """Render the QFI sweep table; sweeping tau keeps the round count fixed."""
+    """Render the QFI sweep table; sweeping tau keeps the round count fixed.
+
+    The closed forms run over all points in one array computation.  A sweep
+    that fails reports its first failing point in sweep order, whether that
+    point fails validation, its closed form or the oracle.
+    """
     base = dict(n=n, omega=omega, gamma=gamma, xi=xi, p=p, tau=tau, t=t)
     points = []
     if sweep is None:
@@ -232,28 +253,32 @@ def ecc_csv(code: str, *, n: int, omega: float, gamma: float, xi: float = 0.0,
             if param == "tau":
                 point["t"] = float(v) * rounds
             points.append((float(v), point))
+    params, failure = [], None
+    for _, point in points:
+        try:
+            params.append(ecc.EccParams(n=point["n"], omega=point["omega"],
+                                        gamma=point["gamma"], tau=point["tau"],
+                                        t=point["t"], xi=point["xi"], p=point["p"]))
+        except (ValueError, OverflowError) as exc:
+            failure = exc
+            break
+    qfi, closed_form_failure = _ecc_qfi(code, params)
+    failure = closed_form_failure or failure
     header = _ECC_HEADER + (",qfi_oracle" if oracle else "")
     lines = [header]
-    for swept, point in points:
-        try:
-            params = ecc.EccParams(n=point["n"], omega=point["omega"],
-                                   gamma=point["gamma"], tau=point["tau"],
-                                   t=point["t"], xi=point["xi"], p=point["p"])
-            q = _ecc_qfi(code, params)
-            hl = (params.n * params.t) * (params.n * params.t)
-            if not (math.isfinite(q) and math.isfinite(hl)):
-                raise ValueError("QFI %g and (n t)^2 %g must be finite" % (q, hl))
-        except (ValueError, OverflowError) as exc:
-            raise CliError(EXIT_DOMAIN, str(exc))
+    for (swept, point), params_i, q in zip(points, params, qfi):
+        hl = (params_i.n * params_i.t) * (params_i.n * params_i.t)
         row = [swept, point["omega"], point["gamma"], point["xi"], point["p"],
                point["tau"], point["t"], point["n"], q, q / hl]
         if oracle:
             try:
-                _, ref = ecc.amplitude_oracle(params, code)
+                _, ref = ecc.amplitude_oracle(params_i, code)
             except (ValueError, ArithmeticError) as exc:
                 raise CliError(EXIT_DOMAIN, str(exc))
             row.append(ref)
         lines.append(",".join(_fmt17(v) for v in row))
+    if failure is not None:
+        raise CliError(EXIT_DOMAIN, str(failure))
     return "\n".join(lines) + "\n"
 
 

@@ -8,7 +8,11 @@ the odd-n majority-vote repetition code, the optimal sensing time and the
 Fisher information of the rotated transversal readout.  Every omega-derivative
 is exact: the corrected codes differentiate their round matrix entry by entry
 and take the derivative of its power from one block-triangular power (Van
-Loan 1978).  Every closed form is cross-checked against
+Loan 1978).  The closed forms evaluate arrays of points: :func:`qfi_sweep`
+computes a code's QFI at every point of a sweep in one array computation,
+each kernel elementwise over the points, and each one-point function is the
+one-point case of the same code, so a point gets the same bits alone or in a
+sweep.  Every closed form is cross-checked against
 :func:`amplitude_oracle`, which propagates the exact diagonal/anti-diagonal
 amplitude recursion together with the omega-derivative of the anti-diagonal
 amplitudes on the register's kept rows, the rows some round map writes plus
@@ -22,15 +26,19 @@ its cost grows with log(t/tau), not with t/tau.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .dense import EIGEN_CUT, sld_qfi
 
 _SERIES_CUT = 1e-4      # switch sin(delta*d)/delta over to its Taylor series
+_PLUS_MINUS_I = np.array([[1j], [-1j]])
+_MINUS_PLUS = np.array([[-1.0], [1.0]])
+_POWERS_OF_2 = 2.0 ** np.arange(1024)  # the bits of any float exponent, lowest first
 
 
 @dataclass(frozen=True)
@@ -73,11 +81,16 @@ class EccParams:
 
 @dataclass(frozen=True)
 class AmplitudeOracleState:
-    """Diagonal (a) and anti-diagonal (b) density-matrix amplitudes, and db/domega."""
+    """Diagonal (a) and anti-diagonal (b) density-matrix amplitudes, and db/domega.
+
+    ``kept`` lists the rows the propagation kept, None when it kept every
+    row; the amplitudes on every other row are zero.
+    """
 
     a_vec: np.ndarray
     b_vec: np.ndarray
     db_vec: np.ndarray
+    kept: np.ndarray | None = None
 
     def density(self) -> np.ndarray:
         dim = self.a_vec.size
@@ -88,60 +101,112 @@ class AmplitudeOracleState:
         return 0.5 * (rho + rho.conj().T)
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(dim/2, 2, 2) stacks of the blocks of the X-state density() and of its derivative.
+        """(B, 2, 2) stacks of the blocks of the X-state density() and of its derivative.
 
         Block J acts on the pair (J, dim-1-J), with the entries of density().
+        The stacks hold the blocks of the kept rows, in order of J, since
+        every other block is zero; all dim/2 blocks when kept is None.
         """
-        half = self.a_vec.size // 2
+        dim = self.a_vec.size
+        if self.kept is None:
+            lo, hi = slice(0, dim // 2), slice(dim - 1, dim // 2 - 1, -1)
+        else:
+            lo = np.unique(np.minimum(self.kept, dim - 1 - self.kept))
+            hi = dim - 1 - lo
         out = []
         for a, b in ((self.a_vec, self.b_vec), (np.zeros_like(self.a_vec), self.db_vec)):
-            off = 0.5 * (b[:half] + b[::-1][:half].conj())
-            out.append(np.stack([a[:half], off, off.conj(), a[::-1][:half]], axis=-1))
-        return tuple(block.reshape(half, 2, 2) for block in out)
+            off = 0.5 * (b[lo] + b[hi].conj())
+            out.append(np.stack([a[lo], off, off.conj(), a[hi]], axis=-1).reshape(-1, 2, 2))
+        return tuple(out)
 
 
-def _xy_dot(omega: float, gamma: float, duration: float,
-            ) -> tuple[complex, complex, complex, complex, complex, complex]:
+class _Points(NamedTuple):
+    """Points that share n, one array entry per point."""
+
+    n: int
+    omega: np.ndarray
+    gamma: np.ndarray
+    tau: np.ndarray
+    t: np.ndarray
+    xi: np.ndarray
+    p: np.ndarray
+    rounds: np.ndarray      # floats: t/tau rounded is a float's value, however large
+
+    def take(self, mask: np.ndarray) -> "_Points":
+        return _Points(self.n, *(column[mask] for column in self[1:]))
+
+
+def _points(params: Sequence[EccParams]) -> _Points:
+    n = params[0].n
+    if any(point.n != n for point in params):
+        raise ValueError("sweep points must share n")
+    columns = np.array([(point.omega, point.gamma, point.tau, point.t, point.xi, point.p,
+                         point.rounds) for point in params], dtype=float).T.copy()
+    return _Points(n, *columns)
+
+
+def _xy_dot(omega: float | np.ndarray, gamma: float | np.ndarray,
+            duration: float | np.ndarray) -> np.ndarray:
     """e^{-gamma d} times x_pm, y of the anti-diagonal transfer matrix and their omega-derivatives.
 
-    The entries are entire functions of q = omega^2 - gamma^2, so
-    d/domega = 2*omega * d/dq, with series fallbacks where the closed forms
-    lose digits to cancellation.  Central differences are useless here: near
-    the overdamped axis d(ln r)/domega sits many orders below the resolution
-    of a double-precision difference quotient, and the noise gets amplified
-    by 1/(1 - R^2) in the rank-2 QFI.  Overdamped, the damped cosh and sinh
-    of |delta| d come from e^{-(gamma -+ |delta|) d}, with gamma - |delta| =
-    omega^2 / (gamma + |delta|): finite where cosh(|delta| d) overflows.
-    Entries that overflow (omega^2 out of range) raise ValueError rather
-    than return nan.
+    Takes floats or arrays of one shape S and returns a (6,) + S array:
+    x_+, x_-, y, dx_+, dx_-, dy.  The entries are entire functions of
+    q = omega^2 - gamma^2, so d/domega = 2*omega * d/dq, with series
+    fallbacks where the closed forms lose digits to cancellation.  Central
+    differences are useless here: near the overdamped axis d(ln r)/domega
+    sits many orders below the resolution of a double-precision difference
+    quotient, and the noise gets amplified by 1/(1 - R^2) in the rank-2 QFI.
+    Overdamped, the damped cosh and sinh of |delta| d come from
+    e^{-(gamma -+ |delta|) d}, with gamma - |delta| = omega^2 / (gamma + |delta|):
+    finite where cosh(|delta| d) overflows.  The series and overdamped
+    branches are evaluated only at the points that take them.  Entries that
+    overflow (omega^2 out of range) raise ValueError, naming the first such
+    point, rather than return nan.
     """
-    d = duration
+    shape = np.shape(duration)
+    omega = np.asarray(omega, dtype=float).reshape(-1)
+    gamma = np.asarray(gamma, dtype=float).reshape(-1)
+    d = np.asarray(duration, dtype=float).reshape(-1)
+    out = np.empty((6,) + d.shape, dtype=complex)
     with np.errstate(all="ignore"):
-        q = complex(omega * omega - gamma * gamma)
+        q = np.subtract(omega * omega, gamma * gamma, dtype=complex)
         delta = np.sqrt(q)
-        z = delta * d
-        v = z * z
-        if q.real < 0 and z.imag > 1.0:     # |delta| d > 1: slow - fast keeps its digits
-            a = delta.imag
-            slow, fast = math.exp(-omega * omega / (gamma + a) * d), math.exp(-(gamma + a) * d)
-            c, s, damp = 0.5 * (slow + fast), 0.5 * (slow - fast) / a, 1.0
-        else:
-            s = (d * (1.0 - v / 6.0 * (1.0 - v / 20.0 * (1.0 - v / 42.0)))
-                 if abs(z) < _SERIES_CUT else np.sin(z) / delta)
-            c, damp = np.cos(z), math.exp(-gamma * d)
-        if abs(v) < 1e-3:
-            ds_dq = -(d ** 3 / 6.0) * (1.0 - v / 10.0 * (1.0 - v / 28.0 * (1.0 - v / 54.0)))
-        else:
-            ds_dq = (d * c - s) / (2.0 * q)
+        z = delta * d           # real, or imaginary when overdamped
+        v = z * z               # q d^2, real
+        c, s, damp = np.cos(z), np.sin(z) / delta, np.exp(-gamma * d)
+        over = z.imag > 1.0     # |delta| d > 1: slow - fast keeps its digits
+        if np.count_nonzero(over):
+            a, do, go = delta.imag[over], d[over], gamma[over]
+            slow, fast = np.exp(-omega[over] ** 2 / (go + a) * do), np.exp(-(go + a) * do)
+            c[over], s[over], damp[over] = 0.5 * (slow + fast), 0.5 * (slow - fast) / a, 1.0
+        small = np.abs(v.real) < 1e-3
+        any_small = np.count_nonzero(small)
+        if any_small:       # every point of the sin series is small
+            series = np.abs(z) < _SERIES_CUT
+            if np.count_nonzero(series):
+                d_at, v_at = d[series], v.real[series]
+                s[series] = d_at * (1.0 - v_at / 6.0 * (1.0 - v_at / 20.0 * (1.0 - v_at / 42.0)))
+        ds_dq = (d * c - s) / (2.0 * q)
+        if any_small:
+            d_at, v_at = d[small], v.real[small]
+            ds_dq[small] = (-(d_at ** 3 / 6.0)
+                            * (1.0 - v_at / 10.0 * (1.0 - v_at / 28.0 * (1.0 - v_at / 54.0))))
         dc = -omega * d * s
         ds = 2.0 * omega * ds_dq
         swing = 1j * (s + omega * ds)
-        out = tuple(damp * e for e in (c + 1j * omega * s, c - 1j * omega * s, gamma * s,
-                                       dc + swing, dc - swing, gamma * ds))
-    if not np.all(np.isfinite(out)):
+        ios = 1j * omega * s
+        np.add(c, ios, out=out[0])
+        np.subtract(c, ios, out=out[1])
+        np.multiply(gamma, s, out=out[2])
+        np.add(dc, swing, out=out[3])
+        np.subtract(dc, swing, out=out[4])
+        np.multiply(gamma, ds, out=out[5])
+        out *= damp
+    if not np.isfinite(out).all():
+        i = np.argmin(np.isfinite(out).all(axis=0))
         raise ValueError("transfer entries are not finite at omega=%r, gamma=%r, "
-                         "duration=%r" % (omega, gamma, duration))
-    return out
+                         "duration=%r" % (float(omega[i]), float(gamma[i]), float(d[i])))
+    return out.reshape((6,) + shape)
 
 
 def _damped_cosh_sinh(x: float) -> tuple[float, float]:
@@ -149,102 +214,132 @@ def _damped_cosh_sinh(x: float) -> tuple[float, float]:
     return 0.5 * (1.0 + math.exp(-2.0 * x)), -0.5 * math.expm1(-2.0 * x)
 
 
-def qfi_no_ecc(n: int, omega: float, gamma: float, t: float) -> float:
+@functools.lru_cache(maxsize=None)
+def _weight_classes(n: int) -> tuple[np.ndarray, ...]:
+    """(w, n - w, max(w - 1, 0), max(n - w - 1, 0), C(n, w)) over the weights w = 0..n.
+
+    The binomials are floats, exact for the n <= 30 used here.  Clipped
+    exponents keep 0 * y**-1 out of a product; every clipped power is
+    multiplied by a vanishing combinatorial coefficient.
+    """
+    w = np.arange(n + 1)
+    return (w, n - w, np.maximum(w - 1, 0), np.maximum(n - w - 1, 0),
+            np.array([math.comb(n, h) for h in w], dtype=float))
+
+
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis strictly left to right, as a Python loop over the terms would."""
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
+def qfi_no_ecc(n: int, omega: float | np.ndarray, gamma: float | np.ndarray,
+               t: float | np.ndarray) -> float | np.ndarray:
     """QFI of the bare GHZ probe after time t with no correction rounds.
 
-    The final state is block diagonal over the pairs (J, complement of J),
-    and the blocks depend on J only through its Hamming weight, so the
-    2^n-dimensional spectral sum collapses to n + 1 weight classes with
-    binomial multiplicities.  Frequency derivatives of the anti-diagonal
+    omega, gamma and t are floats, which give a float, or arrays of one
+    shape, which give an array of QFIs.  The final state is block diagonal
+    over the pairs (J, complement of J), and the blocks depend on J only
+    through its Hamming weight, so the 2^n-dimensional spectral sum
+    collapses to n + 1 weight classes with binomial multiplicities, summed
+    in order of weight.  Frequency derivatives of the anti-diagonal
     amplitudes come from the exact derivatives of the transfer entries.
     """
     if not 1 <= n <= 30:
         raise ValueError("n out of range")
-    if t < 0:
+    shape = np.shape(t)
+    gamma = np.asarray(gamma, dtype=float).reshape(-1)
+    t = np.asarray(t, dtype=float).reshape(-1)
+    if np.count_nonzero(t < 0):
         raise ValueError("t must be non-negative")
-    if t == 0:
-        return 0.0
-    weights = np.arange(n + 1)
+    w, nw, wm1, nwm1, comb = _weight_classes(n)
     # The entries come damped by e^{-gamma t}, before the powers: x_pm^w
     # y^(n-w) alone grows like e^{n |delta| t} in the overdamped regime.
-    xp, xm, y, dxp, dxm, dy = _xy_dot(omega, gamma, t)
-    z0 = xp ** weights * y ** (n - weights) + xm ** (n - weights) * y ** weights
-    # Clipped exponents keep 0 * y**-1 out of the product; every clipped
-    # power is multiplied by a vanishing combinatorial coefficient.
-    wm1 = np.maximum(weights - 1, 0)
-    nwm1 = np.maximum(n - weights - 1, 0)
-    zdot = (weights * xp ** wm1 * dxp * y ** (n - weights)
-            + (n - weights) * xp ** weights * y ** nwm1 * dy
-            + (n - weights) * xm ** nwm1 * dxm * y ** weights
-            + weights * xm ** (n - weights) * y ** wm1 * dy)
+    xp, xm, y, dxp, dxm, dy = _xy_dot(omega, gamma, t)[..., None]
+    xp_w, xm_nw, y_w, y_nw = xp ** w, xm ** nw, y ** w, y ** nw
+    z0 = xp_w * y_nw + xm_nw * y_w
+    zdot = (w * xp ** wm1 * dxp * y_nw
+            + nw * xp_w * y ** nwm1 * dy
+            + nw * xm ** nwm1 * dxm * y_w
+            + w * xm_nw * y ** wm1 * dy)
 
-    damp = math.exp(-gamma * t)
-    cg, sg = 0.5 * (1.0 + damp * damp), -0.5 * math.expm1(-2.0 * gamma * t)  # damped cosh, sinh
-    svec = cg ** (n - weights) * sg ** weights + cg ** weights * sg ** (n - weights)
+    damp = np.exp(-gamma * t)
+    cg = (0.5 * (1.0 + damp * damp))[:, None]                  # damped cosh, sinh
+    sg = (-0.5 * np.expm1(-2.0 * gamma * t))[:, None]
+    svec = cg ** nw * sg ** w + cg ** w * sg ** nw
 
-    total = 0.0
-    for h in range(n + 1):
-        r, s = abs(z0[h]), svec[h]
-        if r < 1e-150:
-            continue
-        inner = np.conj(z0[h]) * zdot[h]
-        dlam = 0.5 * inner.real / r
-        block = 0.0
-        lam_p = 0.5 * (s + r)
-        lam_m = 0.5 * (s - r)
-        if lam_p > EIGEN_CUT:
-            block += dlam * dlam / lam_p
-        if lam_m > EIGEN_CUT:
-            block += dlam * dlam / lam_m
-        if s > EIGEN_CUT:
-            block += (inner.imag / r) ** 2 / s
-        total += math.comb(n, h) * block
-    return 0.5 * total
+    r = np.abs(z0)
+    inner = np.conj(z0) * zdot
+    with np.errstate(all="ignore"):
+        dlam2 = (0.5 * inner.real / r) ** 2
+        lam_p, lam_m = 0.5 * (svec + r), 0.5 * (svec - r)
+        block = (np.where(lam_p > EIGEN_CUT, dlam2 / lam_p, 0.0)
+                 + np.where(lam_m > EIGEN_CUT, dlam2 / lam_m, 0.0)
+                 + np.where(svec > EIGEN_CUT, (inner.imag / r) ** 2 / svec, 0.0))
+    block[r < 1e-150] = 0.0
+    total = 0.5 * _ordered_sum(comb * block)
+    total[t == 0] = 0.0
+    return total.reshape(shape)[()]
 
 
-def _coherence_dot(omega: float, gamma: float, tau: float) -> tuple[complex, complex]:
+def _coherence_dot(omega: np.ndarray, gamma: np.ndarray, tau: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """(w, dw/domega) for the per-round coherence multiplier, both exact."""
     x_plus, _, y, dx_plus, _, dy = _xy_dot(omega, gamma, tau)
     return x_plus + y, dx_plus + dy
 
 
-def _qfi_from_logs(ln_big_r: float, dln_big_r: float, dtheta: float) -> float:
-    """Rank-2 QFI evaluated from ln R, d(ln R)/domega and dtheta/domega.
+def _qfi_from_logs(ln_big_r: np.ndarray, dln_big_r: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
+    """Rank-2 QFI evaluated from ln R, d(ln R)/domega and dtheta/domega, elementwise.
 
     1 - R^2 comes from expm1, so the mixing term survives when R is within
     machine epsilon of 1; once the decay is below representable precision
     the term is provably negligible against R^2 dtheta^2 and is dropped.
     """
-    big_r = math.exp(min(ln_big_r, 0.0))
+    ln_big_r = np.minimum(ln_big_r, 0.0)
+    big_r = np.exp(ln_big_r)
     phase = big_r * big_r * dtheta * dtheta
-    denom = -math.expm1(2.0 * min(ln_big_r, 0.0))
-    if denom <= 1e-13:
-        return phase
-    return (big_r * dln_big_r) ** 2 / denom + phase
+    denom = -np.expm1(2.0 * ln_big_r)
+    with np.errstate(all="ignore"):
+        return np.where(denom <= 1e-13, phase, (big_r * dln_big_r) ** 2 / denom + phase)
 
 
-def _qfi_of_amplitude(z: complex, dz: complex, ln_scale: float = 0.0,
-                      dln_scale: float = 0.0) -> float:
+def _qfi_of_amplitude(z: np.ndarray, dz: np.ndarray, ln_scale: np.ndarray | float = 0.0,
+                      dln_scale: np.ndarray | float = 0.0) -> np.ndarray:
     """Rank-2 QFI of the coherence e^{ln_scale} z, given dz/domega and d(ln_scale)/domega.
 
-    Returns 0 once |z| has decayed below 1e-150, where the QFI is below
-    any representable fraction of (n t)^2.
+    Elementwise over arrays of points.  Gives 0 once |z| has decayed below
+    1e-150, where the QFI is below any representable fraction of (n t)^2.
     """
-    r = abs(z)
-    if r < 1e-150:
-        return 0.0
-    inner = np.conj(z) * dz / (r * r)
-    return _qfi_from_logs(ln_scale + math.log(r), dln_scale + inner.real, inner.imag)
+    r = np.abs(z)
+    with np.errstate(all="ignore"):
+        inner = np.conj(z) * dz / (r * r)
+        q = _qfi_from_logs(ln_scale + np.log(r), dln_scale + inner.real, inner.imag)
+    q[r < 1e-150] = 0.0
+    return q
 
 
-def _ideal_logs(params: EccParams) -> tuple[float, float, float, float]:
-    """(ln r, dln r/domega, phi, dphi/domega) for one correction period."""
-    w, wdot = _coherence_dot(params.omega, params.gamma, params.tau)
-    r = abs(w)
-    if r < 1e-300:
-        return -math.inf, 0.0, 0.0, 0.0
-    inner = np.conj(w) * wdot
-    return math.log(r), inner.real / (r * r), float(np.angle(w)), inner.imag / (r * r)
+def _ideal_logs(pts: _Points) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(ln r, dln r/domega, phi, dphi/domega) for one correction period, one entry per point.
+
+    r e^{i phi} is the per-round coherence multiplier; once r < 1e-300 the
+    entries are (-inf, 0, 0, 0).
+    """
+    w, wdot = _coherence_dot(pts.omega, pts.gamma, pts.tau)
+    r = np.abs(w)
+    with np.errstate(all="ignore"):
+        inner = np.conj(w) * wdot / (r * r)
+        logs = np.log(r), inner.real, np.angle(w), inner.imag
+    dead = r < 1e-300
+    if np.count_nonzero(dead):
+        for log, value in zip(logs, (-np.inf, 0.0, 0.0, 0.0)):
+            log[dead] = value
+    return logs
+
+
+def _parity_ideal(pts: _Points) -> np.ndarray:
+    lnr, dlnr, _, dphi = _ideal_logs(pts)
+    k = pts.n * pts.rounds
+    return _qfi_from_logs(k * lnr, k * dlnr, k * dphi)
 
 
 def qfi_parity_ideal(params: EccParams) -> float:
@@ -252,11 +347,29 @@ def qfi_parity_ideal(params: EccParams) -> float:
     correction; evaluated in log space through the rank-2 form."""
     if params.xi != 0.0 or params.p != 0.0:
         raise ValueError("ideal parity code needs xi = 0 and p = 0")
-    lnr, dlnr, _, dphi = _ideal_logs(params)
-    if lnr == -math.inf:
-        return 0.0
-    k = params.n * params.rounds
-    return _qfi_from_logs(k * lnr, k * dlnr, k * dphi)
+    return _parity_ideal(_points([params]))[0]
+
+
+def _parity_imperfect(pts: _Points) -> np.ndarray:
+    n, m, p = pts.n, pts.rounds, pts.p
+    n_extra = n * (m - 1)
+    w, wdot = _coherence_dot(pts.omega, pts.gamma, pts.tau)
+    r = np.abs(w)
+    with np.errstate(all="ignore"):
+        iw = np.conj(w) * wdot
+        dphi = iw.imag / (r * r)
+        phase2 = (w / r) ** 2
+        g = (1.0 - p) + p * phase2
+        absg = np.abs(g)
+        ig = np.conj(g) * (2j * p * phase2 * dphi)
+        k = n * m
+        q = _qfi_from_logs(
+            k * np.log(r) + n_extra * np.log(absg),
+            k * iw.real / (r * r) + n_extra * ig.real / (absg * absg),
+            k * dphi - n_extra * ig.imag / (absg * absg),
+        )
+    q[(r < 1e-300) | (absg < 1e-300)] = 0.0
+    return q
 
 
 def qfi_parity_imperfect(params: EccParams) -> float:
@@ -267,43 +380,45 @@ def qfi_parity_imperfect(params: EccParams) -> float:
     """
     if params.xi != 0.0:
         raise ValueError("imperfect-syndrome variant needs xi = 0")
-    n, m, p = params.n, params.rounds, params.p
-    n_extra = n * (m - 1)
-    w, wdot = _coherence_dot(params.omega, params.gamma, params.tau)
-    r = abs(w)
-    if r < 1e-300:
-        return 0.0
-    iw = np.conj(w) * wdot
-    dphi = iw.imag / (r * r)
-    phase2 = (w / r) ** 2
-    g = (1.0 - p) + p * phase2
-    absg = abs(g)
-    if absg < 1e-300:
-        return 0.0
-    ig = np.conj(g) * (2j * p * phase2 * dphi)
-    k = n * m
-    return _qfi_from_logs(
-        k * math.log(r) + n_extra * math.log(absg),
-        k * iw.real / (r * r) + n_extra * ig.real / (absg * absg),
-        k * dphi - n_extra * ig.imag / (absg * absg),
-    )
+    return _parity_imperfect(_points([params]))[0]
 
 
-def _power_dot(mat: np.ndarray, dmat: np.ndarray, k: int, head: np.ndarray,
+def _power_dot(mat: np.ndarray, dmat: np.ndarray, k: np.ndarray, head: np.ndarray,
                dhead: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M^k h, d(M^k h)/domega) from one power of [[M, dM], [0, M]].
+    """(M^k h, d(M^k h)/domega) for each M of a (P, d, d) stack, from a power of [[M, dM], [0, M]].
 
     The block-triangular power is [[M^k, d(M^k)], [0, M^k]] (Van Loan 1978),
     so one repeated-squaring power gives the amplitude and its exact
     derivative, with no eigen-decomposition and no degenerate-root branch.
+    Each point has its own exponent k[i] >= 0, an integer-valued float.
+    The powers multiply the squarings in the order np.linalg.matrix_power
+    does, including its (B B) B at k = 3.
     """
-    dim = mat.shape[0]
-    block = np.block([[mat, dmat], [np.zeros_like(mat), mat]])
-    out = np.linalg.matrix_power(block, k) @ np.concatenate([dhead, head])
-    return out[dim:], out[:dim]
+    dim = mat.shape[-1]
+    block = np.zeros(mat.shape[:-2] + (2 * dim, 2 * dim), dtype=complex)
+    block[:, :dim, :dim] = block[:, dim:, dim:] = mat
+    block[:, :dim, dim:] = dmat
+    bits = k[:, None] // _POWERS_OF_2[:int(k.max()).bit_length()] % 2 == 1
+    power, square = None, block
+    for level, take in enumerate(bits.T):
+        if level:
+            square = square @ square
+        count = np.count_nonzero(take)
+        if count:    # as matrix_power: the first squaring taken is the power so far
+            product = square if power is None else power @ square
+            power = product if count == take.size else np.where(
+                take[:, None, None], product, np.eye(2 * dim) if power is None else power)
+    if power is None:
+        power = np.eye(2 * dim)
+    three = k == 3
+    if np.count_nonzero(three):
+        power = np.where(three[:, None, None], block @ block @ block, power)
+    out = (power @ np.concatenate([dhead, head], axis=-1)[..., None])[..., 0]
+    return out[:, dim:], out[:, :dim]
 
 
-def _z_recurrence(params: EccParams, phi: float, dphi: float) -> tuple[complex, complex]:
+def _z_recurrence(pts: _Points, phi: np.ndarray, dphi: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Coherence amplitude z of the corrected probe and dz/domega.
 
     The coherence is Z = r^{n t/tau} z, where r e^{i phi} is the per-round
@@ -313,27 +428,49 @@ def _z_recurrence(params: EccParams, phi: float, dphi: float) -> tuple[complex, 
     and each later round applies the 2x2 matrix with top row
     (c q_-^n, s q_+^n) once: n syndrome factors per sensing round, one
     ancilla mixing.  The ancilla decay e^{-xi tau} is folded into
-    c, s = (1 +- e^{-2 xi tau})/2, which keeps the powers bounded.
+    c, s = (1 +- e^{-2 xi tau})/2, which keeps the powers bounded.  Pairs
+    such as (q_-, q_+) are computed as one (2, P) array, from (u, u*) with
+    u = e^{i phi}.
     """
-    n, p = params.n, params.p
-    keep = 0.5 * (1.0 + math.exp(-2.0 * params.xi * params.tau))
+    n, p = pts.n, pts.p
+    keep = 0.5 * (1.0 + np.exp(-2.0 * pts.xi * pts.tau))
     flip = 1.0 - keep
-    u = complex(math.cos(phi), math.sin(phi))
-    q_m = (1.0 - p) * u.conjugate() + p * u
-    q_p = (1.0 - p) * u + p * u.conjugate()
-    dq_m = 1j * dphi * (p * u - (1.0 - p) * u.conjugate())
-    dq_p = 1j * dphi * ((1.0 - p) * u - p * u.conjugate())
-    qm_n, qp_n = q_m ** n, q_p ** n
-    dqm_n, dqp_n = n * q_m ** (n - 1) * dq_m, n * q_p ** (n - 1) * dq_p
-    mat = np.array([[keep * qm_n, flip * qp_n], [flip * qm_n, keep * qp_n]])
-    dmat = np.array([[keep * dqm_n, flip * dqp_n], [flip * dqm_n, keep * dqp_n]])
-    anc = u ** n
-    head = np.array([keep * anc.conjugate() + flip * anc,
-                     keep * anc + flip * anc.conjugate()])
-    dhead = 1j * n * dphi * np.array([flip * anc - keep * anc.conjugate(),
-                                      keep * anc - flip * anc.conjugate()])
-    z, dz = _power_dot(mat, dmat, params.rounds - 1, head, dhead)
-    return z[0], dz[0]
+    mix = np.array([keep, flip, flip, keep]).T.reshape(-1, 2, 2)          # [[c, s], [s, c]]
+    uu = np.cos(phi) + _PLUS_MINUS_I * np.sin(phi)                         # (u, u*)
+    stay, swap = (1.0 - p) * uu[::-1], p * uu
+    q = stay + swap                                                        # (q_-, q_+)
+    dq = _PLUS_MINUS_I * dphi * (swap - stay)                              # (dq_-, dq_+)
+    q_n, dq_n = q ** n, n * q ** (n - 1) * dq
+    anc = (uu ** n)[::-1]                                                  # (u*^n, u^n)
+    head = mix * anc.T[:, None, :]
+    dhead = mix * (anc * _MINUS_PLUS).T[:, None, :]
+    z, dz = _power_dot(mix * q_n.T[:, None, :], mix * dq_n.T[:, None, :], pts.rounds - 1,
+                       head[..., 0] + head[..., 1],
+                       (1j * n * dphi)[:, None] * (dhead[..., 0] + dhead[..., 1]))
+    return z[:, 0], dz[:, 0]
+
+
+def _parity_general(pts: _Points) -> np.ndarray:
+    lnr, dlnr, phi, dphi = _ideal_logs(pts)
+    k = pts.n * pts.rounds
+    q = _qfi_of_amplitude(*_z_recurrence(pts, phi, dphi), k * lnr, k * dlnr)
+    q[lnr == -np.inf] = 0.0
+    return q
+
+
+def _parity(pts: _Points) -> np.ndarray:
+    """Each point by its route: the log-space closed forms at xi = 0, the recurrence otherwise."""
+    clean = pts.xi == 0.0
+    ideal = clean & (pts.p == 0.0)
+    out = np.empty(clean.shape)
+    for route, mask in ((_parity_general, ~clean), (_parity_ideal, ideal),
+                        (_parity_imperfect, clean & ~ideal)):
+        count = np.count_nonzero(mask)
+        if count == mask.size:
+            return route(pts)
+        if count:
+            out[mask] = route(pts.take(mask))
+    return out
 
 
 def qfi_parity(params: EccParams) -> float:
@@ -343,15 +480,7 @@ def qfi_parity(params: EccParams) -> float:
     the coherence and its exact omega-derivative come from the 2x2
     recurrence, with r^{n t/tau} kept in log space.
     """
-    if params.xi == 0.0:
-        if params.p == 0.0:
-            return qfi_parity_ideal(params)
-        return qfi_parity_imperfect(params)
-    lnr, dlnr, phi, dphi = _ideal_logs(params)
-    if lnr == -math.inf:
-        return 0.0
-    k = params.n * params.rounds
-    return _qfi_of_amplitude(*_z_recurrence(params, phi, dphi), k * lnr, k * dlnr)
+    return _parity(_points([params]))[0]
 
 
 def qfi_parity_noisy_ancilla(params: EccParams) -> tuple[float, float]:
@@ -367,7 +496,7 @@ def qfi_parity_noisy_ancilla(params: EccParams) -> tuple[float, float]:
     if params.xi == 0.0:
         return q2, 0.0
     q1 = qfi_parity_ideal(replace(params, xi=0.0))
-    lnr = _ideal_logs(params)[0]
+    lnr = _ideal_logs(_points([params]))[0][0]
     n, t = params.n, params.t
     ln_scale = math.log(params.xi * n * n * t * t) + 2 * n * params.rounds * lnr
     if ln_scale < -600.0:
@@ -375,29 +504,33 @@ def qfi_parity_noisy_ancilla(params: EccParams) -> tuple[float, float]:
     return q2, (q1 - q2) / math.exp(ln_scale)
 
 
-def _z_majority(params: EccParams) -> tuple[complex, complex]:
-    """Coherence amplitude under the odd-n majority-vote code and its omega-derivative."""
-    n, half = params.n, params.n // 2
-    xp, xm, y, dxp, dxm, dy = _xy_dot(params.omega, params.gamma, params.tau)
+def _z_majority(pts: _Points) -> tuple[np.ndarray, np.ndarray]:
+    """Coherence amplitude under the odd-n majority-vote code and its omega-derivative.
 
-    def truncated(u, du, v, dv):
-        """sum_{j <= n/2} C(n, j) u^{n-j} v^j and its derivative."""
-        val = dval = 0j
-        for j in range(half + 1):
-            c = math.comb(n, j)
-            val += c * u ** (n - j) * v ** j
-            dval += c * ((n - j) * u ** (n - j - 1) * du * v ** j
-                         + j * u ** (n - j) * v ** max(j - 1, 0) * dv)
-        return val, dval
+    The four truncated binomial sums sum_{j <= n/2} C(n, j) u^{n-j} v^j,
+    (u, v) = (x_-, y), (y, x_+), (y, x_-), (x_+, y) in the order of the 2x2
+    map's entries, and their derivatives are evaluated as one array and
+    summed in order of j.
+    """
+    n = pts.n
+    j, nj, jm1, njm1, comb = (column[:n // 2 + 1] for column in _weight_classes(n))
+    entries = _xy_dot(pts.omega, pts.gamma, pts.tau)     # x_+, x_-, y, dx_+, dx_-, dy
+    picks = [1, 2, 2, 0, 2, 0, 1, 2, 4, 5, 5, 3, 5, 3, 4, 5]
+    u, v, du, dv = entries[picks, :, None].reshape(4, 4, -1, 1)
+    u_nj, v_j = u ** nj, v ** j
+    val = _ordered_sum(comb * u_nj * v_j)
+    dval = _ordered_sum(comb * (nj * u ** njm1 * du * v_j + j * u_nj * v ** jm1 * dv))
+    b, db = _power_dot(val.T.reshape(-1, 2, 2), dval.T.reshape(-1, 2, 2), pts.rounds,
+                       np.ones(2), np.zeros(2))
+    return b[:, 0], db[:, 0]
 
-    eta_m, deta_m = truncated(xm, dxm, y, dy)
-    eta_p, deta_p = truncated(xp, dxp, y, dy)
-    zeta_m, dzeta_m = truncated(y, dy, xm, dxm)
-    zeta_p, dzeta_p = truncated(y, dy, xp, dxp)
-    mat = np.array([[eta_m, zeta_p], [zeta_m, eta_p]])
-    dmat = np.array([[deta_m, dzeta_p], [dzeta_m, deta_p]])
-    b, db = _power_dot(mat, dmat, params.rounds, np.ones(2), np.zeros(2))
-    return b[0], db[0]
+
+def _bitflip(pts: _Points) -> np.ndarray:
+    if np.count_nonzero(pts.xi) or np.count_nonzero(pts.p):
+        raise ValueError("repetition-code variant needs xi = 0 and p = 0")
+    if pts.n % 2 == 0:
+        raise ValueError("majority vote needs odd n")
+    return _qfi_of_amplitude(*_z_majority(pts))
 
 
 def qfi_bitflip(params: EccParams) -> float:
@@ -407,11 +540,25 @@ def qfi_bitflip(params: EccParams) -> float:
     funnels every round's amplitudes back onto them, giving a 2x2 map with
     truncated-binomial entries eta and zeta.
     """
-    if params.xi != 0.0 or params.p != 0.0:
-        raise ValueError("repetition-code variant needs xi = 0 and p = 0")
-    if params.n % 2 == 0:
-        raise ValueError("majority vote needs odd n")
-    return _qfi_of_amplitude(*_z_majority(params))
+    return _bitflip(_points([params]))[0]
+
+
+def qfi_sweep(code: str, params: Sequence[EccParams]) -> np.ndarray:
+    """Closed-form QFI of ``code`` (none, parity, bitflip) at each point, as one array computation.
+
+    The points must share n.  Each entry equals, bit for bit, what the
+    code's one-point function (:func:`qfi_no_ecc`, :func:`qfi_parity`,
+    :func:`qfi_bitflip`) gives that point: the kernels are elementwise over
+    points.  A point that fails makes the whole call raise.
+    """
+    if code not in ("none", "parity", "bitflip"):
+        raise ValueError("code must be one of: none, parity, bitflip")
+    pts = _points(params)
+    if code == "none":
+        return qfi_no_ecc(pts.n, pts.omega, pts.gamma, pts.t)
+    if code == "parity":
+        return _parity(pts)
+    return _bitflip(pts)
 
 
 def optimal_time(params: EccParams) -> tuple[float, float]:
@@ -428,7 +575,7 @@ def optimal_time(params: EccParams) -> tuple[float, float]:
         raise ValueError("need omega != 0 and gamma > 0")
     t_analytic = 1.0 / ((2.0 / 3.0) * n * ga * om * om * tau * tau)
 
-    lnr, dlnr, _, dphi = _ideal_logs(params)
+    lnr, dlnr, _, dphi = (v[0] for v in _ideal_logs(_points([params])))
 
     def q1(t: float) -> float:
         k = n * t / tau
@@ -465,7 +612,7 @@ def fisher_alpha(params: EccParams, alpha: float) -> float:
     """
     if params.xi != 0.0 or params.p != 0.0:
         raise ValueError("readout analysis assumes the ideal code")
-    lnr, dlnr, phi, dphi = _ideal_logs(params)
+    lnr, dlnr, phi, dphi = (v[0] for v in _ideal_logs(_points([params])))
     k = params.n * params.rounds
     big_r = math.exp(min(k * lnr, 0.0))
     beta = k * phi - alpha
@@ -542,9 +689,11 @@ def _round_maps(params: EccParams, code: str, omega: float
         low = np.indices((2,) * n).sum(axis=0).ravel() < n / 2     # Hamming weight < n/2
         cols = [_kron_power_dot(one_a[:, [c]], None, n)
                 + _kron_power_dot(one_b[:, [c]], one_db[:, [c]], n) for c in (0, 1)]
-        stacked = (np.hstack(parts) for parts in zip(*cols))
+        # Each vote sum is one contiguous array summed pairwise, which keeps
+        # the maps' column sums within a few ulp of 1 up to n = 15.
         return np.array([0, 2 ** n - 1]), tuple(
-            np.stack([mat[low].sum(axis=0), mat[~low].sum(axis=0)]) for mat in stacked)
+            np.array([[col[rows].sum() for col in (c0[:, 0], c1[:, 0])] for rows in (low, ~low)])
+            for c0, c1 in zip(*cols))
     if code == "parity":
         cx, sx = _damped_cosh_sinh(params.xi * tau)
         anc = np.array([[cx, sx], [sx, cx]])
@@ -613,7 +762,7 @@ def propagate_amplitudes(params: EccParams, code: str, omega: float) -> Amplitud
         for out, vec in zip(full, (a, b, db)):
             out[kept] = vec
         a, b, db = full
-    return AmplitudeOracleState(a_vec=a, b_vec=b, db_vec=db)
+    return AmplitudeOracleState(a_vec=a, b_vec=b, db_vec=db, kept=kept)
 
 
 def amplitude_oracle(params: EccParams, code: str = "parity"
@@ -622,8 +771,10 @@ def amplitude_oracle(params: EccParams, code: str = "parity"
 
     Returns the density-matrix family over omega and the SLD QFI at
     ``params.omega`` of its value and exact derivative there, summed by
-    :func:`qmet.dense.sld_qfi` over the 2x2 blocks of the X-shaped state.
-    This is the reference every closed form above is validated against.
+    :func:`qmet.dense.sld_qfi` over the 2x2 blocks of the X-shaped state
+    that hold kept rows (one block for the bit-flip code); the other blocks
+    are zero and add no term.  This is the reference every closed form
+    above is validated against.
     """
     def rho_of(omega: float) -> np.ndarray:
         return propagate_amplitudes(params, code, omega).density()

@@ -322,6 +322,103 @@ def test_ecc_small_gamma_tau_stays_below_heisenberg(tmp_path):
     assert 0.0 <= row["qfi_over_HL"] <= 1.0
 
 
+# (code, base flags, sweep, with the oracle): every code with each sweep it takes.
+# The p and xi sweeps start at 0, so one batch mixes the parity routes; the t
+# sweeps run from 1 to 10^5 rounds.
+_SWEEP_CASES = [
+    ("none", dict(n=6, gamma=0.3, tau=0.05, t=0.5), ("tau", 1e-6, 0.3, 9, "log"), True),
+    ("none", dict(n=4, gamma=0.3, tau=0.01, t=0.01), ("t", 0.01, 1000.0, 6, "log"), False),
+    ("none", dict(n=3, gamma=2.0, tau=0.1, t=0.5), ("p", 0.0, 1.0, 5, "lin"), True),
+    ("none", dict(n=3, gamma=0.1, tau=0.1, t=30.0), ("xi", 0.0, 2.0, 5, "lin"), False),
+    ("parity", dict(n=5, gamma=0.2, xi=0.1, p=0.03, tau=0.05, t=0.5),
+     ("tau", 1e-6, 0.3, 9, "log"), True),
+    ("parity", dict(n=3, gamma=0.2, xi=0.05, p=0.02, tau=0.01, t=0.01),
+     ("t", 0.01, 1000.0, 6, "log"), True),
+    ("parity", dict(n=4, gamma=0.3, tau=0.05, t=0.25), ("p", 0.0, 1.0, 6, "lin"), True),
+    ("parity", dict(n=25, gamma=0.05, p=0.02, tau=1e-4, t=0.1), ("xi", 0.0, 0.4, 5, "lin"), False),
+    ("parity", dict(n=3, gamma=0.3, tau=0.05, t=0.25), ("xi", 0.0, 0.4, 5, "lin"), True),
+    ("bitflip", dict(n=5, gamma=0.5, tau=0.02, t=0.6), ("tau", 1e-6, 0.3, 9, "log"), True),
+    ("bitflip", dict(n=25, gamma=0.05, tau=1e-4, t=0.1), ("tau", 1e-6, 0.3, 9, "log"), False),
+    ("bitflip", dict(n=3, gamma=0.5, tau=0.01, t=0.01), ("t", 0.01, 1000.0, 6, "log"), True),
+]
+
+
+@pytest.mark.parametrize("code,base,sweep,oracle", _SWEEP_CASES)
+def test_ecc_sweep_rows_equal_their_single_point_rows(code, base, sweep, oracle):
+    # The closed forms run over the whole sweep in one array computation; each
+    # row must still be, byte for byte, the one-point CSV row of its point.
+    text = cli.ecc_csv(code, omega=1.0, sweep=sweep, oracle=oracle, **base)
+    header, *rows = text.splitlines()
+    assert len(rows) == sweep[3]
+    rounds = {round(float(row.split(",")[6]) / float(row.split(",")[5])) for row in rows}
+    if sweep[0] == "t":
+        assert min(rounds) == 1 and max(rounds) == 10 ** 5
+    for row in rows:
+        cols = dict(zip(header.split(","), map(float, row.split(","))))
+        point = dict(base, **{name: cols[name] for name in ("xi", "p", "tau", "t")})
+        single = cli.ecc_csv(code, omega=1.0, oracle=oracle, **point)
+        assert single.splitlines()[1].split(",", 1)[1] == row.split(",", 1)[1]
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--code", "parity", "--n", "3", "--gamma", "0.2", "--tau", "0.1", "--t", "0.5",
+      "--sweep", "p:0.5:1.5:5:lin"], "error: syndrome error probability must lie in [0, 1]"),
+    (["--code", "none", "--n", "3", "--gamma", "0.2", "--tau", "0.1", "--t", "0.5",
+      "--sweep", "tau:0.1:1e299:4:log"], "error: QFI 0 and (n t)^2 inf must be finite"),
+])
+def test_ecc_failing_sweep_reports_its_first_failing_point(tmp_path, capsys, args, message):
+    out_path = tmp_path / "x.csv"
+    assert run_cli(["ecc", "--omega", "1", *args, "--out", str(out_path)]) == 3
+    assert capsys.readouterr().err == message + "\n"
+    assert not out_path.exists()
+
+
+def _fail_oracle_at(monkeypatch, bad_taus):
+    oracle = ecc.amplitude_oracle
+
+    def failing(params, code):
+        if params.tau in bad_taus:
+            raise ArithmeticError("oracle failed at tau %r" % params.tau)
+        return oracle(params, code)
+
+    monkeypatch.setattr(ecc, "amplitude_oracle", failing)
+
+
+def test_ecc_sweep_oracle_failure_before_a_later_failure_wins(tmp_path, monkeypatch, capsys):
+    # tau = 0.1, 1e99, 1e199, 1e299: (n t)^2 overflows from the third point on.
+    _fail_oracle_at(monkeypatch, {1e99})
+    out_path = tmp_path / "x.csv"
+    assert run_cli(["ecc", "--code", "none", "--n", "3", "--omega", "1", "--gamma", "0.2",
+                    "--tau", "0.1", "--t", "0.5", "--sweep", "tau:0.1:1e299:4:log", "--oracle",
+                    "--out", str(out_path)]) == 3
+    assert capsys.readouterr().err == "error: oracle failed at tau 1e+99\n"
+    # p = 0.5, 0.75, 1, 1.25, 1.5: validation fails from the fourth point on.
+    _fail_oracle_at(monkeypatch, {0.1})
+    assert run_cli(["ecc", "--code", "parity", "--n", "3", "--omega", "1", "--gamma", "0.2",
+                    "--tau", "0.1", "--t", "0.5", "--sweep", "p:0.5:1.5:5:lin", "--oracle",
+                    "--out", str(out_path)]) == 3
+    assert capsys.readouterr().err == "error: oracle failed at tau 0.1\n"
+    assert not out_path.exists()
+
+
+def test_ecc_sweep_closed_form_failure_before_an_oracle_failure_wins(tmp_path, monkeypatch,
+                                                                      capsys):
+    _fail_oracle_at(monkeypatch, {1e299})
+    out_path = tmp_path / "x.csv"
+    assert run_cli(["ecc", "--code", "none", "--n", "3", "--omega", "1", "--gamma", "0.2",
+                    "--tau", "0.1", "--t", "0.5", "--sweep", "tau:0.1:1e299:4:log", "--oracle",
+                    "--out", str(out_path)]) == 3
+    assert capsys.readouterr().err == "error: QFI 0 and (n t)^2 inf must be finite\n"
+    # A closed form that raises: at tau = 4.6e119, the third point, tau^3 overflows in the
+    # series of the transfer entries (omega = gamma).
+    _fail_oracle_at(monkeypatch, {1e180})
+    with pytest.raises(cli.CliError, match=r"^transfer entries are not finite at omega=1.0, "
+                                           r"gamma=1.0, duration=4.64158883\d+e\+119$"):
+        cli.ecc_csv("parity", n=3, omega=1.0, gamma=1.0, xi=0.05, tau=0.1, t=0.5,
+                    sweep=("tau", 0.1, 1e180, 4, "log"), oracle=True)
+    assert not out_path.exists()
+
+
 def test_ecc_bad_sweep_spec(tmp_path):
     rc = run_cli(["ecc", "--code", "parity", "--n", "3", "--omega", "1",
                   "--gamma", "0.2", "--tau", "0.1", "--t", "0.5",

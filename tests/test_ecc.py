@@ -490,7 +490,10 @@ def test_round_maps_match_dense_correction_product(code):
 
 
 def _bitflip_maps_full(params, omega):
-    """The bit-flip round maps on the full register: full Kronecker powers, then the vote's row sums."""
+    """The bit-flip round maps on the full register: full Kronecker powers, then the vote's row sums.
+
+    Each vote sum adds one column's rows as one contiguous array, pairwise, as the oracle does.
+    """
     n = params.n
     xp, xm, y, dxp, dxm, dy = ecc._xy_dot(omega, params.gamma, params.tau)
     cg, sg = ecc._damped_cosh_sinh(params.gamma * params.tau)
@@ -500,7 +503,7 @@ def _bitflip_maps_full(params, omega):
     low = np.array([bin(j).count("1") for j in range(2 ** n)]) < n / 2
     out = tuple(np.zeros(mat.shape, mat.dtype) for mat in mats)
     for step, mat in zip(out, mats):
-        step[0], step[-1] = mat[low].sum(axis=0), mat[~low].sum(axis=0)
+        step[0], step[-1] = ([col[rows].sum() for col in mat.T] for rows in (low, ~low))
     return out
 
 
@@ -580,7 +583,10 @@ def test_amplitude_oracle_shares_no_closed_form_path(monkeypatch):
 
     # ecc no longer binds as_density; dense.as_density is where any call would land.
     monkeypatch.setattr(dense, "as_density", forbidden)
-    for name in ("_power_dot", "_z_recurrence", "_z_majority", "_qfi_of_amplitude"):
+    for name in ("_power_dot", "_z_recurrence", "_z_majority", "_qfi_of_amplitude",
+                 "_qfi_from_logs", "_ideal_logs", "_coherence_dot", "_points", "_parity",
+                 "_parity_ideal", "_parity_imperfect", "_parity_general", "_bitflip",
+                 "_weight_classes", "_ordered_sum", "qfi_sweep", "qfi_no_ecc"):
         monkeypatch.setattr(ecc, name, forbidden)
     for code in ("none", "parity", "bitflip"):
         params = ecc.EccParams(3, 1.0, 0.2, 0.1, 0.5, xi=0.1 * (code == "parity"))
@@ -596,3 +602,103 @@ def test_amplitude_oracle_rejects_negative_block_eigenvalue(monkeypatch):
     monkeypatch.setattr(ecc, "propagate_amplitudes", lambda *args: bad)
     with pytest.raises(ValueError, match="negative eigenvalue"):
         ecc.amplitude_oracle(ecc.EccParams(1, 1.0, 0.2, 0.1, 0.1), "none")
+
+
+def _sweep_points(rng, code, count):
+    """Seeded points that share n; parity points mix its three routes (xi = 0 and p = 0 or not)."""
+    n = int(rng.choice([1, 3, 5, 25])) if code == "bitflip" else int(rng.integers(1, 26))
+    points = []
+    for i in range(count):
+        tau = float(10.0 ** rng.uniform(-6, -0.5))
+        xi = float(rng.uniform(0.0, 0.5)) if code == "parity" and i % 3 == 2 else 0.0
+        p = float(rng.uniform(0.0, 1.0)) if code == "parity" and i % 3 else 0.0
+        points.append(ecc.EccParams(n, float(rng.uniform(0.2, 2.0)),
+                                    float(10.0 ** rng.uniform(-3, 0.5)), tau,
+                                    int(10.0 ** rng.uniform(0, 5)) * tau, xi=xi, p=p))
+    return points
+
+
+@pytest.mark.parametrize("code,one_point", [
+    ("none", lambda q: ecc.qfi_no_ecc(q.n, q.omega, q.gamma, q.t)),
+    ("parity", ecc.qfi_parity),
+    ("bitflip", ecc.qfi_bitflip),
+])
+def test_qfi_sweep_is_its_one_point_function_bit_for_bit(code, one_point):
+    rng = np.random.default_rng(2701)
+    for _ in range(6):
+        points = _sweep_points(rng, code, 30)
+        got = ecc.qfi_sweep(code, points)
+        assert got.shape == (30,)
+        assert np.array_equal(got, [one_point(q) for q in points])
+    q = points[0]
+    assert np.array_equal(ecc.qfi_no_ecc(q.n, np.full((2, 3), q.omega), np.full((2, 3), q.gamma),
+                                         np.full((2, 3), q.t)),
+                          np.full((2, 3), ecc.qfi_no_ecc(q.n, q.omega, q.gamma, q.t)))
+
+
+def test_qfi_sweep_rejects_mixed_n_and_unknown_codes():
+    points = [ecc.EccParams(3, 1.0, 0.2, 0.1, 0.5), ecc.EccParams(5, 1.0, 0.2, 0.1, 0.5)]
+    with pytest.raises(ValueError, match="share n"):
+        ecc.qfi_sweep("none", points)
+    with pytest.raises(ValueError, match="code must be one of"):
+        ecc.qfi_sweep("steane", points[:1])
+
+
+def test_power_dot_matches_matrix_power_per_point_bit_for_bit():
+    rng = np.random.default_rng(2702)
+    exponents = np.array([0, 1, 2, 3, 4, 5, 7, 8, 13, 64, 1000, 3], dtype=float)
+    mats, dmats, heads, dheads = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                                  for shape in ((12, 2, 2), (12, 2, 2), (12, 2), (12, 2)))
+    mats /= 2.0     # keeps the powers finite
+    got, dgot = ecc._power_dot(mats, dmats, exponents, heads, dheads)
+    for i, k in enumerate(exponents):
+        block = np.block([[mats[i], dmats[i]], [np.zeros((2, 2)), mats[i]]])
+        want = np.linalg.matrix_power(block, int(k)) @ np.concatenate([dheads[i], heads[i]])
+        assert np.array_equal(got[i], want[2:]) and np.array_equal(dgot[i], want[:2])
+
+
+def test_oracle_hands_sld_qfi_only_the_kept_blocks(monkeypatch):
+    seen = []
+    sld_qfi = ecc.sld_qfi
+
+    def recording(rho, drho):
+        seen.append(rho.shape[0])
+        return sld_qfi(rho, drho)
+
+    monkeypatch.setattr(ecc, "sld_qfi", recording)
+    for code, n, p, blocks in (("bitflip", 7, 0.0, 1), ("bitflip", 13, 0.0, 1),
+                               ("parity", 4, 0.0, 1), ("parity", 4, 1.0, 2),
+                               ("parity", 3, 0.3, 8), ("none", 4, 0.0, 8)):
+        seen.clear()
+        params = ecc.EccParams(n, 1.0, 0.3, 0.05, 0.5, p=p)
+        assert ecc.amplitude_oracle(params, code)[1] > 0
+        assert seen == [blocks]
+
+
+def test_kept_block_qfi_is_the_all_block_qfi_bit_for_bit():
+    rng = np.random.default_rng(2703)
+    for code, ns in (("none", (1, 2, 4)), ("parity", (1, 3, 5)), ("bitflip", (1, 3, 7))):
+        for i in range(12):
+            tau = float(rng.uniform(0.01, 0.3))
+            p = (0.0, 1.0, float(rng.uniform(0.0, 0.2)))[i % 3] if code == "parity" else 0.0
+            params = ecc.EccParams(int(rng.choice(ns)), float(rng.uniform(0.5, 2.0)),
+                                   float(rng.uniform(0.05, 1.0)), tau,
+                                   int(rng.integers(1, 40)) * tau, p=p,
+                                   xi=float(rng.uniform(0.0, 0.5)) * (code == "parity"))
+            state = ecc.propagate_amplitudes(params, code, params.omega)
+            every = replace(state, kept=None).blocks()
+            assert ecc.amplitude_oracle(params, code)[1] == dense.sld_qfi(*every)
+
+
+def test_bitflip_vote_keeps_column_sums_at_one_to_n15():
+    for n in (7, 11, 15):
+        params = ecc.EccParams(n, 1.0, 0.5, 0.01, 0.01)
+        _, (step_a, _, _) = ecc._round_maps(params, "bitflip", 1.0)
+        assert np.abs(step_a.sum(axis=0) - 1.0).max() < 4e-15
+
+
+@pytest.mark.parametrize("n,rounds", [(15, 1000), (11, 10 ** 4), (13, 10 ** 4)])
+def test_bitflip_oracle_holds_normalisation_at_many_rounds(n, rounds):
+    params = ecc.EccParams(n, 1.0, 0.5, 0.01, rounds * 0.01)
+    np.testing.assert_allclose(ecc.amplitude_oracle(params, "bitflip")[1],
+                               ecc.qfi_bitflip(params), rtol=1e-8)
