@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -169,9 +170,10 @@ def cmd_bundle(args: argparse.Namespace) -> int:
 
 
 _ECC_HEADER = "param,omega,gamma,xi,p,tau,t,n,qfi,qfi_over_HL"
-# One point costs 0.15-0.3 ms for an n = 25 closed form, 15-30 ms with --oracle at
-# n = 8 (parity, 10 rounds) or n = 15 (bitflip): about 4 min at the cap.
+# One point costs 0.15-0.3 ms for an n = 25 closed form.
 _SWEEP_STEPS_CAP = 10_000
+# Budget of one --oracle call, in the multiply-adds of ecc.oracle_work: about a minute.
+_ORACLE_WORK_CAP = 1e11
 
 
 def _parse_sweep(raw: str) -> tuple[str, float, float, int, str]:
@@ -206,28 +208,53 @@ def _sweep_values(start: float, stop: float, steps: int, spacing: str) -> np.nda
     return np.linspace(start, stop, steps)
 
 
-def _ecc_qfi(code: str, params: list[ecc.EccParams]
-             ) -> tuple[np.ndarray, Exception | None]:
-    """The qfi column up to the first point whose closed form fails, and that point's error.
+def _by_point(sweep: Callable[[str, list[ecc.EccParams]], np.ndarray], code: str,
+              params: list[ecc.EccParams], errors: tuple[type[Exception], ...]
+              ) -> tuple[np.ndarray, Exception | None]:
+    """sweep's column up to the first failing point, and that point's error.
 
     One call evaluates every point.  If it raises, the points run one at a
     time, in sweep order, to find the first failing point and its message.
     """
     try:
-        qfi = ecc.qfi_sweep(code, params) if params else np.empty(0)
-    except (ValueError, OverflowError):
-        qfi = []
+        return (sweep(code, params) if params else np.empty(0)), None
+    except errors:
+        values = []
         for one in params:
             try:
-                qfi.append(ecc.qfi_sweep(code, [one])[0])
-            except (ValueError, OverflowError) as exc:
-                return np.array(qfi), exc
-        qfi = np.array(qfi)
+                values.append(sweep(code, [one])[0])
+            except errors as exc:
+                return np.array(values), exc
+        return np.array(values), None
+
+
+def _ecc_qfi(code: str, params: list[ecc.EccParams]
+             ) -> tuple[np.ndarray, Exception | None]:
+    """The qfi column up to the first point whose closed form fails, and that point's error."""
+    qfi, failure = _by_point(ecc.qfi_sweep, code, params, (ValueError, OverflowError))
+    if failure is not None:
+        return qfi, failure
     for i, (q, point) in enumerate(zip(qfi, params)):
         hl = (point.n * point.t) * (point.n * point.t)
         if not (math.isfinite(q) and math.isfinite(hl)):
             return qfi[:i], ValueError("QFI %g and (n t)^2 %g must be finite" % (q, hl))
     return qfi, None
+
+
+def _ecc_oracle(code: str, params: list[ecc.EccParams]) -> np.ndarray:
+    """The qfi_oracle column, after the oracle's caps; the first failing point exits 3."""
+    try:
+        work = ecc.oracle_work(code, params)
+    except ValueError as exc:
+        raise CliError(EXIT_DOMAIN, str(exc))
+    if work > _ORACLE_WORK_CAP:
+        raise CliError(EXIT_DOMAIN, "oracle work estimate %.3g multiply-adds is above the budget "
+                       "%.3g; use fewer points, fewer rounds or a smaller n"
+                       % (work, _ORACLE_WORK_CAP))
+    column, failure = _by_point(ecc.oracle_sweep, code, params, (ValueError, ArithmeticError))
+    if failure is not None:
+        raise CliError(EXIT_DOMAIN, str(failure))
+    return column
 
 
 def ecc_csv(code: str, *, n: int, omega: float, gamma: float, xi: float = 0.0,
@@ -236,9 +263,10 @@ def ecc_csv(code: str, *, n: int, omega: float, gamma: float, xi: float = 0.0,
             oracle: bool = False) -> str:
     """Render the QFI sweep table; sweeping tau keeps the round count fixed.
 
-    The closed forms run over all points in one array computation.  A sweep
-    that fails reports its first failing point in sweep order, whether that
-    point fails validation, its closed form or the oracle.
+    The closed forms run over all points in one array computation, and the
+    oracle over all points in one batch.  A sweep that fails reports its
+    first failing point in sweep order, whether that point fails
+    validation, its closed form or the oracle.
     """
     base = dict(n=n, omega=omega, gamma=gamma, xi=xi, p=p, tau=tau, t=t)
     points = []
@@ -264,18 +292,14 @@ def ecc_csv(code: str, *, n: int, omega: float, gamma: float, xi: float = 0.0,
             break
     qfi, closed_form_failure = _ecc_qfi(code, params)
     failure = closed_form_failure or failure
-    header = _ECC_HEADER + (",qfi_oracle" if oracle else "")
-    lines = [header]
-    for (swept, point), params_i, q in zip(points, params, qfi):
+    params = params[:len(qfi)]
+    # The oracle runs on the rows only, which all come before a failing point.
+    columns = [qfi] + ([_ecc_oracle(code, params)] if oracle and params else [])
+    lines = [_ECC_HEADER + (",qfi_oracle" if oracle else "")]
+    for (swept, point), params_i, q, *ref in zip(points, params, *columns):
         hl = (params_i.n * params_i.t) * (params_i.n * params_i.t)
         row = [swept, point["omega"], point["gamma"], point["xi"], point["p"],
-               point["tau"], point["t"], point["n"], q, q / hl]
-        if oracle:
-            try:
-                _, ref = ecc.amplitude_oracle(params_i, code)
-            except (ValueError, ArithmeticError) as exc:
-                raise CliError(EXIT_DOMAIN, str(exc))
-            row.append(ref)
+               point["tau"], point["t"], point["n"], q, q / hl] + ref
         lines.append(",".join(_fmt17(v) for v in row))
     if failure is not None:
         raise CliError(EXIT_DOMAIN, str(failure))

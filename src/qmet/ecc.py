@@ -21,13 +21,18 @@ the X-shaped state.  Its round map comes from Kronecker powers of 2x2 factors;
 the bit-flip code keeps two rows and needs only two columns of each power, so
 its oracle costs O(n 2^n) and runs to n = 15, the others to n = 8.  It applies
 the map by repeated squaring, so once t/tau reaches the number of kept rows
-its cost grows with log(t/tau), not with t/tau.
+its cost grows with log(t/tau), not with t/tau.  :func:`oracle_sweep` runs the
+oracle over all points of a sweep as one batch, each point with its own
+exponent bits, and :func:`amplitude_oracle` is its one-point case, so a point
+gets the same bits alone or in a sweep.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
@@ -107,17 +112,25 @@ class AmplitudeOracleState:
         The stacks hold the blocks of the kept rows, in order of J, since
         every other block is zero; all dim/2 blocks when kept is None.
         """
-        dim = self.a_vec.size
-        if self.kept is None:
-            lo, hi = slice(0, dim // 2), slice(dim - 1, dim // 2 - 1, -1)
-        else:
-            lo = np.unique(np.minimum(self.kept, dim - 1 - self.kept))
-            hi = dim - 1 - lo
-        out = []
-        for a, b in ((self.a_vec, self.b_vec), (np.zeros_like(self.a_vec), self.db_vec)):
-            off = 0.5 * (b[lo] + b[hi].conj())
-            out.append(np.stack([a[lo], off, off.conj(), a[hi]], axis=-1).reshape(-1, 2, 2))
-        return tuple(out)
+        rho, drho = _x_blocks(self.a_vec[None], self.b_vec[None], self.db_vec[None], self.kept)
+        return rho[0], drho[0]
+
+
+def _x_blocks(a: np.ndarray, b: np.ndarray, db: np.ndarray, kept: np.ndarray | None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(P, B, 2, 2): :meth:`AmplitudeOracleState.blocks` of P states, from (P, dim) amplitudes."""
+    dim = a.shape[-1]
+    if kept is None:
+        lo, hi = slice(0, dim // 2), slice(dim - 1, dim // 2 - 1, -1)
+    else:
+        lo = np.unique(np.minimum(kept, dim - 1 - kept))
+        hi = dim - 1 - lo
+    rho, drho = (np.zeros(a[:, lo].shape + (2, 2), dtype=complex) for _ in range(2))
+    rho[..., 0, 0], rho[..., 1, 1] = a[:, lo], a[:, hi]
+    for block, anti in ((rho, b), (drho, db)):
+        block[..., 0, 1] = off = 0.5 * (anti[:, lo] + anti[:, hi].conj())
+        block[..., 1, 0] = off.conj()
+    return rho, drho
 
 
 class _Points(NamedTuple):
@@ -132,17 +145,23 @@ class _Points(NamedTuple):
     p: np.ndarray
     rounds: np.ndarray      # floats: t/tau rounded is a float's value, however large
 
-    def take(self, mask: np.ndarray) -> "_Points":
-        return _Points(self.n, *(column[mask] for column in self[1:]))
+    def take(self, which: np.ndarray | slice) -> "_Points":
+        """The points at ``which``: a mask, indices or a slice."""
+        return _Points(self.n, *(column[which] for column in self[1:]))
+
+
+_POINT_FIELDS = operator.attrgetter("omega", "gamma", "tau", "t", "xi", "p")
 
 
 def _points(params: Sequence[EccParams]) -> _Points:
-    n = params[0].n
-    if any(point.n != n for point in params):
+    """The points' columns, read in one pass; rounds = t/tau rounded half to even, as ``rounds``."""
+    if not params:
+        raise ValueError("need at least one point")
+    if len({point.n for point in params}) > 1:
         raise ValueError("sweep points must share n")
-    columns = np.array([(point.omega, point.gamma, point.tau, point.t, point.xi, point.p,
-                         point.rounds) for point in params], dtype=float).T.copy()
-    return _Points(n, *columns)
+    fields = itertools.chain.from_iterable(map(_POINT_FIELDS, params))
+    omega, gamma, tau, t, xi, p = np.fromiter(fields, float, 6 * len(params)).reshape(-1, 6).T.copy()
+    return _Points(params[0].n, omega, gamma, tau, t, xi, p, np.round(t / tau))
 
 
 def _xy_dot(omega: float | np.ndarray, gamma: float | np.ndarray,
@@ -628,6 +647,11 @@ def fisher_alpha(params: EccParams, alpha: float) -> float:
     return total
 
 
+# Output entries one pass of _kron_power_dot forms at most, over its batch
+# entries: a pass that outgrows the cache runs slower than one pass per entry.
+_KRON_PASS_ENTRIES = 2 ** 15
+
+
 def _kron_power_dot(one: np.ndarray, done: np.ndarray | None, n: int) -> list[np.ndarray]:
     """[one^{x n}, its derivative by the product rule, unless ``done`` = d one/domega is None].
 
@@ -635,39 +659,75 @@ def _kron_power_dot(one: np.ndarray, done: np.ndarray | None, n: int) -> list[np
     factor on the left, as one broadcast product with axes (r, R, c, C), already in the
     order of rows rR and columns cC.  ``one`` may be a single column, one[:, [c]]: then
     the result is the column of the Kronecker power whose index has every bit c, in O(2^n).
+    ``one`` and ``done`` may carry leading batch axes, (..., 2, c): each batch entry gets
+    its own power, with the same products as alone, in passes of at most
+    _KRON_PASS_ENTRIES output entries (or one batch entry).
     """
-    dtype = np.result_type(one, one if done is None else done)
-    mats = [np.ones((1, 1), dtype=dtype)] + ([] if done is None else [np.zeros((1, 1), dtype)])
-    left = one[:, None, :, None]
-    for _ in range(n):
-        nxt = [left * mat[:, None, :] for mat in mats]
-        if done is not None:
-            nxt[1] += done[:, None, :, None] * mats[0][:, None, :]
-        mats = [new.reshape(2 * len(mats[0]), -1) for new in nxt]
-    return mats
+    lead, cols = one.shape[:-2], one.shape[-1]
+    # Each factor as (entries, r, 1, c, 1), broadcast against a power laid out as (R, C).
+    factors = [np.reshape(x, (-1, 2, 1, cols, 1)) for x in (one, done) if x is not None]
+    dtype = np.result_type(*factors)
+    count, step = len(factors[0]), max(1, _KRON_PASS_ENTRIES // (2 ** n * cols ** n))
+    out = [np.empty((count, 2 ** n, cols ** n), dtype) for _ in factors]
+    for start in range(0, count, step):
+        left, *dleft = (x[start:start + step] for x in factors)
+        mats = [np.ones((1, 1), dtype=dtype)] + [np.zeros((1, 1), dtype)] * len(dleft)
+        for k in range(n):     # the last step writes its products into out
+            into = [whole[start:start + step].reshape(len(left), 2, 2 ** k, cols, -1)
+                    if k == n - 1 else None for whole in out]
+            nxt = [np.multiply(left, mat[..., None, :, None, :], out=dest)
+                   for mat, dest in zip(mats, into)]
+            if dleft:
+                nxt[1] += dleft[0] * mats[0][..., None, :, None, :]
+            mats = [new.reshape(len(left), 2 ** (k + 1), -1) for new in nxt]
+    return [whole.reshape(lead + whole.shape[1:]) for whole in out]
 
 
-def _keep_written_rows(maps: tuple[np.ndarray, ...]
-                       ) -> tuple[np.ndarray | None, tuple[np.ndarray, ...]]:
-    """(kept, the maps' blocks on the kept rows and columns); kept is None when it is every row.
+@functools.lru_cache(maxsize=None)
+def _vote_rows(n: int) -> np.ndarray:
+    """(2, 2^(n-1)), read-only: the rows of Hamming weight below n/2, then the others (odd n)."""
+    low = np.indices((2,) * n).sum(axis=0).ravel() < n / 2
+    rows = np.stack([np.flatnonzero(low), np.flatnonzero(~low)])
+    rows.setflags(write=False)
+    return rows
 
-    The kept rows are the rows some map writes, found from the maps' entries,
-    plus the GHZ start rows 0 and dim - 1.  The amplitudes start on the kept
-    rows and every round writes only kept rows, so the columns of the other
-    rows only ever multiply zeros.
+
+# One group of oracle points: (their positions in the batch, their kept rows or
+# None for every row, and their (S_a, S_b, dS_b/domega) stacks on those rows).
+_MapGroup = tuple[np.ndarray, "np.ndarray | None", tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _keep_written_rows(maps: tuple[np.ndarray, ...]) -> list[_MapGroup]:
+    """The points grouped by their kept rows, each group with its maps' blocks on them.
+
+    ``maps`` are (P, dim, dim) stacks.  A point keeps the rows some map writes,
+    found from the maps' entries, plus the GHZ start rows 0 and dim - 1.  The
+    amplitudes start on the kept rows and every round writes only kept rows,
+    so the columns of the other rows only ever multiply zeros.  kept is None
+    when it is every row; then the group's maps are used as they are.
     """
-    dim = maps[0].shape[0]
-    written = np.any(maps[0], axis=1) | np.any(maps[1], axis=1) | np.any(maps[2], axis=1)
-    if written.all():
-        return None, maps
-    written[[0, dim - 1]] = True
-    kept = np.flatnonzero(written)
-    return kept, tuple(mat[np.ix_(kept, kept)] for mat in maps)
+    count, dim = maps[0].shape[:2]
+    written = np.any(maps[0], axis=-1) | np.any(maps[1], axis=-1) | np.any(maps[2], axis=-1)
+    written[:, 0] = written[:, -1] = True
+    if count == 1 or (written == written[0]).all():
+        patterns, inverse = written[:1], None
+    else:
+        patterns, inverse = np.unique(written, axis=0, return_inverse=True)
+    groups = []
+    for g, pattern in enumerate(patterns):
+        index = np.arange(count) if inverse is None else np.flatnonzero(inverse == g)
+        if not pattern.all():
+            kept = np.flatnonzero(pattern)
+            groups.append((index, kept, tuple(np.ascontiguousarray(mat[np.ix_(index, kept, kept)])
+                                              for mat in maps)))
+        else:
+            groups.append((index, None, maps if inverse is None else
+                           tuple(mat[index] for mat in maps)))
+    return groups
 
 
-def _round_maps(params: EccParams, code: str, omega: float
-                ) -> tuple[np.ndarray | None, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """One correction round on its kept rows: (kept, (S_a, S_b, dS_b/domega)).
+def _round_maps(code: str, pts: _Points) -> list[_MapGroup]:
+    """One correction round of each point on its kept rows, grouped by kept rows.
 
     The diagonal amplitudes a_J and anti-diagonal amplitudes b_J close
     under both the free evolution M (Kronecker powers of the single-qubit
@@ -678,41 +738,179 @@ def _round_maps(params: EccParams, code: str, omega: float
     maps are the vote's two row sums of the powers of the factors' columns 0
     and 1; ``parity`` has C = sum_s R_s^{x n} x |s><s| (ancilla last), so
     C M = sum_s (R_s m)^{x n} x (|s><s| anc) by the mixed-product rule.
-    ``kept`` lists the kept rows in order, None when every row is kept.
+    Each Kronecker-power call serves every point of the batch, with the
+    bit-flip code's two columns and the parity code's two syndromes as
+    batch entries too.  Each point's maps are the bits it gets alone.
     """
-    n, p, tau = params.n, params.p, params.tau
-    xp, xm, y, dxp, dxm, dy = _xy_dot(omega, params.gamma, tau)
-    cg, sg = _damped_cosh_sinh(params.gamma * tau)
-    one_a, one_b = np.array([[cg, sg], [sg, cg]]), np.array([[xm, y], [y, xp]])
-    one_db = np.array([[dxm, dy], [dy, dxp]])
-    if code == "bitflip":
-        low = np.indices((2,) * n).sum(axis=0).ravel() < n / 2     # Hamming weight < n/2
-        cols = [_kron_power_dot(one_a[:, [c]], None, n)
-                + _kron_power_dot(one_b[:, [c]], one_db[:, [c]], n) for c in (0, 1)]
-        # Each vote sum is one contiguous array summed pairwise, which keeps
-        # the maps' column sums within a few ulp of 1 up to n = 15.
-        return np.array([0, 2 ** n - 1]), tuple(
-            np.array([[col[rows].sum() for col in (c0[:, 0], c1[:, 0])] for rows in (low, ~low)])
-            for c0, c1 in zip(*cols))
+    n, p, tau = pts.n, pts.p, pts.tau
+    # Per point, the factors [[x_-, y], [y, x_+]] and their derivatives; the real
+    # entries: the damped (cosh, sinh) of gamma tau, by math.exp as the scalar
+    # function (np.exp does not always give its bits), and for parity that of
+    # xi tau and (1 - p, p); and the factor [[c, s], [s, c]].
+    one_b, one_db = (_xy_dot(pts.omega, pts.gamma, tau)[[1, 2, 2, 0, 4, 5, 5, 3]].T
+                     .reshape(-1, 2, 2, 2).swapaxes(0, 1))
+    gamma_tau = (pts.gamma * tau).tolist()
     if code == "parity":
-        cx, sx = _damped_cosh_sinh(params.xi * tau)
-        anc = np.array([[cx, sx], [sx, cx]])
+        real = np.array([_damped_cosh_sinh(g) + _damped_cosh_sinh(x) + (1.0 - q, q)
+                         for g, x, q in zip(gamma_tau, (pts.xi * tau).tolist(), p.tolist())])
+    else:
+        real = np.array([_damped_cosh_sinh(g) for g in gamma_tau])
+    one_a = real[:, [0, 1, 1, 0]].reshape(-1, 2, 2)
+    if code == "bitflip":
+        # Batch axes (point, column c) of the factors' columns; each vote sum adds
+        # one column's rows as one contiguous array, pairwise, which keeps the
+        # maps' column sums within a few ulp of 1 up to n = 15.
+        rows = _vote_rows(n)
+        powers = (_kron_power_dot(one_a.swapaxes(-1, -2)[..., None], None, n)
+                  + _kron_power_dot(one_b.swapaxes(-1, -2)[..., None],
+                                    one_db.swapaxes(-1, -2)[..., None], n))
+        return [(np.arange(p.size), np.array([0, 2 ** n - 1]), tuple(
+            np.take(power[..., 0], rows, axis=-1).sum(axis=-1).swapaxes(-1, -2).copy()
+            for power in powers))]
+    if code == "parity":
+        anc = real[:, [2, 3, 3, 2]].reshape(-1, 2, 2)
+        # reset[s] = R_s: row r of R_s is 1 - p when r = s, else p, in both columns.
+        reset = real[:, [4, 4, 5, 5, 5, 5, 4, 4]].reshape(-1, 2, 2, 2)
+        mats = (_kron_power_dot(reset @ one_a[:, None], None, n)
+                + _kron_power_dot(reset @ one_b[:, None], reset @ one_db[:, None], n))
+        # |s><s| anc keeps row s of anc: entry (J s, K e) is R_s-power[J, K] anc[s, e].
         half = 2 ** n
-        out = [np.empty((half, 2, half, 2), dtype=dt) for dt in (float, complex, complex)]
-        for s, reset in enumerate(([[1.0 - p] * 2, [p] * 2], [[p] * 2, [1.0 - p] * 2])):
-            mats = (_kron_power_dot(reset @ one_a, None, n)
-                    + _kron_power_dot(reset @ one_b, reset @ one_db, n))
-            for sector, mat in zip(out, mats):
-                for e in range(2):  # |s><s| anc keeps row s of anc
-                    np.multiply(mat, anc[s, e], out=sector[:, s, :, e])
-        return _keep_written_rows(tuple(sector.reshape(2 * half, 2 * half) for sector in out))
+        out = [np.empty((p.size, half, 2, half, 2), dtype=mat.dtype) for mat in mats]
+        for sector, mat in zip(out, mats):
+            for s, e in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                np.multiply(mat[:, s], anc[:, s, e, None, None], out=sector[:, :, s, :, e])
+        return _keep_written_rows(tuple(sector.reshape(-1, 2 * half, 2 * half) for sector in out))
     return _keep_written_rows(tuple(_kron_power_dot(one_a, None, n)
                                     + _kron_power_dot(one_b, one_db, n)))
+
+
+def _apply_rounds(maps: tuple[np.ndarray, np.ndarray, np.ndarray], rounds: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, db), each (P, K): the GHZ start after rounds[i] rounds of point i's K x K maps.
+
+    Binary powering of (S, dS), with d(S^2) = dS S + S dS, for as long as at
+    least K rounds remain: squaring a K x K map costs about K mat-vecs, so it
+    pays then.  The last k < K rounds apply the current power one at a time,
+    so a run with fewer than K rounds applies the maps once per round.  Each
+    point takes its own exponent bits and its own tail: a product runs on the
+    points whose bit or tail asks for it, so each point gets exactly its own
+    sequence of products.  ``rounds`` holds integer-valued floats, exact at
+    any size.
+    """
+    step_a, step_b, dstep_b = maps
+    count, size = step_a.shape[:2]
+    a = np.zeros((count, size, 1))
+    a[:, 0] = a[:, -1] = 0.5
+    b, db = a.astype(complex), np.zeros((count, size, 1), dtype=complex)
+
+    def apply(i: np.ndarray | None) -> None:
+        """One round at the points i, or at every point when i is None."""
+        nonlocal a, b, db
+        if i is None:
+            a, b, db = step_a @ a, step_b @ b, step_b @ db + dstep_b @ b
+        else:
+            a[i] = step_a[i] @ a[i]
+            b[i], db[i] = step_b[i] @ b[i], step_b[i] @ db[i] + dstep_b[i] @ b[i]
+
+    counts = [int(k) for k in rounds.tolist()]          # exact: integer-valued floats
+    squarings = [(k // size).bit_length() for k in counts]  # the levels with >= K rounds left
+    fewest = min(squarings)
+    for level in range(max(squarings)):
+        take = [i for i, (k, s) in enumerate(zip(counts, squarings)) if level < s and k >> level & 1]
+        if take:
+            apply(None if len(take) == count else np.array(take))
+        if level < fewest:
+            step_a, step_b, dstep_b = (step_a @ step_a, step_b @ step_b,
+                                       dstep_b @ step_b + step_b @ dstep_b)
+            continue
+        # The maps may be the caller's: write the squares into copies.
+        i = np.array([j for j, s in enumerate(squarings) if level < s])
+        squares = (step_a[i] @ step_a[i], step_b[i] @ step_b[i],
+                   dstep_b[i] @ step_b[i] + step_b[i] @ dstep_b[i])
+        step_a, step_b, dstep_b = (mat.copy() for mat in (step_a, step_b, dstep_b))
+        for mat, square in zip((step_a, step_b, dstep_b), squares):
+            mat[i] = square
+    tails = [k >> s for k, s in zip(counts, squarings)]
+    common = min(tails)
+    for k in range(max(tails)):
+        apply(None if k < common else np.array([i for i, tail in enumerate(tails) if tail > k]))
+    return a[..., 0], b[..., 0], db[..., 0]
 
 
 # Largest n the amplitude oracle takes for each code.  The bit-flip maps cost
 # O(n 2^n); the others are full 2^n- or 2^(n+1)-square matrices.
 _ORACLE_MAX_N = {"none": 8, "parity": 8, "bitflip": 15}
+# Map entries one chunk of a batch builds at most: chunks bound the memory of
+# a long sweep, and each point's bits do not depend on its chunk.
+_CHUNK_ENTRIES = 2 ** 18
+
+
+def _oracle_points(code: str, params: Sequence[EccParams]) -> _Points:
+    """The oracle's own columns of points that share n, after its checks of code and n.
+
+    It reads each point's ``rounds``, and shares no code with the closed
+    forms' :func:`_points`.
+    """
+    if code not in _ORACLE_MAX_N:
+        raise ValueError("code must be one of: none, parity, bitflip")
+    if not params:
+        raise ValueError("need at least one point")
+    n = params[0].n
+    if any(point.n != n for point in params):
+        raise ValueError("sweep points must share n")
+    if n > _ORACLE_MAX_N[code]:
+        raise ValueError("%s oracle limited to n <= %d, got n = %d (caps: %s)"
+                         % (code, _ORACLE_MAX_N[code], n,
+                            ", ".join("%s n <= %d" % item for item in _ORACLE_MAX_N.items())))
+    if code == "bitflip" and n % 2 == 0:
+        raise ValueError("majority vote needs odd n")
+    columns = np.array([(point.omega, point.gamma, point.tau, point.t, point.xi, point.p,
+                         point.rounds) for point in params], dtype=float).T.copy()
+    return _Points(n, *columns)
+
+
+def _register_size(code: str, n: int) -> int:
+    return 2 ** (n + (code == "parity"))
+
+
+def _propagate(code: str, pts: _Points) -> list[tuple[np.ndarray, np.ndarray | None,
+                                                     np.ndarray, np.ndarray, np.ndarray]]:
+    """(index, kept, a, b, db) groups: each point's amplitudes after its rounds, on its kept rows.
+
+    The points run in chunks of at most _CHUNK_ENTRIES map entries, and a
+    chunk's points are grouped by their kept rows.  Each point's diagonal
+    amplitudes must still sum to 1 within 1e-10; otherwise ArithmeticError
+    names the first point, in batch order, that lost normalisation.
+    """
+    count, dim = pts.omega.size, _register_size(code, pts.n)
+    per_point = 4 * dim if code == "bitflip" else dim * dim
+    step = max(1, _CHUNK_ENTRIES // per_point)
+    out = []
+    for start in range(0, count, step):
+        chunk = pts if step >= count else pts.take(slice(start, start + step))
+        lost = []
+        for index, kept, maps in _round_maps(code, chunk):
+            a, b, db = _apply_rounds(maps, chunk.rounds[index])
+            out.append((index + start if start else index, kept, a, b, db))
+            lost += [start + int(i) for i, total in zip(index, a.sum(axis=-1).tolist())
+                     if abs(total - 1.0) > 1e-10]
+        if lost:
+            i = min(lost)
+            raise ArithmeticError(
+                "amplitude propagation lost normalisation at n=%d, omega=%r, gamma=%r, tau=%r, "
+                "t=%r, xi=%r, p=%r" % ((pts.n,) + tuple(float(column[i]) for column in pts[1:7])))
+    return out
+
+
+def _full_register(kept: np.ndarray | None, dim: int, vecs: Sequence[np.ndarray]
+                   ) -> list[np.ndarray]:
+    """(P, K) vectors on the kept rows written back to the full register, zero off them."""
+    if kept is None:
+        return list(vecs)
+    full = [np.zeros((len(vec), dim), vec.dtype) for vec in vecs]
+    for out, vec in zip(full, vecs):
+        out[:, kept] = vec
+    return full
 
 
 def propagate_amplitudes(params: EccParams, code: str, omega: float) -> AmplitudeOracleState:
@@ -723,46 +921,61 @@ def propagate_amplitudes(params: EccParams, code: str, omega: float) -> Amplitud
     the amplitudes live on the K kept rows: the rows some round map writes
     and the GHZ start rows 0 and dim - 1.  Amplitudes on the other rows stay
     zero, so each map is its K x K block, and the result is written back to
-    the full register once, at the end.  The rounds are applied by binary
-    powering of (S, dS), with d(S^2) = dS S + S dS, for as long as at least
-    K rounds remain: squaring a K x K map costs about K mat-vecs, so it pays
-    then.  The last k < K rounds apply the current power one at a time, so a
-    run with fewer than K rounds applies the maps once per round.  K is 2 for
-    the bit-flip code and for parity with p = 0, 4 for parity with p = 1, and
-    the whole register otherwise: then the maps are used as they are.
+    the full register once, at the end.  The rounds are applied by
+    :func:`_apply_rounds`: binary powering while at least K rounds remain,
+    then one round at a time.  K is 2 for the bit-flip code and for parity
+    with p = 0, 4 for parity with p = 1, and the whole register otherwise:
+    then the maps are used as they are.  This is the one-point case of
+    :func:`oracle_sweep`'s propagation, at frequency ``omega``.
     """
-    if code not in _ORACLE_MAX_N:
-        raise ValueError("code must be one of: none, parity, bitflip")
-    if params.n > _ORACLE_MAX_N[code]:
-        raise ValueError("%s oracle limited to n <= %d, got n = %d (caps: %s)"
-                         % (code, _ORACLE_MAX_N[code], params.n,
-                            ", ".join("%s n <= %d" % item for item in _ORACLE_MAX_N.items())))
-    if code == "bitflip" and params.n % 2 == 0:
-        raise ValueError("majority vote needs odd n")
-    kept, (step_a, step_b, dstep_b) = _round_maps(params, code, omega)
-    size = step_a.shape[0]
-    a = np.zeros(size)
-    a[0] = a[-1] = 0.5
-    b, db = a.astype(complex), np.zeros(size, dtype=complex)
-    k = params.rounds
-    while k >= size:
-        if k & 1:
-            a = step_a @ a
-            b, db = step_b @ b, step_b @ db + dstep_b @ b
-        k >>= 1
-        step_a, step_b, dstep_b = (step_a @ step_a, step_b @ step_b,
-                                   dstep_b @ step_b + step_b @ dstep_b)
-    for _ in range(k):
-        a = step_a @ a
-        b, db = step_b @ b, step_b @ db + dstep_b @ b
-    if abs(a.sum() - 1.0) > 1e-10:
-        raise ArithmeticError("amplitude propagation lost normalisation")
-    if kept is not None:    # back to the full register, zero off the kept rows
-        full = [np.zeros(2 ** (params.n + (code == "parity")), vec.dtype) for vec in (a, b, db)]
-        for out, vec in zip(full, (a, b, db)):
-            out[kept] = vec
-        a, b, db = full
-    return AmplitudeOracleState(a_vec=a, b_vec=b, db_vec=db, kept=kept)
+    pts = _oracle_points(code, [params])._replace(omega=np.array([float(omega)]))
+    [(_, kept, *vecs)] = _propagate(code, pts)
+    a, b, db = _full_register(kept, _register_size(code, params.n), vecs)
+    return AmplitudeOracleState(a_vec=a[0], b_vec=b[0], db_vec=db[0], kept=kept)
+
+
+def oracle_sweep(code: str, params: Sequence[EccParams]) -> np.ndarray:
+    """Amplitude-oracle QFI of ``code`` (none, parity, bitflip) at each point, as one batch.
+
+    The points must share n.  Every point is propagated as by
+    :func:`propagate_amplitudes`, all points of a kept-row set together, and
+    its QFI is :func:`qmet.dense.sld_qfi` of its own 2x2 blocks, those that
+    hold kept rows (one block for the bit-flip code); the other blocks are
+    zero and add no term.  Each entry is the bits :func:`amplitude_oracle`
+    gives that point alone.  A point that fails makes the whole call raise.
+    """
+    pts = _oracle_points(code, params)
+    dim = _register_size(code, pts.n)
+    out = np.empty(pts.omega.size)
+    for index, kept, *vecs in _propagate(code, pts):
+        rho, drho = _x_blocks(*_full_register(kept, dim, vecs), kept)
+        for i, rho_i, drho_i in zip(index.tolist(), rho, drho):
+            out[i] = sld_qfi(rho_i, drho_i)
+    return out
+
+
+def oracle_work(code: str, params: Sequence[EccParams]) -> float:
+    """Estimated cost of :func:`oracle_sweep` over ``params``, in multiply-adds, without building.
+
+    Per point: 10^5 for its blocks, its SLD and its share of the batch's
+    bookkeeping; 32 dim^2 to build its maps (8 n 2^n for the bit-flip
+    columns); 4 K^3 for each of its s squarings and 3 K^2 for each of its
+    s + k mat-vecs, where K is its kept-row count (2 for the bit-flip code,
+    2 for parity at p = 0, 4 at p = 1, the whole register otherwise) and
+    k < K its tail of single rounds.  On a 2-core machine the oracle does
+    about 10^9 of these a second.  Raises ValueError as the oracle does for
+    a code or n it does not take.
+    """
+    pts = _oracle_points(code, params)
+    n, dim = pts.n, _register_size(code, pts.n)
+    size = np.full(pts.p.shape, 2.0 if code == "bitflip" else float(dim))
+    if code == "parity":
+        size[pts.p == 0.0], size[pts.p == 1.0] = 2.0, 4.0
+    build = 8.0 * n * 2 ** n if code == "bitflip" else 32.0 * dim * dim
+    squarings = np.maximum(np.floor(np.log2(pts.rounds / size)) + 1.0, 0.0)
+    tail = np.floor(np.ldexp(pts.rounds, -squarings.astype(int)))
+    return float(np.sum(1e5 + build + 4.0 * squarings * size ** 3
+                        + 3.0 * (squarings + tail) * size ** 2))
 
 
 def amplitude_oracle(params: EccParams, code: str = "parity"
@@ -770,13 +983,11 @@ def amplitude_oracle(params: EccParams, code: str = "parity"
     """Ground-truth QFI from the exact amplitude recursion.
 
     Returns the density-matrix family over omega and the SLD QFI at
-    ``params.omega`` of its value and exact derivative there, summed by
-    :func:`qmet.dense.sld_qfi` over the 2x2 blocks of the X-shaped state
-    that hold kept rows (one block for the bit-flip code); the other blocks
-    are zero and add no term.  This is the reference every closed form
+    ``params.omega`` of its value and exact derivative there: the one-point
+    case of :func:`oracle_sweep`.  This is the reference every closed form
     above is validated against.
     """
     def rho_of(omega: float) -> np.ndarray:
         return propagate_amplitudes(params, code, omega).density()
 
-    return rho_of, sld_qfi(*propagate_amplitudes(params, code, params.omega).blocks())
+    return rho_of, float(oracle_sweep(code, [params])[0])

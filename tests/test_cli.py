@@ -374,14 +374,15 @@ def test_ecc_failing_sweep_reports_its_first_failing_point(tmp_path, capsys, arg
 
 
 def _fail_oracle_at(monkeypatch, bad_taus):
-    oracle = ecc.amplitude_oracle
+    oracle_sweep = ecc.oracle_sweep
 
-    def failing(params, code):
-        if params.tau in bad_taus:
-            raise ArithmeticError("oracle failed at tau %r" % params.tau)
-        return oracle(params, code)
+    def failing(code, params):
+        for point in params:
+            if point.tau in bad_taus:
+                raise ArithmeticError("oracle failed at tau %r" % point.tau)
+        return oracle_sweep(code, params)
 
-    monkeypatch.setattr(ecc, "amplitude_oracle", failing)
+    monkeypatch.setattr(ecc, "oracle_sweep", failing)
 
 
 def test_ecc_sweep_oracle_failure_before_a_later_failure_wins(tmp_path, monkeypatch, capsys):
@@ -675,7 +676,7 @@ def test_ecc_oracle_normalisation_guard_exits_3(tmp_path, monkeypatch, capsys):
     def lost_normalisation(*args):
         raise ArithmeticError("amplitude propagation lost normalisation")
 
-    monkeypatch.setattr(ecc, "propagate_amplitudes", lost_normalisation)
+    monkeypatch.setattr(ecc, "_propagate", lost_normalisation)
     rc = run_cli(["ecc", "--code", "parity", "--n", "3", "--omega", "1",
                   "--gamma", "0.2", "--tau", "0.1", "--t", "0.3", "--oracle",
                   "--out", str(tmp_path / "x.csv")])
@@ -703,6 +704,72 @@ def test_ecc_oracle_past_the_bitflip_cap_exits_3_before_building(tmp_path, monke
                     "--tau", "0.01", "--t", "0.3", "--oracle", "--out", str(out_path)]) == 3
     assert "bitflip oracle limited to n <= 15" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+def test_ecc_oracle_sweep_names_its_first_point_that_lost_normalisation(tmp_path, capsys):
+    # Rounds 1, 100, 10^4, 10^6 and 10^8: the fourth and fifth points leave the guard.
+    out_path = tmp_path / "x.csv"
+    assert run_cli(["ecc", "--code", "bitflip", "--n", "11", "--omega", "1", "--gamma", "0.5",
+                    "--tau", "0.01", "--t", "0.01", "--oracle", "--sweep", "t:0.01:1e6:5:log",
+                    "--out", str(out_path)]) == 3
+    assert capsys.readouterr().err == (
+        "error: amplitude propagation lost normalisation at n=11, omega=1.0, gamma=0.5, "
+        "tau=0.01, t=10000.0, xi=0.0, p=0.0\n")
+    assert not out_path.exists()
+
+
+def _forbid_oracle_work(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the oracle ran past its work budget")
+
+    for name in ("_round_maps", "_propagate", "_kron_power_dot"):
+        monkeypatch.setattr(ecc, name, forbidden)
+
+
+def test_ecc_oracle_sweep_over_the_work_budget_exits_3_before_building(tmp_path, monkeypatch,
+                                                                      capsys):
+    # 10^4 parity points at n = 8 with 0 < p < 1 and 1,000 rounds: about an hour of oracle work.
+    _forbid_oracle_work(monkeypatch)
+    out_path = tmp_path / "x.csv"
+    assert run_cli(["ecc", "--code", "parity", "--n", "8", "--omega", "1", "--gamma", "0.2",
+                    "--xi", "0.1", "--p", "0.04", "--tau", "0.01", "--t", "10", "--oracle",
+                    "--sweep", "tau:0.01:0.1:10000:log", "--out", str(out_path)]) == 3
+    assert capsys.readouterr().err == (
+        "error: oracle work estimate 9.39e+12 multiply-adds is above the budget 1e+11; "
+        "use fewer points, fewer rounds or a smaller n\n")
+    assert not out_path.exists()
+
+
+def test_ecc_oracle_work_budget_boundary(tmp_path, monkeypatch, capsys):
+    # t = 0.01 to 0.29 in steps of 0.07: 1, 8, 15, 22 and 29 rounds.
+    args = ["ecc", "--code", "bitflip", "--n", "5", "--omega", "1", "--gamma", "0.5",
+            "--tau", "0.01", "--t", "0.01", "--oracle", "--sweep", "t:0.01:0.29:5:lin",
+            "--out", str(tmp_path / "x.csv")]
+    work = ecc.oracle_work("bitflip", [ecc.EccParams(5, 1.0, 0.5, 0.01, float(t))
+                                       for t in np.linspace(0.01, 0.29, 5)])
+    monkeypatch.setattr(cli, "_ORACLE_WORK_CAP", work)
+    assert run_cli(args) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_ORACLE_WORK_CAP", float(np.nextafter(work, 0.0)))
+    _forbid_oracle_work(monkeypatch)
+    assert run_cli(args) == 3
+    assert "oracle work estimate %.3g multiply-adds is above the budget" % work in (
+        capsys.readouterr().err)
+
+
+def test_ecc_oracle_inputs_in_use_stay_under_the_work_budget():
+    # The largest oracle sweeps of the CI, the README and the benchmark.
+    sweeps = [("bitflip", [ecc.EccParams(11, 1.0, 0.5, tau, 30 * tau)
+                           for tau in np.geomspace(0.01, 0.1, 8)]),
+              ("bitflip", [ecc.EccParams(7, 1.0, 0.05, tau, 1000 * tau)
+                           for tau in np.geomspace(1e-6, 1e-4, 7)]),
+              ("parity", [ecc.EccParams(4, 1.0, 0.3, 0.05, 0.25, p=p)
+                          for p in np.linspace(0.0, 1.0, 9)]),
+              ("bitflip", [ecc.EccParams(5, 1.0, 0.5, 0.01, 0.01 * k) for k in range(1, 31)]),
+              ("bitflip", [ecc.EccParams(15, 1.0, 0.5, 0.01, 1000 * 0.01)]),
+              ("parity", [ecc.EccParams(8, 1.0, 0.2, 0.01, 1000 * 0.01, xi=0.1, p=0.04)])]
+    for code, params in sweeps:
+        assert ecc.oracle_work(code, params) < cli._ORACLE_WORK_CAP / 10
 
 
 def test_ecc_oracle_at_a_million_rounds_exits_cleanly(tmp_path):

@@ -188,9 +188,16 @@ def test_propagate_amplitudes_shapes_and_norm():
     assert 1.0 - norm < 10 * p.rounds * (p.gamma * p.tau) ** 2
 
 
+def _one_point_maps(params, code):
+    """(kept, (S_a, S_b, dS_b)) of one point: its entry of the batched round maps."""
+    [(index, kept, maps)] = ecc._round_maps(code, ecc._oracle_points(code, [params]))
+    assert index.tolist() == [0]
+    return kept, tuple(mat[0] for mat in maps)
+
+
 def _per_round(params, code):
     """(a, b, db) by the literal loop on the kept rows: one application of the round maps per round."""
-    kept, (step_a, step_b, dstep_b) = ecc._round_maps(params, code, params.omega)
+    kept, (step_a, step_b, dstep_b) = _one_point_maps(params, code)
     size = step_a.shape[0]
     a = np.zeros(size)
     a[0] = a[-1] = 0.5
@@ -222,7 +229,7 @@ def _dense_loop(maps, rounds):
 
 def _kept_size(params, code):
     """K, the number of rows the oracle keeps."""
-    kept = ecc._round_maps(params, code, params.omega)[0]
+    kept = _one_point_maps(params, code)[0]
     return 2 ** (params.n + (code == "parity")) if kept is None else kept.size
 
 
@@ -287,12 +294,13 @@ def test_live_row_propagation_matches_dense_loop(monkeypatch, pattern):
                 size = 2 if pattern == "two-live-rows" else int(rng.integers(1, dim - 2))
                 live = np.sort(rng.choice(np.arange(1, dim - 1), size, replace=False))
             maps = _maps_with_zero_rows(rng, dim, live)
-            kept, blocks = ecc._keep_written_rows(maps)
+            stacked = tuple(mat[None] for mat in maps)
+            [(index, kept, blocks)] = ecc._keep_written_rows(stacked)
             if pattern == "no-zero-rows":
-                assert kept is None and all(block is mat for block, mat in zip(blocks, maps))
+                assert kept is None and all(block is mat for block, mat in zip(blocks, stacked))
             else:
                 assert kept.tolist() == [0, *live.tolist(), dim - 1]
-            monkeypatch.setattr(ecc, "_round_maps", lambda *args: (kept, blocks))
+            monkeypatch.setattr(ecc, "_round_maps", lambda *args: [(index, kept, blocks)])
             for rounds in (1, 2, dim - 1, dim, dim + 1, 3 * dim + 5, 1000):
                 params = ecc.EccParams(n=dim.bit_length() - 1, omega=1.0, gamma=0.1, tau=0.1,
                                        t=rounds * 0.1)
@@ -300,7 +308,7 @@ def test_live_row_propagation_matches_dense_loop(monkeypatch, pattern):
                 for vec, ref in zip((got.a_vec, got.b_vec, got.db_vec), _dense_loop(maps, rounds)):
                     assert vec.shape == ref.shape == (dim,)
                     assert not np.any(np.delete(vec, live)) and not np.any(np.delete(ref, live))
-                    tol = 1e-14 if rounds < blocks[0].shape[0] else 1e-10
+                    tol = 1e-14 if rounds < blocks[0].shape[1] else 1e-10
                     assert np.max(np.abs(vec - ref)) <= tol * np.max(np.abs(ref))
 
 
@@ -320,7 +328,7 @@ def test_parity_with_p_one_matches_dense_loop():
             maps = _round_maps_reference(params, "parity", params.omega)
             written = np.flatnonzero(np.any(np.stack(maps) != 0, axis=(0, 2)))
             assert written.tolist() == [1, dim - 2]
-            assert ecc._round_maps(params, "parity", params.omega)[0].tolist() == [
+            assert _one_point_maps(params, "parity")[0].tolist() == [
                 0, 1, dim - 2, dim - 1]
             got = ecc.propagate_amplitudes(params, "parity", params.omega)
             for vec, ref in zip((got.a_vec, got.b_vec, got.db_vec), _dense_loop(maps, rounds)):
@@ -475,7 +483,7 @@ def test_round_maps_match_dense_correction_product(code):
                                    gamma=float(rng.uniform(0.0, 1.0)), tau=tau, t=tau,
                                    xi=float(rng.uniform(0.0, 0.5)) * parity,
                                    p=float(rng.uniform(0.0, 0.1)) * parity)
-            kept, got = ecc._round_maps(params, code, params.omega)
+            kept, got = _one_point_maps(params, code)
             ref = _round_maps_reference(params, code, params.omega)
             dim = ref[0].shape[0]
             if code == "bitflip":
@@ -514,7 +522,7 @@ def test_bitflip_maps_are_the_full_construction_bit_for_bit():
             tau = float(rng.uniform(0.001, 0.3))
             params = ecc.EccParams(n=n, omega=float(rng.uniform(0.5, 2.0)),
                                    gamma=float(rng.uniform(0.0, 1.0)), tau=tau, t=tau)
-            kept, got = ecc._round_maps(params, "bitflip", params.omega)
+            kept, got = _one_point_maps(params, "bitflip")
             corners = np.ix_([0, 2 ** n - 1], [0, 2 ** n - 1])
             for mat, full in zip(got, _bitflip_maps_full(params, params.omega)):
                 assert mat.dtype == full.dtype and np.array_equal(mat, full[corners])
@@ -533,8 +541,8 @@ def test_bitflip_maps_build_single_columns_only(monkeypatch):
         shapes.clear()
         params = ecc.EccParams(n=n, omega=1.0, gamma=0.3, tau=0.05, t=0.5)
         assert ecc.amplitude_oracle(params, "bitflip")[1] > 0
-        assert len(shapes) == 4
-        assert all(one == (2, 1) and done in (None, (2, 1)) for one, done in shapes)
+        # One call per sector, each over the batch axes (point, column): single columns only.
+        assert shapes == [((1, 2, 2, 1), None), ((1, 2, 2, 1), (1, 2, 2, 1))]
 
 
 @pytest.mark.parametrize("n", [9, 11, 13])
@@ -591,6 +599,7 @@ def test_amplitude_oracle_shares_no_closed_form_path(monkeypatch):
     for code in ("none", "parity", "bitflip"):
         params = ecc.EccParams(3, 1.0, 0.2, 0.1, 0.5, xi=0.1 * (code == "parity"))
         assert ecc.amplitude_oracle(params, code)[1] > 0
+        assert np.all(ecc.oracle_sweep(code, [params, replace(params, t=2.0)]) > 0)
 
 
 def test_amplitude_oracle_rejects_negative_block_eigenvalue(monkeypatch):
@@ -599,7 +608,8 @@ def test_amplitude_oracle_rejects_negative_block_eigenvalue(monkeypatch):
                                    np.zeros(2, dtype=complex))
     with pytest.raises(ValueError, match="negative eigenvalue"):
         dense.sld_qfi(*bad.blocks())
-    monkeypatch.setattr(ecc, "propagate_amplitudes", lambda *args: bad)
+    monkeypatch.setattr(ecc, "_propagate", lambda *args: [
+        (np.array([0]), None, bad.a_vec[None], bad.b_vec[None], bad.db_vec[None])])
     with pytest.raises(ValueError, match="negative eigenvalue"):
         ecc.amplitude_oracle(ecc.EccParams(1, 1.0, 0.2, 0.1, 0.1), "none")
 
@@ -693,7 +703,7 @@ def test_kept_block_qfi_is_the_all_block_qfi_bit_for_bit():
 def test_bitflip_vote_keeps_column_sums_at_one_to_n15():
     for n in (7, 11, 15):
         params = ecc.EccParams(n, 1.0, 0.5, 0.01, 0.01)
-        _, (step_a, _, _) = ecc._round_maps(params, "bitflip", 1.0)
+        _, (step_a, _, _) = _one_point_maps(params, "bitflip")
         assert np.abs(step_a.sum(axis=0) - 1.0).max() < 4e-15
 
 
@@ -702,3 +712,103 @@ def test_bitflip_oracle_holds_normalisation_at_many_rounds(n, rounds):
     params = ecc.EccParams(n, 1.0, 0.5, 0.01, rounds * 0.01)
     np.testing.assert_allclose(ecc.amplitude_oracle(params, "bitflip")[1],
                                ecc.qfi_bitflip(params), rtol=1e-8)
+
+
+def _oracle_sweep_points(rng, code, n, count):
+    """Seeded points at n: parity mixes p = 0, 0 < p < 1 and p = 1.
+
+    Round counts run from 1 (below every K) to 10^5, log-uniform, wherever
+    the points keep few rows; where every row of a register of more than 32
+    rows is kept, they stay below 20, but for one point just above K at
+    code none.
+    """
+    dim = 2 ** (n + (code == "parity"))
+    points = []
+    for i in range(count):
+        p = (0.0, float(rng.uniform(0.01, 0.3)), 1.0)[i % 3] if code == "parity" else 0.0
+        every_row = code == "none" or 0.0 < p < 1.0
+        if i == 0:
+            rounds = 1
+        elif not every_row or dim <= 32:
+            rounds = 10 ** 5 if i == 1 else int(10.0 ** rng.uniform(0, 5))
+        else:
+            rounds = dim + 3 if i == 1 and code == "none" else int(rng.integers(1, 20))
+        tau = float(10.0 ** rng.uniform(-3, -1))
+        points.append(ecc.EccParams(n, float(rng.uniform(0.5, 2.0)),
+                                    float(10.0 ** rng.uniform(-2, 0.5)), tau, rounds * tau,
+                                    xi=float(rng.choice([0.0, rng.uniform(0.0, 0.5)])) * (
+                                        code == "parity"), p=p))
+    return points
+
+
+@pytest.mark.parametrize("code,ns", [("none", (1, 4, 8)), ("parity", (1, 2, 4, 8)),
+                                     ("bitflip", (1, 3, 7, 15))])
+def test_oracle_sweep_is_amplitude_oracle_bit_for_bit(code, ns):
+    # Each code runs to its n cap; a point's bits must not depend on which
+    # other points share its batch, nor on their order.
+    rng = np.random.default_rng(2801)
+    for n in ns:
+        points = _oracle_sweep_points(rng, code, n, 9)
+        got = ecc.oracle_sweep(code, points)
+        assert got.shape == (9,) and np.all(np.isfinite(got))
+        assert np.array_equal(got, [ecc.amplitude_oracle(q, code)[1] for q in points])
+        assert np.array_equal(ecc.oracle_sweep(code, points[::-1]), got[::-1])
+        assert np.array_equal(ecc.oracle_sweep(code, points[1::3] + points[::3]),
+                              np.concatenate([got[1::3], got[::3]]))
+
+
+def test_oracle_sweep_groups_parity_points_by_kept_rows(monkeypatch):
+    # p = 0, 0 < p < 1 and p = 1 keep 2, every and 4 rows: three groups of one batch.
+    groups = []
+    round_maps = ecc._round_maps
+
+    def recording(code, pts):
+        out = round_maps(code, pts)
+        groups.extend((index.tolist(), None if kept is None else kept.size) for index, kept, _ in out)
+        return out
+
+    monkeypatch.setattr(ecc, "_round_maps", recording)
+    points = [ecc.EccParams(3, 1.0, 0.3, 0.05, 0.5, xi=0.2, p=p) for p in (0.0, 0.4, 1.0, 0.0, 0.7)]
+    ecc.oracle_sweep("parity", points)
+    assert sorted(groups) == [([0, 3], 2), ([1, 4], None), ([2], 4)]
+
+
+def test_oracle_sweep_names_the_point_that_lost_normalisation():
+    # At n = 11 and gamma tau = 0.005 the vote sums leave the guard by 10^6
+    # rounds: the middle point of the batch fails, and so does the last one.
+    points = [ecc.EccParams(11, 1.0, 0.5, 0.01, rounds * 0.01) for rounds in (10, 10 ** 6, 100)]
+    with pytest.raises(ArithmeticError, match=r"lost normalisation at n=11, omega=1\.0, "
+                       r"gamma=0\.5, tau=0\.01, t=10000\.0, xi=0\.0, p=0\.0$"):
+        ecc.oracle_sweep("bitflip", points + [replace(points[1], t=10 ** 7 * 0.01)])
+    assert np.all(ecc.oracle_sweep("bitflip", points[::2]) > 0)
+
+
+def test_oracle_sweep_rejects_mixed_n_and_unknown_codes():
+    points = [ecc.EccParams(3, 1.0, 0.2, 0.1, 0.5), ecc.EccParams(5, 1.0, 0.2, 0.1, 0.5)]
+    with pytest.raises(ValueError, match="share n"):
+        ecc.oracle_sweep("none", points)
+    with pytest.raises(ValueError, match="code must be one of"):
+        ecc.oracle_sweep("steane", points[:1])
+    with pytest.raises(ValueError, match="majority vote needs odd n"):
+        ecc.oracle_sweep("bitflip", [ecc.EccParams(4, 1.0, 0.2, 0.1, 0.5)])
+
+
+def _points_by_attributes(params):
+    """The closed forms' point columns as they were built before: per point, with ``rounds``."""
+    columns = np.array([(q.omega, q.gamma, q.tau, q.t, q.xi, q.p, q.rounds) for q in params],
+                       dtype=float).T
+    return ecc._Points(params[0].n, *columns)
+
+
+def test_points_columns_are_the_attribute_columns_bit_for_bit():
+    rng = np.random.default_rng(2802)
+    points = _sweep_points(rng, "parity", 200)
+    # t/tau above 2^53, where a float's value is already an integer; and at x.5, rounded to even.
+    points += [ecc.EccParams(points[0].n, 1.0, 0.1, 1e-3, 1e-3 * 2.0 ** k * m)
+               for k in (53, 54, 60, 200) for m in (1.0, 1.5, 1.75)]
+    points += [ecc.EccParams(points[0].n, 1.0, 0.1, 0.5, 0.5 * m) for m in (1, 2, 3, 7)]
+    got, want = ecc._points(points), _points_by_attributes(points)
+    assert got.n == want.n
+    for column, reference in zip(got[1:], want[1:]):
+        assert column.dtype == reference.dtype and np.array_equal(column, reference)
+    assert np.array_equal(got.rounds, [float(q.rounds) for q in points])
