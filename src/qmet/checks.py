@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -289,24 +289,20 @@ _PARITY_POINTS = [(1.0, 0.2, 0.1, 0.3, 0.05), (0.8, 0.35, 0.07, 0.1, 0.02),
 
 @_register("ecc-parity-oracle", quick=False)
 def _check_ecc_parity_oracle() -> tuple[list[Measure], str]:
-    rels = {"ideal": [], "noisy_ancilla": [], "imperfect": [], "general": []}
+    # Each case is the general point with the noise it leaves out set to 0.
+    cases = {"ideal": ({"xi": 0.0, "p": 0.0}, ecc.qfi_parity_ideal),
+             "noisy_ancilla": ({"p": 0.0}, lambda q: ecc.qfi_parity_noisy_ancilla(q)[0]),
+             "imperfect": ({"xi": 0.0}, ecc.qfi_parity_imperfect),
+             "general": ({}, ecc.qfi_parity)}
+    rels = {label: [] for label in cases}
     for n in (2, 3, 4):
-        for rounds in (1, 2, 5):
-            for omega, gamma, tau, xi, p in _PARITY_POINTS:
-                base = dict(n=n, omega=omega, gamma=gamma, tau=tau, t=rounds * tau)
-                cases = {
-                    "ideal": (ecc.EccParams(**base),
-                              lambda q: ecc.qfi_parity_ideal(q)),
-                    "noisy_ancilla": (ecc.EccParams(**base, xi=xi),
-                                      lambda q: ecc.qfi_parity_noisy_ancilla(q)[0]),
-                    "imperfect": (ecc.EccParams(**base, p=p),
-                                  lambda q: ecc.qfi_parity_imperfect(q)),
-                    "general": (ecc.EccParams(**base, xi=xi, p=p),
-                                lambda q: ecc.qfi_parity(q)),
-                }
-                for label, (params, fn) in cases.items():
-                    _, ref = ecc.amplitude_oracle(params, "parity")
-                    rels[label].append(_rel(fn(params), ref))
+        general = [ecc.EccParams(n=n, omega=omega, gamma=gamma, tau=tau, t=rounds * tau,
+                                 xi=xi, p=p)
+                   for rounds in (1, 2, 5) for omega, gamma, tau, xi, p in _PARITY_POINTS]
+        for label, (zeroed, fn) in cases.items():
+            points = [replace(q, **zeroed) for q in general]
+            refs = ecc.oracle_sweep("parity", points).tolist()
+            rels[label] += [_rel(fn(q), ref) for q, ref in zip(points, refs)]
     worst = sorted((label, np.max(v)) for label, v in rels.items())
     limit = ecc.qfi_parity_imperfect(
         ecc.EccParams(n=25, omega=1.0, gamma=1.0, tau=1e-5, t=1e-2, p=0.01))

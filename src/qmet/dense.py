@@ -111,8 +111,8 @@ def as_density(rho: np.ndarray, *, atol: float = 1e-10) -> np.ndarray:
 
 def _check_state(rho: np.ndarray, w: np.ndarray, atol: float) -> None:
     """as_density's checks of rho, with eigenvalues w; a stack of blocks counts as one state."""
-    herm_dev = np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)))
-    if herm_dev > atol * max(1.0, float(np.max(np.abs(rho)))):
+    herm_dev, scale = _hermiticity(rho)
+    if herm_dev > atol * scale:
         raise ValueError("non-hermitian input: deviation %.3e" % herm_dev)
     tr = complex(np.trace(rho, axis1=-2, axis2=-1).sum())
     if abs(tr - 1.0) > atol:
@@ -130,12 +130,27 @@ def hermitian_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises ValueError for non-Hermitian input and ArithmeticError if the
     underlying iteration fails to converge.
     """
+    mat = _square(mat)
+    herm_dev, scale = _hermiticity(mat)
+    if herm_dev > _HERM_TOL * scale:
+        raise ValueError("non-hermitian input to hermitian_eig")
+    return _eigh(mat)
+
+
+def _square(mat) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1]:
         raise ValueError("expected a square matrix, got shape %r" % (mat.shape,))
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    if np.max(np.abs(mat - mat.conj().swapaxes(-1, -2))) > _HERM_TOL * scale:
-        raise ValueError("non-hermitian input to hermitian_eig")
+    return mat
+
+
+def _hermiticity(mat: np.ndarray) -> tuple[float, float]:
+    """max |mat - mat^dag| and the scale it is judged against, max(1, max |mat|)."""
+    herm_dev = float(np.max(np.abs(mat - mat.conj().swapaxes(-1, -2))))
+    return herm_dev, max(1.0, float(np.max(np.abs(mat))))
+
+
+def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         w, v = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
@@ -411,10 +426,12 @@ def sld_qfi(rho: np.ndarray, drho: np.ndarray) -> float:
     the support cut (Braunstein and Caves 1994).  A stack (..., d, d) of the
     diagonal blocks of a block-diagonal state, with drho's matching blocks,
     gives the sum over the blocks.  rho is checked as :func:`as_density`
-    checks it, on the eigenvalues the formula uses.
+    checks it, on the eigenvalues the formula uses; that Hermiticity bound
+    is stricter than :func:`hermitian_eig`'s, so it is the only one applied.
     """
-    w, v = hermitian_eig(rho)
-    _check_state(np.asarray(rho, dtype=complex), w, 1e-10)
+    rho = _square(rho)
+    w, v = _eigh(rho)
+    _check_state(rho, w, 1e-10)
     a = v.conj().swapaxes(-1, -2) @ drho @ v
     denom = w[..., :, None] + w[..., None, :]
     mask = denom > EIGEN_CUT

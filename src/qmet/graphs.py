@@ -432,28 +432,43 @@ def heisenberg_count_bound(n: int, eps: float) -> int:
     return total
 
 
+# Entries of one amplitude lookup: np.take copies its uint8 indices to intp
+# (8 bytes an entry), so a whole-vector lookup would hold 8 MiB more at n = 20.
+_LOOKUP_CHUNK = 1 << 16
+
+
 def graph_state(g: Graph) -> np.ndarray:
     """Dense state vector: CZ on every edge applied to |+>^n (qubit 0 leftmost).
 
     The amplitude of basis state b is 2^(-n/2) (-1)^(number of edges with
-    both ends set in b).  That parity is built one qubit at a time: qubit q
-    becomes the next (least significant) index bit, which keeps the parity
-    where the bit is 0 and adds the parity of q's earlier neighbours where it
-    is 1; that neighbour parity is built the same way.  The signs are
-    flipped once.
+    both ends set in b).  That parity is one uint8 vector built by doubling,
+    from the last qubit to qubit 0: once the qubits after q are its h index
+    bits, qubit q becomes the next high bit, and ``parity[h:2h]`` is
+    ``parity[:h]`` xor the parity of q's later neighbours set in the lower
+    bits.  That neighbour parity is doubled the same way, one later qubit at
+    a time, in one reused half-size buffer.  The amplitudes are then looked
+    up from the parity, +-2^(-n/2), in chunks of ``_LOOKUP_CHUNK`` entries.
     """
-    def extend(vec: np.ndarray, added) -> np.ndarray:
-        return np.stack([vec, vec ^ added], axis=1).reshape(-1)
-
-    parity = np.zeros(1, dtype=np.uint8)
-    for q in range(g.n):
-        earlier = np.zeros(1, dtype=np.uint8)
-        for u in range(q):
-            earlier = extend(earlier, np.uint8(u in g.neighbors(q)))
-        parity = extend(parity, earlier)
-    amp = 2 ** (-g.n / 2)
-    psi = np.full(1 << g.n, amp, dtype=complex)
-    psi[parity.astype(bool)] = -amp
+    n = g.n
+    nbrs = g.neighbor_sets()
+    parity = np.zeros(1 << n, dtype=np.uint8)
+    later = np.zeros(1 << (n - 1), dtype=np.uint8)
+    for k in range(1, n):
+        q = n - 1 - k
+        for j in range(k):
+            s = 1 << j
+            if n - 1 - j in nbrs[q]:
+                np.bitwise_xor(later[:s], 1, out=later[s:2 * s])
+            else:
+                later[s:2 * s] = later[:s]
+        h = 1 << k
+        np.bitwise_xor(parity[:h], later[:h], out=parity[h:2 * h])
+    del later
+    amp = 2 ** (-n / 2)
+    signs = np.array([amp, -amp], dtype=complex)
+    psi = np.empty(1 << n, dtype=complex)
+    for s in range(0, psi.size, _LOOKUP_CHUNK):
+        np.take(signs, parity[s:s + _LOOKUP_CHUNK], out=psi[s:s + _LOOKUP_CHUNK], mode="clip")
     return psi
 
 
@@ -467,16 +482,26 @@ def _dephase_qubit(rho: np.ndarray, qubit: int, p: float, n: int) -> np.ndarray:
 def _pauli_sum(t: np.ndarray, enc: str, n: int) -> np.ndarray:
     """sum_j sigma_j (sigma = X, Y or Z) along the first n axes of a [2]*k tensor.
 
-    X_j flips axis j, Z_j signs it by (+1, -1), and Y_j = i X_j Z_j.
+    X_j swaps the two halves of axis j, Z_j negates its second half, and
+    Y_j = i X_j Z_j.  Each term is added into the halves of the output in
+    place, qubit by qubit, through a (2^j, 2, rest) view.
     """
+    t = np.ascontiguousarray(t)
     out = np.zeros_like(t)
     for q in range(n):
-        term = t
-        if enc != "x":
-            term = term * np.array([1.0, -1.0]).reshape((2,) + (1,) * (t.ndim - 1 - q))
-        if enc != "z":
-            term = np.flip(term, axis=q) * (1j if enc == "y" else 1.0)
-        out += term
+        lo, hi = np.moveaxis(t.reshape(1 << q, 2, -1), 1, 0)
+        out_lo, out_hi = np.moveaxis(out.reshape(1 << q, 2, -1), 1, 0)
+        if enc == "x":
+            np.add(out_lo, hi, out=out_lo)
+            np.add(out_hi, lo, out=out_hi)
+        elif enc == "z":
+            np.add(out_lo, lo, out=out_lo)
+            np.subtract(out_hi, hi, out=out_hi)
+        else:  # (Y t)_0 = -i t_1, (Y t)_1 = i t_0
+            np.add(out_lo.real, hi.imag, out=out_lo.real)
+            np.subtract(out_lo.imag, hi.real, out=out_lo.imag)
+            np.subtract(out_hi.real, lo.imag, out=out_hi.real)
+            np.add(out_hi.imag, lo.real, out=out_hi.imag)
     return out
 
 

@@ -89,6 +89,38 @@ def test_hermitian_expm_is_unitary_rotation():
     np.testing.assert_allclose(u, -1j * sx, atol=1e-14)
 
 
+_BLOCK = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
+
+
+@pytest.mark.parametrize("rho, match", [
+    (np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex), "non-hermitian"),
+    # Within hermitian_eig's bound, outside the state check's stricter one.
+    (np.array([[0.5, 1e-9], [0.0, 0.5]], dtype=complex), "non-hermitian"),
+    (2 * _BLOCK, "trace"),
+    (np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex), "negative eigenvalue"),
+    (np.ones((2, 3), dtype=complex), "square"),
+    (np.stack([0.5 * _BLOCK, np.diag([0.75, -0.25])]), "negative eigenvalue"),
+], ids=["non-hermitian", "slightly-non-hermitian", "trace", "negative", "shape",
+        "stack-negative"])
+def test_sld_qfi_rejects_bad_states_with_value_error(rho, match):
+    with pytest.raises(ValueError, match=match) as info:
+        dense.sld_qfi(rho, np.zeros_like(rho))
+    assert type(info.value) is ValueError
+
+
+def test_sld_qfi_measures_hermiticity_once(monkeypatch):
+    calls = []
+    real = dense._hermiticity
+    monkeypatch.setattr(dense, "_hermiticity", lambda m: calls.append(m) or real(m))
+    drho = np.array([[0.0, 0.1j], [-0.1j, 0.0]])
+    q = dense.sld_qfi(_BLOCK, drho)
+    assert len(calls) == 1
+    w, v = np.linalg.eigh(_BLOCK)
+    a = v.conj().T @ drho @ v
+    assert q == pytest.approx(2 * np.sum(np.abs(a) ** 2 / (w[:, None] + w[None, :])),
+                              rel=1e-14)
+
+
 def test_fidelity_and_trace_distance_extremes():
     zero = dense.pure(dense.ket([0]))
     one = dense.pure(dense.ket([1]))

@@ -783,6 +783,23 @@ def test_oracle_sweep_names_the_point_that_lost_normalisation():
     assert np.all(ecc.oracle_sweep("bitflip", points[::2]) > 0)
 
 
+def test_parity_oracle_check_runs_one_batch_per_n_and_case(monkeypatch):
+    def one_point(*args):
+        raise AssertionError("ecc-parity-oracle ran a one-point oracle")
+
+    sweeps = []
+    real = ecc.oracle_sweep
+    monkeypatch.setattr(ecc, "amplitude_oracle", one_point)
+    monkeypatch.setattr(ecc, "oracle_sweep",
+                        lambda code, params: sweeps.append((code, params)) or real(code, params))
+    (r,) = checks.run_checks(names=["ecc-parity-oracle"])
+    assert r.ok, r.detail
+    assert len(sweeps) == 12 and sum(len(params) for _, params in sweeps) == 108
+    for code, params in sweeps:
+        assert code == "parity" and len({q.n for q in params}) == 1
+        assert len({(q.xi == 0.0, q.p == 0.0) for q in params}) == 1
+
+
 def test_oracle_sweep_rejects_mixed_n_and_unknown_codes():
     points = [ecc.EccParams(3, 1.0, 0.2, 0.1, 0.5), ecc.EccParams(5, 1.0, 0.2, 0.1, 0.5)]
     with pytest.raises(ValueError, match="share n"):

@@ -1,5 +1,7 @@
 """Graph-state QFI tests: closed forms, noise reductions, measurement schemes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,18 +194,59 @@ def test_counting_bounds():
     assert [graphs.stabilizer_count(m) for m in (1, 2, 3)] == [6, 60, 1080]
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 9])
-def test_graph_state_matches_per_edge_sign_product(n):
+def _random_half_graph(n):
     rng = np.random.default_rng(n)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = rng.permutation(len(pairs))[:max(1, len(pairs) // 2)] if pairs else []
-    g = graphs.Graph.from_edges(n, [pairs[i] for i in chosen])
+    return graphs.Graph.from_edges(n, [pairs[i] for i in chosen])
+
+
+@pytest.mark.parametrize("g", [
+    *(_random_half_graph(n) for n in (1, 2, 5, 9, 16)),
+    graphs.Graph.from_edges(7, [(0, 2), (2, 3), (3, 5), (0, 5)]),  # 1, 4 and 6 isolated
+    graphs.Graph(6, frozenset()),
+], ids=["1", "2", "5", "9", "16", "isolated", "edgeless"])
+def test_graph_state_matches_per_edge_sign_product(g):
+    n = g.n
     idx = np.arange(1 << n)
-    want = np.full(1 << n, 2 ** (-n / 2), dtype=complex)
+    odd = np.zeros(1 << n, dtype=bool)
     for u, v in g.edges:
-        both = ((idx >> (n - 1 - u)) & 1) & ((idx >> (n - 1 - v)) & 1)
-        want = want * np.where(both, -1.0, 1.0)
-    assert np.array_equal(graphs.graph_state(g), want)
+        odd ^= ((idx >> (n - 1 - u)) & (idx >> (n - 1 - v)) & 1).astype(bool)
+    amp = 2 ** (-n / 2)
+    want = np.where(odd, -amp, amp).astype(complex)  # imaginary parts +0.0
+    got = graphs.graph_state(g)
+    assert got.dtype == np.complex128 and got.shape == (1 << n,)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_graph_state_peak_memory_near_its_output():
+    # A whole-vector lookup would turn the uint8 parity into an intp index
+    # copy (8 bytes an amplitude) and read about 1.5 here.
+    g = graphs.cycle(20)
+    tracemalloc.start()
+    try:
+        psi = graphs.graph_state(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * psi.nbytes
+
+
+@pytest.mark.parametrize("enc", ["x", "y", "z"])
+def test_pauli_sum_matches_kronecker_sum(enc):
+    # A density-matrix-shaped tensor: the sum acts on the first n of 2n axes.
+    n = 3
+    rng = np.random.default_rng(11)
+    t = rng.normal(size=[2] * (2 * n)) + 1j * rng.normal(size=[2] * (2 * n))
+    sigma = {"x": dense.SX, "y": dense.SY, "z": dense.SZ}[enc]
+    want = sum(dense.kron_all([sigma if k == q else dense.ID2 for k in range(n)])
+               for q in range(n)) @ t.reshape(1 << n, -1)
+    got = graphs._pauli_sum(t, enc, n)
+    np.testing.assert_allclose(got.reshape(1 << n, -1), want, rtol=0, atol=1e-14)
+    # A strided view gives the same bits as its contiguous copy.
+    view = t.transpose(list(range(n)) + list(range(2 * n - 1, n - 1, -1)))
+    assert graphs._pauli_sum(view, enc, n).tobytes() == \
+        graphs._pauli_sum(np.ascontiguousarray(view), enc, n).tobytes()
 
 
 @pytest.mark.parametrize("g, theta", [(graphs.star(5), 0.3), (graphs.star(3), -0.7)])
