@@ -190,6 +190,8 @@ def _parse_sweep(raw: str) -> tuple[str, float, float, int, str]:
         start, stop, steps = float(start_s), float(stop_s), int(steps_s)
     except ValueError:
         raise CliError(EXIT_USAGE, "bad sweep numbers in %r" % raw)
+    if not math.isfinite(stop - start):     # an inf or nan endpoint, or a span past 1.8e308
+        raise CliError(EXIT_USAGE, "sweep endpoints and their span must be finite in %r" % raw)
     if steps < 1:
         raise CliError(EXIT_USAGE, "sweep needs at least one step")
     if steps > _SWEEP_STEPS_CAP:

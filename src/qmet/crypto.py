@@ -378,6 +378,19 @@ class SoundnessReport:
         return out
 
 
+def _check_sampled_cap(protocol: str, mode: str, m: int) -> None:
+    """A sampled run's cap on m = n + t, checked before any 2^n probe is built.
+
+    Single-use trap trials (``trap1``) run to m = 10; the dense keyed rounds of
+    ``_sample_keys`` (``trap``, ``clifford``) run to _DENSE_QUBIT_CAP.
+    """
+    if mode == "sampled" and protocol == "trap1" and m > 10:
+        raise ValueError("sampled soundness capped at m = 10")
+    if mode == "sampled" and protocol != "trap1" and m > _DENSE_QUBIT_CAP:
+        raise ValueError("sampled %s code capped at m = %d qubits, got m = %d"
+                         % ("trap" if protocol == "trap" else "Clifford", _DENSE_QUBIT_CAP, m))
+
+
 def _ghz_theta(n: int, theta: float) -> np.ndarray:
     """GHZ probe with an encoded relative phase exp(i n theta)."""
     vec = np.zeros(1 << n, dtype=complex)
@@ -525,15 +538,13 @@ def soundness_trap_single(n: int, t: int, attack: AttackSpec, mode: str = "exact
                           *, data_state: np.ndarray | None = None,
                           trials: int = 2000, seed: int = 0) -> SoundnessReport:
     """Soundness of the single-use trap code against one attack."""
+    _check_sampled_cap("trap1", mode, n + t)
     psi = _data_state(n, t, data_state)
-    m = n + t
     if mode == "exact":
         lhs, accept = _trap_double_casework(n, t, attack, AttackSpec.identity(),
                                             _get_table(psi))
         return SoundnessReport(lhs, trap_bound(n, t), accept, "exact")
     if mode == "sampled":
-        if m > 10:
-            raise ValueError("sampled soundness capped at m = 10")
         lhs, accept, err = _sample_trap_single(n, t, attack, psi, trials, seed)
         return SoundnessReport(lhs, trap_bound(n, t), accept, "sampled",
                                trials=trials, seed=seed, stderr=err)
@@ -631,9 +642,7 @@ def _sample_keys(protocol, n, t, attacks, psi, encode, trials, seed):
     generator per trial and use.
     """
     m = n + t
-    if m > _DENSE_QUBIT_CAP:
-        raise ValueError("sampled %s code capped at m = %d qubits, got m = %d"
-                         % ("trap" if protocol == "trap" else "Clifford", _DENSE_QUBIT_CAP, m))
+    _check_sampled_cap(protocol, "sampled", m)
     channels = [_channel(attack, m) for attack in attacks]
     units = enumerate_clifford(1)
 
@@ -658,8 +667,9 @@ def soundness_clifford_single(n: int, t: int, attack: AttackSpec,
     Exact mode uses the closed form 2^m (2^{m-t}-1) (1-a) / (4^m-1), where a
     is the attack's identity weight; sampling draws uniform m-qubit Cliffords.
     """
-    psi = _data_state(n, t, data_state, default=mode == "sampled")
     m = n + t
+    _check_sampled_cap("clifford", mode, m)
+    psi = _data_state(n, t, data_state, default=mode == "sampled")
     if mode == "exact":
         a = attack.identity_weight(m)
         lhs = (1 << m) * ((1 << (m - t)) - 1) * (1.0 - a) / (4 ** m - 1)
@@ -686,10 +696,11 @@ def soundness_double(protocol: str, n: int, t: int, attack: AttackSpec,
     if attack.variant != "double":
         raise ValueError("double-use soundness needs a double attack spec")
     first, second = attack.pair
-    psi = _data_state(n, t, data_state)
     if protocol not in ("trap", "clifford"):
         raise ValueError("unknown protocol %r" % protocol)
     m = n + t
+    _check_sampled_cap(protocol, mode, m)
+    psi = _data_state(n, t, data_state)
     if mode == "sampled":
         lhs, accept, err = _sample_keys(protocol, n, t, attack.pair, psi, encode, trials, seed)
         bound = trap_double_bound(n, t) if protocol == "trap" else clifford_bound(t)
@@ -723,6 +734,7 @@ def soundness_delegated(n: int, t: int, attack: AttackSpec, *, theta: float = 0.
     trap code applied to the encoded probe, so the same casework runs with
     the bound written as 3n/(2t).
     """
+    _check_sampled_cap("trap1", mode, n + t)
     psi = _ghz_theta(n, theta)
     return soundness_trap_single(n, t, attack, mode, data_state=psi,
                                  trials=trials, seed=seed)

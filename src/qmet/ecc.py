@@ -15,16 +15,18 @@ one-point case of the same code, so a point gets the same bits alone or in a
 sweep.  Every closed form is cross-checked against
 :func:`amplitude_oracle`, which propagates the exact diagonal/anti-diagonal
 amplitude recursion together with the omega-derivative of the anti-diagonal
-amplitudes on the register's kept rows, the rows some round map writes plus
-the GHZ start rows, and sums :func:`qmet.dense.sld_qfi` over the 2x2 blocks of
-the X-shaped state.  Its round map comes from Kronecker powers of 2x2 factors;
-the bit-flip code keeps two rows and needs only two columns of each power, so
-its oracle costs O(n 2^n) and runs to n = 15, the others to n = 8.  It applies
-the map by repeated squaring, so once t/tau reaches the number of kept rows
-its cost grows with log(t/tau), not with t/tau.  :func:`oracle_sweep` runs the
-oracle over all points of a sweep as one batch, each point with its own
-exponent bits, and :func:`amplitude_oracle` is its one-point case, so a point
-gets the same bits alone or in a sweep.
+amplitudes on the register's kept rows and sums :func:`qmet.dense.sld_qfi`
+over the 2x2 blocks of the X-shaped state.  The kept rows follow from the
+code and p alone (:func:`_kept_rows`): rows 0 and dim - 1 for the bit-flip
+code and for parity at p = 0, rows 0, 1, dim - 2 and dim - 1 for parity at
+p = 1, and every row otherwise.  Its round map comes from Kronecker powers
+of 2x2 factors; the bit-flip code needs only two columns of each power, so
+its oracle costs O(n 2^n) and runs to n = 15, the others to n = 8.  It
+applies the map by repeated squaring, so once t/tau reaches the number of
+kept rows its cost grows with log(t/tau), not with t/tau.
+:func:`oracle_sweep` runs the oracle over all points of a sweep as one
+batch, each point with its own exponent bits, and :func:`amplitude_oracle`
+is its one-point case, so a point gets the same bits alone or in a sweep.
 """
 
 from __future__ import annotations
@@ -112,19 +114,18 @@ class AmplitudeOracleState:
         The stacks hold the blocks of the kept rows, in order of J, since
         every other block is zero; all dim/2 blocks when kept is None.
         """
-        rho, drho = _x_blocks(self.a_vec[None], self.b_vec[None], self.db_vec[None], self.kept)
+        rows = slice(None) if self.kept is None else self.kept
+        rho, drho = _x_blocks(*(vec[None, rows] for vec in (self.a_vec, self.b_vec, self.db_vec)))
         return rho[0], drho[0]
 
 
-def _x_blocks(a: np.ndarray, b: np.ndarray, db: np.ndarray, kept: np.ndarray | None
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """(P, B, 2, 2): :meth:`AmplitudeOracleState.blocks` of P states, from (P, dim) amplitudes."""
-    dim = a.shape[-1]
-    if kept is None:
-        lo, hi = slice(0, dim // 2), slice(dim - 1, dim // 2 - 1, -1)
-    else:
-        lo = np.unique(np.minimum(kept, dim - 1 - kept))
-        hi = dim - 1 - lo
+def _x_blocks(a: np.ndarray, b: np.ndarray, db: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P, K/2, 2, 2) blocks of P states from (P, K) kept-row amplitudes.
+
+    A kept set is closed under J -> dim - 1 - J: entry i pairs with entry K - 1 - i.
+    """
+    size = a.shape[-1]
+    lo, hi = slice(0, size // 2), slice(size - 1, size // 2 - 1, -1)
     rho, drho = (np.zeros(a[:, lo].shape + (2, 2), dtype=complex) for _ in range(2))
     rho[..., 0, 0], rho[..., 1, 1] = a[:, lo], a[:, hi]
     for block, anti in ((rho, b), (drho, db)):
@@ -452,7 +453,8 @@ def _z_recurrence(pts: _Points, phi: np.ndarray, dphi: np.ndarray
     u = e^{i phi}.
     """
     n, p = pts.n, pts.p
-    keep = 0.5 * (1.0 + np.exp(-2.0 * pts.xi * pts.tau))
+    with np.errstate(over="ignore"):    # xi tau past 1e308 decays to exp(-inf) = 0
+        keep = 0.5 * (1.0 + np.exp(-2.0 * pts.xi * pts.tau))
     flip = 1.0 - keep
     mix = np.array([keep, flip, flip, keep]).T.reshape(-1, 2, 2)          # [[c, s], [s, c]]
     uu = np.cos(phi) + _PLUS_MINUS_I * np.sin(phi)                         # (u, u*)
@@ -692,42 +694,34 @@ def _vote_rows(n: int) -> np.ndarray:
     return rows
 
 
+def _register_size(code: str, n: int) -> int:
+    return 2 ** (n + (code == "parity"))
+
+
+def _kept_rows(code: str, n: int, p: float) -> tuple[int, ...] | None:
+    """The rows the oracle keeps for ``code`` at syndrome error p; None keeps every row.
+
+    The GHZ start fills rows 0 and dim - 1, and a round writes only the rows
+    its correction resets into: the vote's rows 0 and dim - 1; for parity,
+    R_s^{x n} x |s><s| (ancilla last) writes row (s..s, s) at p = 0 and row
+    (~s..~s, s), dim - 2 or 1, at p = 1, and every row at 0 < p < 1, as code
+    none does.  Each set is sorted and closed under J -> dim - 1 - J.
+    """
+    dim = _register_size(code, n)
+    if code == "bitflip" or (code == "parity" and p == 0.0):
+        return (0, dim - 1)
+    if code == "parity" and p == 1.0 and dim > 4:     # at n = 1 these are every row
+        return (0, 1, dim - 2, dim - 1)
+    return None
+
+
 # One group of oracle points: (their positions in the batch, their kept rows or
 # None for every row, and their (S_a, S_b, dS_b/domega) stacks on those rows).
 _MapGroup = tuple[np.ndarray, "np.ndarray | None", tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def _keep_written_rows(maps: tuple[np.ndarray, ...]) -> list[_MapGroup]:
-    """The points grouped by their kept rows, each group with its maps' blocks on them.
-
-    ``maps`` are (P, dim, dim) stacks.  A point keeps the rows some map writes,
-    found from the maps' entries, plus the GHZ start rows 0 and dim - 1.  The
-    amplitudes start on the kept rows and every round writes only kept rows,
-    so the columns of the other rows only ever multiply zeros.  kept is None
-    when it is every row; then the group's maps are used as they are.
-    """
-    count, dim = maps[0].shape[:2]
-    written = np.any(maps[0], axis=-1) | np.any(maps[1], axis=-1) | np.any(maps[2], axis=-1)
-    written[:, 0] = written[:, -1] = True
-    if count == 1 or (written == written[0]).all():
-        patterns, inverse = written[:1], None
-    else:
-        patterns, inverse = np.unique(written, axis=0, return_inverse=True)
-    groups = []
-    for g, pattern in enumerate(patterns):
-        index = np.arange(count) if inverse is None else np.flatnonzero(inverse == g)
-        if not pattern.all():
-            kept = np.flatnonzero(pattern)
-            groups.append((index, kept, tuple(np.ascontiguousarray(mat[np.ix_(index, kept, kept)])
-                                              for mat in maps)))
-        else:
-            groups.append((index, None, maps if inverse is None else
-                           tuple(mat[index] for mat in maps)))
-    return groups
-
-
 def _round_maps(code: str, pts: _Points) -> list[_MapGroup]:
-    """One correction round of each point on its kept rows, grouped by kept rows.
+    """One correction round of each point on its kept rows, grouped by :func:`_kept_rows`.
 
     The diagonal amplitudes a_J and anti-diagonal amplitudes b_J close
     under both the free evolution M (Kronecker powers of the single-qubit
@@ -743,6 +737,9 @@ def _round_maps(code: str, pts: _Points) -> list[_MapGroup]:
     batch entries too.  Each point's maps are the bits it gets alone.
     """
     n, p, tau = pts.n, pts.p, pts.tau
+    groups: dict[tuple[int, ...] | None, list[int]] = {}
+    for i, q in enumerate(p.tolist()):
+        groups.setdefault(_kept_rows(code, n, q), []).append(i)
     # Per point, the factors [[x_-, y], [y, x_+]] and their derivatives; the real
     # entries: the damped (cosh, sinh) of gamma tau, by math.exp as the scalar
     # function (np.exp does not always give its bits), and for parity that of
@@ -764,7 +761,8 @@ def _round_maps(code: str, pts: _Points) -> list[_MapGroup]:
         powers = (_kron_power_dot(one_a.swapaxes(-1, -2)[..., None], None, n)
                   + _kron_power_dot(one_b.swapaxes(-1, -2)[..., None],
                                     one_db.swapaxes(-1, -2)[..., None], n))
-        return [(np.arange(p.size), np.array([0, 2 ** n - 1]), tuple(
+        [kept] = groups     # the vote's rows, whatever p
+        return [(np.arange(p.size), np.array(kept), tuple(
             np.take(power[..., 0], rows, axis=-1).sum(axis=-1).swapaxes(-1, -2).copy()
             for power in powers))]
     if code == "parity":
@@ -779,9 +777,19 @@ def _round_maps(code: str, pts: _Points) -> list[_MapGroup]:
         for sector, mat in zip(out, mats):
             for s, e in ((0, 0), (0, 1), (1, 0), (1, 1)):
                 np.multiply(mat[:, s], anc[:, s, e, None, None], out=sector[:, :, s, :, e])
-        return _keep_written_rows(tuple(sector.reshape(-1, 2 * half, 2 * half) for sector in out))
-    return _keep_written_rows(tuple(_kron_power_dot(one_a, None, n)
-                                    + _kron_power_dot(one_b, one_db, n)))
+        maps = tuple(sector.reshape(-1, 2 * half, 2 * half) for sector in out)
+    else:
+        maps = tuple(_kron_power_dot(one_a, None, n) + _kron_power_dot(one_b, one_db, n))
+    # The amplitudes start on the kept rows and every round writes only kept
+    # rows, so the columns of the other rows only ever multiply zeros.
+    grouped = []
+    for kept, index in groups.items():
+        if kept is None:
+            blocks = maps if len(index) == p.size else tuple(mat[index] for mat in maps)
+        else:
+            blocks = tuple(np.ascontiguousarray(mat[np.ix_(index, kept, kept)]) for mat in maps)
+        grouped.append((np.array(index), None if kept is None else np.array(kept), blocks))
+    return grouped
 
 
 def _apply_rounds(maps: tuple[np.ndarray, np.ndarray, np.ndarray], rounds: np.ndarray
@@ -792,10 +800,10 @@ def _apply_rounds(maps: tuple[np.ndarray, np.ndarray, np.ndarray], rounds: np.nd
     least K rounds remain: squaring a K x K map costs about K mat-vecs, so it
     pays then.  The last k < K rounds apply the current power one at a time,
     so a run with fewer than K rounds applies the maps once per round.  Each
-    point takes its own exponent bits and its own tail: a product runs on the
-    points whose bit or tail asks for it, so each point gets exactly its own
-    sequence of products.  ``rounds`` holds integer-valued floats, exact at
-    any size.
+    point takes its own exponent bits, squarings and tail: a product runs on
+    the points that need it, on all of them at once when all do, so each
+    point gets exactly its own sequence of products.  The maps are squared
+    in place.  ``rounds`` holds integer-valued floats, exact at any size.
     """
     step_a, step_b, dstep_b = maps
     count, size = step_a.shape[:2]
@@ -803,37 +811,27 @@ def _apply_rounds(maps: tuple[np.ndarray, np.ndarray, np.ndarray], rounds: np.nd
     a[:, 0] = a[:, -1] = 0.5
     b, db = a.astype(complex), np.zeros((count, size, 1), dtype=complex)
 
-    def apply(i: np.ndarray | None) -> None:
-        """One round at the points i, or at every point when i is None."""
-        nonlocal a, b, db
-        if i is None:
-            a, b, db = step_a @ a, step_b @ b, step_b @ db + dstep_b @ b
+    def run(take: list[int], square: bool) -> None:
+        """One round, or one squaring of the maps, at the points ``take``."""
+        if not take:
+            return
+        i = slice(None) if len(take) == count else np.array(take)
+        sa, sb, dsb = step_a[i], step_b[i], dstep_b[i]
+        if square:
+            step_a[i], step_b[i], dstep_b[i] = sa @ sa, sb @ sb, dsb @ sb + sb @ dsb
         else:
-            a[i] = step_a[i] @ a[i]
-            b[i], db[i] = step_b[i] @ b[i], step_b[i] @ db[i] + dstep_b[i] @ b[i]
+            a[i] = sa @ a[i]
+            b[i], db[i] = sb @ b[i], sb @ db[i] + dsb @ b[i]
 
     counts = [int(k) for k in rounds.tolist()]          # exact: integer-valued floats
     squarings = [(k // size).bit_length() for k in counts]  # the levels with >= K rounds left
-    fewest = min(squarings)
     for level in range(max(squarings)):
-        take = [i for i, (k, s) in enumerate(zip(counts, squarings)) if level < s and k >> level & 1]
-        if take:
-            apply(None if len(take) == count else np.array(take))
-        if level < fewest:
-            step_a, step_b, dstep_b = (step_a @ step_a, step_b @ step_b,
-                                       dstep_b @ step_b + step_b @ dstep_b)
-            continue
-        # The maps may be the caller's: write the squares into copies.
-        i = np.array([j for j, s in enumerate(squarings) if level < s])
-        squares = (step_a[i] @ step_a[i], step_b[i] @ step_b[i],
-                   dstep_b[i] @ step_b[i] + step_b[i] @ dstep_b[i])
-        step_a, step_b, dstep_b = (mat.copy() for mat in (step_a, step_b, dstep_b))
-        for mat, square in zip((step_a, step_b, dstep_b), squares):
-            mat[i] = square
+        run([i for i, (k, s) in enumerate(zip(counts, squarings)) if level < s and k >> level & 1],
+            square=False)
+        run([i for i, s in enumerate(squarings) if level < s], square=True)
     tails = [k >> s for k, s in zip(counts, squarings)]
-    common = min(tails)
     for k in range(max(tails)):
-        apply(None if k < common else np.array([i for i, tail in enumerate(tails) if tail > k]))
+        run([i for i, tail in enumerate(tails) if tail > k], square=False)
     return a[..., 0], b[..., 0], db[..., 0]
 
 
@@ -869,10 +867,6 @@ def _oracle_points(code: str, params: Sequence[EccParams]) -> _Points:
     return _Points(n, *columns)
 
 
-def _register_size(code: str, n: int) -> int:
-    return 2 ** (n + (code == "parity"))
-
-
 def _propagate(code: str, pts: _Points) -> list[tuple[np.ndarray, np.ndarray | None,
                                                      np.ndarray, np.ndarray, np.ndarray]]:
     """(index, kept, a, b, db) groups: each point's amplitudes after its rounds, on its kept rows.
@@ -902,36 +896,25 @@ def _propagate(code: str, pts: _Points) -> list[tuple[np.ndarray, np.ndarray | N
     return out
 
 
-def _full_register(kept: np.ndarray | None, dim: int, vecs: Sequence[np.ndarray]
-                   ) -> list[np.ndarray]:
-    """(P, K) vectors on the kept rows written back to the full register, zero off them."""
-    if kept is None:
-        return list(vecs)
-    full = [np.zeros((len(vec), dim), vec.dtype) for vec in vecs]
-    for out, vec in zip(full, vecs):
-        out[:, kept] = vec
-    return full
-
-
 def propagate_amplitudes(params: EccParams, code: str, omega: float) -> AmplitudeOracleState:
     """Exact amplitude-space propagation over t/tau correction rounds.
 
     Starts from the GHZ amplitudes and applies the round maps of
     :func:`_round_maps`, with db/domega carried alongside b.  The maps and
-    the amplitudes live on the K kept rows: the rows some round map writes
-    and the GHZ start rows 0 and dim - 1.  Amplitudes on the other rows stay
-    zero, so each map is its K x K block, and the result is written back to
-    the full register once, at the end.  The rounds are applied by
-    :func:`_apply_rounds`: binary powering while at least K rounds remain,
-    then one round at a time.  K is 2 for the bit-flip code and for parity
-    with p = 0, 4 for parity with p = 1, and the whole register otherwise:
-    then the maps are used as they are.  This is the one-point case of
+    the amplitudes live on the K rows of :func:`_kept_rows`; amplitudes on
+    the other rows stay zero, so each map is its K x K block, and the result
+    is written back to the full register once, at the end.  The rounds are
+    applied by :func:`_apply_rounds`: binary powering while at least K
+    rounds remain, then one round at a time.  This is the one-point case of
     :func:`oracle_sweep`'s propagation, at frequency ``omega``.
     """
     pts = _oracle_points(code, [params])._replace(omega=np.array([float(omega)]))
     [(_, kept, *vecs)] = _propagate(code, pts)
-    a, b, db = _full_register(kept, _register_size(code, params.n), vecs)
-    return AmplitudeOracleState(a_vec=a[0], b_vec=b[0], db_vec=db[0], kept=kept)
+    rows = slice(None) if kept is None else kept
+    a, b, db = (np.zeros(_register_size(code, params.n), vec.dtype) for vec in vecs)
+    for full, vec in zip((a, b, db), vecs):
+        full[rows] = vec[0]
+    return AmplitudeOracleState(a_vec=a, b_vec=b, db_vec=db, kept=kept)
 
 
 def oracle_sweep(code: str, params: Sequence[EccParams]) -> np.ndarray:
@@ -945,12 +928,10 @@ def oracle_sweep(code: str, params: Sequence[EccParams]) -> np.ndarray:
     gives that point alone.  A point that fails makes the whole call raise.
     """
     pts = _oracle_points(code, params)
-    dim = _register_size(code, pts.n)
     out = np.empty(pts.omega.size)
-    for index, kept, *vecs in _propagate(code, pts):
-        rho, drho = _x_blocks(*_full_register(kept, dim, vecs), kept)
-        for i, rho_i, drho_i in zip(index.tolist(), rho, drho):
-            out[i] = sld_qfi(rho_i, drho_i)
+    for index, _, *vecs in _propagate(code, pts):
+        for i, rho, drho in zip(index.tolist(), *_x_blocks(*vecs)):
+            out[i] = sld_qfi(rho, drho)
     return out
 
 
@@ -960,17 +941,15 @@ def oracle_work(code: str, params: Sequence[EccParams]) -> float:
     Per point: 10^5 for its blocks, its SLD and its share of the batch's
     bookkeeping; 32 dim^2 to build its maps (8 n 2^n for the bit-flip
     columns); 4 K^3 for each of its s squarings and 3 K^2 for each of its
-    s + k mat-vecs, where K is its kept-row count (2 for the bit-flip code,
-    2 for parity at p = 0, 4 at p = 1, the whole register otherwise) and
-    k < K its tail of single rounds.  On a 2-core machine the oracle does
-    about 10^9 of these a second.  Raises ValueError as the oracle does for
-    a code or n it does not take.
+    s + k mat-vecs, where K is its number of :func:`_kept_rows` and k < K
+    its tail of single rounds.  On a 2-core machine the oracle does about
+    10^9 of these a second.  Raises ValueError as the oracle does for a
+    code or n it does not take.
     """
     pts = _oracle_points(code, params)
     n, dim = pts.n, _register_size(code, pts.n)
-    size = np.full(pts.p.shape, 2.0 if code == "bitflip" else float(dim))
-    if code == "parity":
-        size[pts.p == 0.0], size[pts.p == 1.0] = 2.0, 4.0
+    size = np.array([dim if kept is None else len(kept)
+                     for kept in (_kept_rows(code, n, p) for p in pts.p.tolist())], dtype=float)
     build = 8.0 * n * 2 ** n if code == "bitflip" else 32.0 * dim * dim
     squarings = np.maximum(np.floor(np.log2(pts.rounds / size)) + 1.0, 0.0)
     tail = np.floor(np.ldexp(pts.rounds, -squarings.astype(int)))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,13 +61,15 @@ class Graph:
     def neighbors(self, v: int) -> frozenset[int]:
         return self.neighbor_sets()[v]
 
-    @lru_cache(maxsize=None)
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        sets: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            sets[u].add(v)
-            sets[v].add(u)
-        return tuple(frozenset(s) for s in sets)
+        """Each vertex's open neighbourhood, built once and kept on the (frozen) graph."""
+        if "_neighbor_sets" not in self.__dict__:
+            sets: list[set[int]] = [set() for _ in range(self.n)]
+            for u, v in self.edges:
+                sets[u].add(v)
+                sets[v].add(u)
+            object.__setattr__(self, "_neighbor_sets", tuple(frozenset(s) for s in sets))
+        return self.__dict__["_neighbor_sets"]
 
     def has_isolated_vertex(self) -> bool:
         return any(not s for s in self.neighbor_sets())

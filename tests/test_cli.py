@@ -9,12 +9,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmet import checks, cli, ecc, graphs
+from qmet import checks, cli, crypto, ecc, graphs
 
 STAR5 = "5\n0 1\n0 2\n0 3\n0 4\n"
 CYCLE6 = "6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
@@ -427,6 +428,33 @@ def test_ecc_bad_sweep_spec(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("sweep", ["xi:0:inf:3:lin", "xi:nan:1:3:lin", "tau:0.1:inf:3:log",
+                                   "xi:-1e308:1e308:3:lin"])
+def test_ecc_sweep_refuses_non_finite_endpoints_without_warnings(tmp_path, capsys, sweep):
+    out_path = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["ecc", "--code", "parity", "--n", "3", "--omega", "1", "--gamma", "0.1",
+                      "--tau", "0.1", "--t", "1", "--sweep", sweep, "--out", str(out_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: sweep endpoints and their span must be finite in %r\n" % sweep)
+    assert not out_path.exists()
+
+
+def test_ecc_parity_at_huge_xi_writes_its_row_without_warnings(tmp_path):
+    # xi tau = 1e307: e^{-2 xi tau} is 0, and -2 xi tau overflows to -inf on the way.
+    out_path = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["ecc", "--code", "parity", "--n", "3", "--omega", "1", "--gamma", "0.1",
+                      "--xi", "1e308", "--tau", "0.1", "--t", "1", "--out", str(out_path)])
+    assert rc == 0
+    header, row = out_path.read_text().splitlines()
+    cols = dict(zip(header.split(","), row.split(",")))
+    assert cols["xi"] == "1e+308" and 0.0 < float(cols["qfi_over_HL"]) <= 1.0
+
+
 def test_ecc_sweep_refuses_too_many_steps_before_any_work(tmp_path):
     out_path = tmp_path / "x.csv"
     start = time.perf_counter()
@@ -560,6 +588,29 @@ def test_crypto_sampled_trap_over_cap_exits_at_once(tmp_path):
                             "--attack", "depol:0.3", "--out", str(out_path)], timeout=60)
     assert proc.returncode == 3
     assert proc.stderr.strip() == "error: sampled trap code capped at m = 7 qubits, got m = 10"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("protocol,n,t,message", [
+    ("trap1", 40, 1, "sampled soundness capped at m = 10"),
+    ("cliff1", 60, 60, "sampled Clifford code capped at m = 7 qubits, got m = 120"),
+    ("delegated", 1000, 1, "sampled soundness capped at m = 10"),
+])
+def test_crypto_over_the_sampled_cap_exits_3_before_building_the_probe(
+        tmp_path, monkeypatch, capsys, protocol, n, t, message):
+    # The 2^n probe of n = 40 alone would take 16 TiB.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built the probe before checking the sampled cap")
+
+    monkeypatch.setattr(crypto, "_ghz_theta", forbidden)
+    monkeypatch.setattr(crypto, "_data_state", forbidden)
+    out_path = tmp_path / "c.json"
+    start = time.perf_counter()
+    rc = run_cli(["crypto", "--protocol", protocol, "--n", str(n), "--t", str(t),
+                  "--attack", "id", "--out", str(out_path)])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 3
+    assert capsys.readouterr().err == "error: %s\n" % message
     assert not out_path.exists()
 
 

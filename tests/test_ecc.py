@@ -278,13 +278,12 @@ def _maps_with_zero_rows(rng, dim, live):
 
 @pytest.mark.parametrize("pattern", ["no-zero-rows", "two-live-rows", "random-rows"])
 def test_live_row_propagation_matches_dense_loop(monkeypatch, pattern):
-    # The oracle finds the rows a round map writes from its entries: here they
-    # are anywhere, and in the last two patterns never rows 0 and dim - 1,
-    # which it keeps as well.  Below K kept rows no squaring happens, but the
-    # float mat-vec of a K x K block need not round like the dense one:
-    # OpenBLAS moves real entries by an ulp when K is not a multiple of 4.
-    # Hence 1e-14, not array_equal; rows no map writes must come out exactly
-    # zero either way.
+    # Propagation on hand-built kept rows: the live rows anywhere, and in the
+    # last two patterns never rows 0 and dim - 1, which are kept as well.
+    # Below K kept rows no squaring happens, but the float mat-vec of a K x K
+    # block need not round like the dense one: OpenBLAS moves real entries by
+    # an ulp when K is not a multiple of 4.  Hence 1e-14, not array_equal;
+    # rows no map writes must come out exactly zero either way.
     rng = np.random.default_rng(2404)
     for dim in (8, 16, 32):
         for _ in range(3):
@@ -294,13 +293,12 @@ def test_live_row_propagation_matches_dense_loop(monkeypatch, pattern):
                 size = 2 if pattern == "two-live-rows" else int(rng.integers(1, dim - 2))
                 live = np.sort(rng.choice(np.arange(1, dim - 1), size, replace=False))
             maps = _maps_with_zero_rows(rng, dim, live)
-            stacked = tuple(mat[None] for mat in maps)
-            [(index, kept, blocks)] = ecc._keep_written_rows(stacked)
-            if pattern == "no-zero-rows":
-                assert kept is None and all(block is mat for block, mat in zip(blocks, stacked))
-            else:
-                assert kept.tolist() == [0, *live.tolist(), dim - 1]
-            monkeypatch.setattr(ecc, "_round_maps", lambda *args: [(index, kept, blocks)])
+            kept = None if pattern == "no-zero-rows" else np.array([0, *live.tolist(), dim - 1])
+            rows = slice(None) if kept is None else np.ix_(kept, kept)
+            # _apply_rounds squares its maps in place: each call gets fresh blocks.
+            monkeypatch.setattr(ecc, "_round_maps", lambda *args: [(np.array([0]), kept, tuple(
+                np.array(mat[rows], order="C")[None] for mat in maps))])
+            size = dim if kept is None else kept.size
             for rounds in (1, 2, dim - 1, dim, dim + 1, 3 * dim + 5, 1000):
                 params = ecc.EccParams(n=dim.bit_length() - 1, omega=1.0, gamma=0.1, tau=0.1,
                                        t=rounds * 0.1)
@@ -308,7 +306,7 @@ def test_live_row_propagation_matches_dense_loop(monkeypatch, pattern):
                 for vec, ref in zip((got.a_vec, got.b_vec, got.db_vec), _dense_loop(maps, rounds)):
                     assert vec.shape == ref.shape == (dim,)
                     assert not np.any(np.delete(vec, live)) and not np.any(np.delete(ref, live))
-                    tol = 1e-14 if rounds < blocks[0].shape[1] else 1e-10
+                    tol = 1e-14 if rounds < size else 1e-10
                     assert np.max(np.abs(vec - ref)) <= tol * np.max(np.abs(ref))
 
 
@@ -470,26 +468,25 @@ def test_kron_power_dot_matches_block_writes_bit_for_bit(kinds):
 
 @pytest.mark.parametrize("code", ["none", "parity", "bitflip"])
 def test_round_maps_match_dense_correction_product(code):
-    # The kept block must be the reference's block at the kept rows and
-    # columns, and the reference must write no other row.
+    # The kept block must be the reference's block at the rows of _kept_rows,
+    # and the reference must write no other row: parity runs at p = 0,
+    # 0 < p < 0.1 and p = 1.
     rng = np.random.default_rng(2001)
     parity = code == "parity"
     for n in range(1, 8):
         if code == "bitflip" and n % 2 == 0:
             continue
-        for _ in range(3):
+        for i in range(3):
             tau = float(rng.uniform(0.01, 0.3))
+            p = (0.0, float(rng.uniform(0.0, 0.1)), 1.0)[i] * parity
             params = ecc.EccParams(n=n, omega=float(rng.uniform(0.5, 2.0)),
                                    gamma=float(rng.uniform(0.0, 1.0)), tau=tau, t=tau,
-                                   xi=float(rng.uniform(0.0, 0.5)) * parity,
-                                   p=float(rng.uniform(0.0, 0.1)) * parity)
+                                   xi=float(rng.uniform(0.0, 0.5)) * parity, p=p)
             kept, got = _one_point_maps(params, code)
             ref = _round_maps_reference(params, code, params.omega)
             dim = ref[0].shape[0]
-            if code == "bitflip":
-                assert kept.tolist() == [0, dim - 1]
-            else:
-                assert kept is None
+            rule = ecc._kept_rows(code, n, p)
+            assert (kept is None) if rule is None else kept.tolist() == list(rule)
             rows = np.arange(dim) if kept is None else kept
             for mat, full in zip(got, ref):
                 assert mat.shape == (rows.size, rows.size)

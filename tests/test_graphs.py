@@ -1,6 +1,8 @@
 """Graph-state QFI tests: closed forms, noise reductions, measurement schemes."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +26,18 @@ def test_parse_rejects_bad_input():
         graphs.parse_graph("2\n0 0\n")
     with pytest.raises(ValueError):
         graphs.parse_graph("")
+
+
+def test_neighbor_sets_are_kept_on_the_graph_alone():
+    # The neighbour sets are built once per graph, and a dropped graph is freed.
+    g = graphs.cycle(50)
+    sets = g.neighbor_sets()
+    assert g.neighbor_sets() is sets and g.neighbors(0) == frozenset({1, 49})
+    assert g == graphs.cycle(50) and "_neighbor_sets" not in repr(g)
+    ref = weakref.ref(g)
+    del g, sets
+    gc.collect()
+    assert ref() is None
 
 
 def test_constructors_edge_counts():
