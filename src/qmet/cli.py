@@ -240,6 +240,8 @@ def _ecc_qfi(code: str, params: list[ecc.EccParams]
         hl = (point.n * point.t) * (point.n * point.t)
         if not (math.isfinite(q) and math.isfinite(hl)):
             return qfi[:i], ValueError("QFI %g and (n t)^2 %g must be finite" % (q, hl))
+        if hl <= 0.0:       # n t below about 1.6e-162 squares to 0
+            return qfi[:i], ValueError("(n t)^2 must be positive, got %g" % hl)
     return qfi, None
 
 

@@ -44,6 +44,7 @@ from .pauli import (
 )
 
 _DENSE_QUBIT_CAP = 7
+_GHZ_QUBIT_CAP = 20     # a 16 MiB probe, graphs.oracle_graph_qfi's largest statevector
 _DEPOL_KRAUS_CAP = 5
 # (trial, term, slot) entries per chunk of the sampled paths: bounded memory at any trials.
 _CHUNK_ENTRIES = 1 << 16
@@ -392,7 +393,9 @@ def _check_sampled_cap(protocol: str, mode: str, m: int) -> None:
 
 
 def _ghz_theta(n: int, theta: float) -> np.ndarray:
-    """GHZ probe with an encoded relative phase exp(i n theta)."""
+    """GHZ probe with an encoded relative phase exp(i n theta), for n <= _GHZ_QUBIT_CAP."""
+    if n > _GHZ_QUBIT_CAP:
+        raise ValueError("GHZ probe capped at n = %d qubits, got n = %d" % (_GHZ_QUBIT_CAP, n))
     vec = np.zeros(1 << n, dtype=complex)
     vec[0] = 1.0 / math.sqrt(2.0)
     vec[-1] = np.exp(1j * n * theta) / math.sqrt(2.0)
@@ -700,7 +703,7 @@ def soundness_double(protocol: str, n: int, t: int, attack: AttackSpec,
         raise ValueError("unknown protocol %r" % protocol)
     m = n + t
     _check_sampled_cap(protocol, mode, m)
-    psi = _data_state(n, t, data_state)
+    psi = _data_state(n, t, data_state, default=protocol == "trap" or mode == "sampled")
     if mode == "sampled":
         lhs, accept, err = _sample_keys(protocol, n, t, attack.pair, psi, encode, trials, seed)
         bound = trap_double_bound(n, t) if protocol == "trap" else clifford_bound(t)

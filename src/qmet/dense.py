@@ -230,8 +230,8 @@ def _finite_matrix(name: str, mat, dim: int) -> np.ndarray:
 
 def _hermitian_matrix(name: str, mat, dim: int) -> np.ndarray:
     mat = _finite_matrix(name, mat, dim)
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    if np.max(np.abs(mat - mat.conj().T)) > _HERM_TOL * scale:
+    herm_dev, scale = _hermiticity(mat)
+    if herm_dev > _HERM_TOL * scale:
         raise ValueError("%s is not Hermitian" % name)
     return mat
 

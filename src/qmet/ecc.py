@@ -146,8 +146,8 @@ class _Points(NamedTuple):
     p: np.ndarray
     rounds: np.ndarray      # floats: t/tau rounded is a float's value, however large
 
-    def take(self, which: np.ndarray | slice) -> "_Points":
-        """The points at ``which``: a mask, indices or a slice."""
+    def take(self, which: np.ndarray) -> "_Points":
+        """The points at ``which``: a mask or indices."""
         return _Points(self.n, *(column[which] for column in self[1:]))
 
 
@@ -715,31 +715,25 @@ def _kept_rows(code: str, n: int, p: float) -> tuple[int, ...] | None:
     return None
 
 
-# One group of oracle points: (their positions in the batch, their kept rows or
-# None for every row, and their (S_a, S_b, dS_b/domega) stacks on those rows).
-_MapGroup = tuple[np.ndarray, "np.ndarray | None", tuple[np.ndarray, np.ndarray, np.ndarray]]
+def _round_maps(code: str, pts: _Points, kept: np.ndarray | None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S_a, S_b, dS_b/domega), each (P, K, K): one correction round of each point on ``kept``.
 
-
-def _round_maps(code: str, pts: _Points) -> list[_MapGroup]:
-    """One correction round of each point on its kept rows, grouped by :func:`_kept_rows`.
-
-    The diagonal amplitudes a_J and anti-diagonal amplitudes b_J close
-    under both the free evolution M (Kronecker powers of the single-qubit
-    factors) and the correction map C, so the full density matrix never
-    has to be formed.  S = C M for each sector, and dS_b = C dM_b, where
+    ``kept`` is the points' shared :func:`_kept_rows`, as an array, or None
+    for every row.  The diagonal amplitudes a_J and anti-diagonal amplitudes
+    b_J close under both the free evolution M (Kronecker powers of the
+    single-qubit factors) and the correction map C, so the full density
+    matrix never has to be formed.  S = C M for each sector, and dS_b = C dM_b, where
     dM_b is the product rule over the Kronecker factors.  C is never formed:
     ``bitflip`` votes rows into rows 0 and dim - 1, its kept rows, so its 2x2
     maps are the vote's two row sums of the powers of the factors' columns 0
     and 1; ``parity`` has C = sum_s R_s^{x n} x |s><s| (ancilla last), so
     C M = sum_s (R_s m)^{x n} x (|s><s| anc) by the mixed-product rule.
-    Each Kronecker-power call serves every point of the batch, with the
+    Each Kronecker-power call serves every point of ``pts``, with the
     bit-flip code's two columns and the parity code's two syndromes as
     batch entries too.  Each point's maps are the bits it gets alone.
     """
     n, p, tau = pts.n, pts.p, pts.tau
-    groups: dict[tuple[int, ...] | None, list[int]] = {}
-    for i, q in enumerate(p.tolist()):
-        groups.setdefault(_kept_rows(code, n, q), []).append(i)
     # Per point, the factors [[x_-, y], [y, x_+]] and their derivatives; the real
     # entries: the damped (cosh, sinh) of gamma tau, by math.exp as the scalar
     # function (np.exp does not always give its bits), and for parity that of
@@ -748,8 +742,10 @@ def _round_maps(code: str, pts: _Points) -> list[_MapGroup]:
                      .reshape(-1, 2, 2, 2).swapaxes(0, 1))
     gamma_tau = (pts.gamma * tau).tolist()
     if code == "parity":
+        with np.errstate(over="ignore"):    # xi tau past 1e308 decays as exp(-inf) = 0
+            xi_tau = (pts.xi * tau).tolist()
         real = np.array([_damped_cosh_sinh(g) + _damped_cosh_sinh(x) + (1.0 - q, q)
-                         for g, x, q in zip(gamma_tau, (pts.xi * tau).tolist(), p.tolist())])
+                         for g, x, q in zip(gamma_tau, xi_tau, p.tolist())])
     else:
         real = np.array([_damped_cosh_sinh(g) for g in gamma_tau])
     one_a = real[:, [0, 1, 1, 0]].reshape(-1, 2, 2)
@@ -761,10 +757,8 @@ def _round_maps(code: str, pts: _Points) -> list[_MapGroup]:
         powers = (_kron_power_dot(one_a.swapaxes(-1, -2)[..., None], None, n)
                   + _kron_power_dot(one_b.swapaxes(-1, -2)[..., None],
                                     one_db.swapaxes(-1, -2)[..., None], n))
-        [kept] = groups     # the vote's rows, whatever p
-        return [(np.arange(p.size), np.array(kept), tuple(
-            np.take(power[..., 0], rows, axis=-1).sum(axis=-1).swapaxes(-1, -2).copy()
-            for power in powers))]
+        return tuple(np.take(power[..., 0], rows, axis=-1).sum(axis=-1).swapaxes(-1, -2).copy()
+                     for power in powers)
     if code == "parity":
         anc = real[:, [2, 3, 3, 2]].reshape(-1, 2, 2)
         # reset[s] = R_s: row r of R_s is 1 - p when r = s, else p, in both columns.
@@ -780,16 +774,17 @@ def _round_maps(code: str, pts: _Points) -> list[_MapGroup]:
         maps = tuple(sector.reshape(-1, 2 * half, 2 * half) for sector in out)
     else:
         maps = tuple(_kron_power_dot(one_a, None, n) + _kron_power_dot(one_b, one_db, n))
-    # The amplitudes start on the kept rows and every round writes only kept
-    # rows, so the columns of the other rows only ever multiply zeros.
-    grouped = []
-    for kept, index in groups.items():
-        if kept is None:
-            blocks = maps if len(index) == p.size else tuple(mat[index] for mat in maps)
-        else:
-            blocks = tuple(np.ascontiguousarray(mat[np.ix_(index, kept, kept)]) for mat in maps)
-        grouped.append((np.array(index), None if kept is None else np.array(kept), blocks))
-    return grouped
+    if kept is None:
+        return maps
+    # The amplitudes start on, and every round writes only, kept rows: the other rows'
+    # columns only ever multiply zeros.  Strided blocks would change how @ rounds.
+    return tuple(np.ascontiguousarray(mat[:, kept[:, None], kept]) for mat in maps)
+
+
+def _schedule(rounds: int, size: int) -> tuple[int, int]:
+    """(s, k): s squarings, one per level with at least ``size`` rounds left, then k rounds."""
+    squarings = (rounds // size).bit_length()
+    return squarings, rounds >> squarings
 
 
 def _apply_rounds(maps: tuple[np.ndarray, np.ndarray, np.ndarray], rounds: np.ndarray
@@ -800,8 +795,8 @@ def _apply_rounds(maps: tuple[np.ndarray, np.ndarray, np.ndarray], rounds: np.nd
     least K rounds remain: squaring a K x K map costs about K mat-vecs, so it
     pays then.  The last k < K rounds apply the current power one at a time,
     so a run with fewer than K rounds applies the maps once per round.  Each
-    point takes its own exponent bits, squarings and tail: a product runs on
-    the points that need it, on all of them at once when all do, so each
+    point takes its own exponent bits and :func:`_schedule`: a product runs
+    on the points that need it, on all of them at once when all do, so each
     point gets exactly its own sequence of products.  The maps are squared
     in place.  ``rounds`` holds integer-valued floats, exact at any size.
     """
@@ -824,12 +819,11 @@ def _apply_rounds(maps: tuple[np.ndarray, np.ndarray, np.ndarray], rounds: np.nd
             b[i], db[i] = sb @ b[i], sb @ db[i] + dsb @ b[i]
 
     counts = [int(k) for k in rounds.tolist()]          # exact: integer-valued floats
-    squarings = [(k // size).bit_length() for k in counts]  # the levels with >= K rounds left
+    squarings, tails = zip(*(_schedule(k, size) for k in counts))
     for level in range(max(squarings)):
         run([i for i, (k, s) in enumerate(zip(counts, squarings)) if level < s and k >> level & 1],
             square=False)
         run([i for i, s in enumerate(squarings) if level < s], square=True)
-    tails = [k >> s for k, s in zip(counts, squarings)]
     for k in range(max(tails)):
         run([i for i, tail in enumerate(tails) if tail > k], square=False)
     return a[..., 0], b[..., 0], db[..., 0]
@@ -869,30 +863,31 @@ def _oracle_points(code: str, params: Sequence[EccParams]) -> _Points:
 
 def _propagate(code: str, pts: _Points) -> list[tuple[np.ndarray, np.ndarray | None,
                                                      np.ndarray, np.ndarray, np.ndarray]]:
-    """(index, kept, a, b, db) groups: each point's amplitudes after its rounds, on its kept rows.
+    """(index, kept, a, b, db) chunks: each point's amplitudes after its rounds, on its kept rows.
 
-    The points run in chunks of at most _CHUNK_ENTRIES map entries, and a
-    chunk's points are grouped by their kept rows.  Each point's diagonal
-    amplitudes must still sum to 1 within 1e-10; otherwise ArithmeticError
-    names the first point, in batch order, that lost normalisation.
+    The points are grouped by their :func:`_kept_rows`, and each group runs
+    in chunks of at most _CHUNK_ENTRIES map entries.  Each point's diagonal
+    amplitudes must still sum to 1 within 1e-10; otherwise, after every
+    group, ArithmeticError names the first such point in batch order.
     """
-    count, dim = pts.omega.size, _register_size(code, pts.n)
-    per_point = 4 * dim if code == "bitflip" else dim * dim
-    step = max(1, _CHUNK_ENTRIES // per_point)
-    out = []
-    for start in range(0, count, step):
-        chunk = pts if step >= count else pts.take(slice(start, start + step))
-        lost = []
-        for index, kept, maps in _round_maps(code, chunk):
-            a, b, db = _apply_rounds(maps, chunk.rounds[index])
-            out.append((index + start if start else index, kept, a, b, db))
-            lost += [start + int(i) for i, total in zip(index, a.sum(axis=-1).tolist())
-                     if abs(total - 1.0) > 1e-10]
-        if lost:
-            i = min(lost)
-            raise ArithmeticError(
-                "amplitude propagation lost normalisation at n=%d, omega=%r, gamma=%r, tau=%r, "
-                "t=%r, xi=%r, p=%r" % ((pts.n,) + tuple(float(column[i]) for column in pts[1:7])))
+    dim = _register_size(code, pts.n)
+    step = max(1, _CHUNK_ENTRIES // (4 * dim if code == "bitflip" else dim * dim))
+    groups: dict[tuple[int, ...] | None, list[int]] = {}
+    for i, q in enumerate(pts.p.tolist()):
+        groups.setdefault(_kept_rows(code, pts.n, q), []).append(i)
+    out, lost = [], []
+    for rows, members in groups.items():
+        kept = None if rows is None else np.array(rows)
+        for start in range(0, len(members), step):
+            index = np.array(members[start:start + step])
+            chunk = pts.take(index)
+            a, b, db = _apply_rounds(_round_maps(code, chunk, kept), chunk.rounds)
+            out.append((index, kept, a, b, db))
+            lost += index[np.abs(a.sum(axis=-1) - 1.0) > 1e-10].tolist()
+    if lost:
+        raise ArithmeticError(
+            "amplitude propagation lost normalisation at n=%d, omega=%r, gamma=%r, tau=%r, "
+            "t=%r, xi=%r, p=%r" % (pts.n, *np.array(pts[1:7])[:, min(lost)].tolist()))
     return out
 
 
@@ -910,11 +905,10 @@ def propagate_amplitudes(params: EccParams, code: str, omega: float) -> Amplitud
     """
     pts = _oracle_points(code, [params])._replace(omega=np.array([float(omega)]))
     [(_, kept, *vecs)] = _propagate(code, pts)
-    rows = slice(None) if kept is None else kept
-    a, b, db = (np.zeros(_register_size(code, params.n), vec.dtype) for vec in vecs)
-    for full, vec in zip((a, b, db), vecs):
-        full[rows] = vec[0]
-    return AmplitudeOracleState(a_vec=a, b_vec=b, db_vec=db, kept=kept)
+    full = [np.zeros(_register_size(code, params.n), vec.dtype) for vec in vecs]
+    for whole, vec in zip(full, vecs):
+        whole[slice(None) if kept is None else kept] = vec[0]
+    return AmplitudeOracleState(*full, kept=kept)
 
 
 def oracle_sweep(code: str, params: Sequence[EccParams]) -> np.ndarray:
@@ -941,18 +935,18 @@ def oracle_work(code: str, params: Sequence[EccParams]) -> float:
     Per point: 10^5 for its blocks, its SLD and its share of the batch's
     bookkeeping; 32 dim^2 to build its maps (8 n 2^n for the bit-flip
     columns); 4 K^3 for each of its s squarings and 3 K^2 for each of its
-    s + k mat-vecs, where K is its number of :func:`_kept_rows` and k < K
-    its tail of single rounds.  On a 2-core machine the oracle does about
-    10^9 of these a second.  Raises ValueError as the oracle does for a
-    code or n it does not take.
+    s + k mat-vecs, where K is its number of :func:`_kept_rows`, and s and
+    k < K are its squarings and tail of single rounds from
+    :func:`_schedule`.  On a 2-core machine the oracle does about 10^9 of
+    these a second.  Raises ValueError as the oracle does for a code or n
+    it does not take.
     """
     pts = _oracle_points(code, params)
     n, dim = pts.n, _register_size(code, pts.n)
-    size = np.array([dim if kept is None else len(kept)
-                     for kept in (_kept_rows(code, n, p) for p in pts.p.tolist())], dtype=float)
+    sizes = [len(_kept_rows(code, n, p) or range(dim)) for p in pts.p.tolist()]
+    size, squarings, tail = np.array([(K, *_schedule(int(k), K))
+                                      for k, K in zip(pts.rounds.tolist(), sizes)], dtype=float).T
     build = 8.0 * n * 2 ** n if code == "bitflip" else 32.0 * dim * dim
-    squarings = np.maximum(np.floor(np.log2(pts.rounds / size)) + 1.0, 0.0)
-    tail = np.floor(np.ldexp(pts.rounds, -squarings.astype(int)))
     return float(np.sum(1e5 + build + 4.0 * squarings * size ** 3
                         + 3.0 * (squarings + tail) * size ** 2))
 

@@ -455,6 +455,43 @@ def test_ecc_parity_at_huge_xi_writes_its_row_without_warnings(tmp_path):
     assert cols["xi"] == "1e+308" and 0.0 < float(cols["qfi_over_HL"]) <= 1.0
 
 
+def test_ecc_parity_oracle_at_huge_xi_writes_its_row_without_warnings(tmp_path):
+    # xi tau = 1e309 overflows to inf in the oracle's round maps too; e^{-inf} = 0.
+    out_path = tmp_path / "y.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["ecc", "--code", "parity", "--n", "3", "--omega", "1", "--gamma", "0.1",
+                      "--tau", "10", "--t", "10", "--xi", "1e308", "--oracle",
+                      "--out", str(out_path)])
+    assert rc == 0
+    header, row = out_path.read_text().splitlines()
+    cols = dict(zip(header.split(","), row.split(",")))
+    np.testing.assert_allclose(float(cols["qfi_oracle"]), float(cols["qfi"]), rtol=1e-12)
+
+
+def test_ecc_underflowing_n_t_squared_exits_3_without_warnings(tmp_path, capsys):
+    # n t = 3e-299 squares to 0, which would make qfi_over_HL a nan.
+    out_path = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["ecc", "--code", "parity", "--n", "3", "--omega", "1", "--gamma", "0.1",
+                      "--tau", "1e-300", "--t", "1e-299", "--out", str(out_path)])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: (n t)^2 must be positive, got 0\n"
+    assert not out_path.exists()
+
+
+def test_ecc_one_step_sweep_is_the_single_point_row(tmp_path):
+    args = ["ecc", "--code", "parity", "--n", "3", "--omega", "1", "--gamma", "0.1",
+            "--xi", "0.2", "--p", "0.05", "--tau", "0.1", "--t", "1", "--oracle"]
+    assert run_cli(args + ["--out", str(tmp_path / "one.csv")]) == 0
+    assert run_cli(args + ["--sweep", "tau:0.1:0.1:1:lin",
+                           "--out", str(tmp_path / "swept.csv")]) == 0
+    one, swept = ((tmp_path / name).read_text().splitlines() for name in ("one.csv", "swept.csv"))
+    assert len(one) == len(swept) == 2 and one[0] == swept[0]
+    assert swept[1].split(",", 1)[1] == one[1].split(",", 1)[1]
+
+
 def test_ecc_sweep_refuses_too_many_steps_before_any_work(tmp_path):
     out_path = tmp_path / "x.csv"
     start = time.perf_counter()

@@ -308,6 +308,29 @@ def test_sizes_and_data_states_are_checked(call, name):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: crypto.soundness_trap_single(40, 1, crypto.AttackSpec.identity(), "exact"),
+    lambda: crypto.soundness_delegated(40, 1, crypto.AttackSpec.identity()),
+    lambda: crypto.soundness_double("trap", 40, 1, crypto.parse_attack("double:id;id")),
+], ids=["trap1", "delegated", "double"])
+def test_ghz_probe_past_its_cap_is_refused_before_allocating(call):
+    # The n = 40 probe alone would take 16 TiB; n = 20 takes 16 MiB.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^GHZ probe capped at n = 20 qubits, got n = 40$"):
+        call()
+    assert time.perf_counter() - start < 1.0
+    assert crypto._ghz_theta(20, 0.0).shape == (2 ** 20,)
+
+
+def test_double_use_clifford_closed_form_builds_no_probe(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("built a GHZ probe the closed form does not read")
+
+    monkeypatch.setattr(crypto, "_ghz_theta", forbidden)
+    rep = crypto.soundness_double("clifford", 40, 1, crypto.parse_attack("double:id;id"))
+    assert rep.mode == "exact" and rep.lhs == 0.0
+
+
 def _literal_twirl(rho, kraus, keys):
     """Average of U^dag Gamma(U rho U^dag) U, one key at a time."""
     total = np.zeros_like(rho)

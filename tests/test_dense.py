@@ -232,6 +232,20 @@ def _two_qubit_tangent_case():
     return h0, h1, jumps, rho0
 
 
+def test_central_diff_falls_back_to_richardson():
+    # At h = 0.1 the estimates at h and h/2 differ by about 1e-3 and 2e-2, far
+    # above 1e-6, so the Richardson extrapolation is returned: within 4e-6 of
+    # the exact derivative, relative, where the estimate at h/2 is off by 2e-3.
+    def fun(x):
+        return np.array([np.sin(x), np.exp(2.0 * x)])
+
+    exact = np.array([np.cos(0.3), 2.0 * np.exp(0.6)])
+    got = dense._central_diff(fun, 0.3, 0.1)
+    assert np.all(np.abs(got - exact) <= 4e-6 * exact)
+    plain = (fun(0.35) - fun(0.25)) / 0.1
+    assert np.max(np.abs(plain - exact) / exact) > 1e-3
+
+
 def test_lindblad_tangent_matches_central_difference():
     h0, h1, jumps, rho0 = _two_qubit_tangent_case()
     assert np.abs(h0 @ h1 - h1 @ h0).max() > 0.1

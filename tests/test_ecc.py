@@ -189,9 +189,9 @@ def test_propagate_amplitudes_shapes_and_norm():
 
 
 def _one_point_maps(params, code):
-    """(kept, (S_a, S_b, dS_b)) of one point: its entry of the batched round maps."""
-    [(index, kept, maps)] = ecc._round_maps(code, ecc._oracle_points(code, [params]))
-    assert index.tolist() == [0]
+    """(kept, (S_a, S_b, dS_b)) of one point: the rows its propagation keeps, its maps there."""
+    kept = ecc.propagate_amplitudes(params, code, params.omega).kept
+    maps = ecc._round_maps(code, ecc._oracle_points(code, [params]), kept)
     return kept, tuple(mat[0] for mat in maps)
 
 
@@ -295,9 +295,11 @@ def test_live_row_propagation_matches_dense_loop(monkeypatch, pattern):
             maps = _maps_with_zero_rows(rng, dim, live)
             kept = None if pattern == "no-zero-rows" else np.array([0, *live.tolist(), dim - 1])
             rows = slice(None) if kept is None else np.ix_(kept, kept)
+            monkeypatch.setattr(ecc, "_kept_rows",
+                                lambda *args: None if kept is None else tuple(kept.tolist()))
             # _apply_rounds squares its maps in place: each call gets fresh blocks.
-            monkeypatch.setattr(ecc, "_round_maps", lambda *args: [(np.array([0]), kept, tuple(
-                np.array(mat[rows], order="C")[None] for mat in maps))])
+            monkeypatch.setattr(ecc, "_round_maps", lambda *args: tuple(
+                np.array(mat[rows], order="C")[None] for mat in maps))
             size = dim if kept is None else kept.size
             for rounds in (1, 2, dim - 1, dim, dim + 1, 3 * dim + 5, 1000):
                 params = ecc.EccParams(n=dim.bit_length() - 1, omega=1.0, gamma=0.1, tau=0.1,
@@ -755,19 +757,27 @@ def test_oracle_sweep_is_amplitude_oracle_bit_for_bit(code, ns):
 
 
 def test_oracle_sweep_groups_parity_points_by_kept_rows(monkeypatch):
-    # p = 0, 0 < p < 1 and p = 1 keep 2, every and 4 rows: three groups of one batch.
-    groups = []
-    round_maps = ecc._round_maps
+    # p = 0, 0 < p < 1 and p = 1 keep 2, every and 4 rows: three groups of one
+    # batch, each with one _round_maps call on its own points and kept rows.
+    groups, calls = [], []
+    propagate, round_maps = ecc._propagate, ecc._round_maps
+
+    def recording_maps(code, pts, kept):
+        calls.append((pts.p.tolist(), None if kept is None else kept.size))
+        return round_maps(code, pts, kept)
 
     def recording(code, pts):
-        out = round_maps(code, pts)
-        groups.extend((index.tolist(), None if kept is None else kept.size) for index, kept, _ in out)
+        out = propagate(code, pts)
+        groups.extend((index.tolist(), None if kept is None else kept.size)
+                      for index, kept, *_ in out)
         return out
 
-    monkeypatch.setattr(ecc, "_round_maps", recording)
+    monkeypatch.setattr(ecc, "_round_maps", recording_maps)
+    monkeypatch.setattr(ecc, "_propagate", recording)
     points = [ecc.EccParams(3, 1.0, 0.3, 0.05, 0.5, xi=0.2, p=p) for p in (0.0, 0.4, 1.0, 0.0, 0.7)]
     ecc.oracle_sweep("parity", points)
     assert sorted(groups) == [([0, 3], 2), ([1, 4], None), ([2], 4)]
+    assert sorted(calls) == [([0.0, 0.0], 2), ([0.4, 0.7], None), ([1.0], 4)]
 
 
 def test_oracle_sweep_names_the_point_that_lost_normalisation():
